@@ -186,15 +186,17 @@ void run_partitioned_section(unsigned workers, const std::string& json_path,
              (unsigned long long)pair.parallel.events, pair.parallel.seconds,
              pair.parallel.events_per_sec() / 1e6);
   bench::row("fingerprint %016llx (serial == x%u), speedup %.2fx on %u hw "
-             "threads",
+             "threads (host parallelism %.2fx)",
              (unsigned long long)pair.serial.fingerprint, pair.workers,
-             pair.speedup(), hw);
+             pair.speedup(), hw, pair.host_parallelism);
   if (!json_path.empty()) {
     bench::write_json_section(
         json_path, "perf_e11_sharded" + suffix,
         {{"shards", 2.0},
          {"workers", static_cast<double>(pair.workers)},
          {"hw_threads", static_cast<double>(hw)},
+         {"host_parallelism", pair.host_parallelism},
+         {"release_build", bench::kReleaseBuild ? 1.0 : 0.0},
          {"events", static_cast<double>(pair.parallel.events)},
          {"serial_meps", pair.serial.events_per_sec() / 1e6},
          {"parallel_meps", pair.parallel.events_per_sec() / 1e6},

@@ -44,10 +44,10 @@ void run_partitioned_section(std::uint32_t shards, unsigned workers,
              (unsigned long long)pair.parallel.events, pair.parallel.seconds,
              pair.parallel.events_per_sec() / 1e6);
   bench::row("fingerprint %016llx (serial == x%u), speedup %.2fx on %u hw "
-             "threads; %llu cross-site mails, %llu windows (%llu skipped "
-             "idle)",
+             "threads (host parallelism %.2fx); %llu cross-site mails, %llu "
+             "windows (%llu skipped idle)",
              (unsigned long long)pair.serial.fingerprint, pair.workers,
-             pair.speedup(), hw,
+             pair.speedup(), hw, pair.host_parallelism,
              (unsigned long long)pair.parallel.mail_delivered,
              (unsigned long long)pair.parallel.windows_run,
              (unsigned long long)pair.parallel.idle_windows_skipped);
@@ -57,6 +57,8 @@ void run_partitioned_section(std::uint32_t shards, unsigned workers,
         {{"shards", static_cast<double>(shards)},
          {"workers", static_cast<double>(pair.workers)},
          {"hw_threads", static_cast<double>(hw)},
+         {"host_parallelism", pair.host_parallelism},
+         {"release_build", bench::kReleaseBuild ? 1.0 : 0.0},
          {"events", static_cast<double>(pair.parallel.events)},
          {"serial_meps", pair.serial.events_per_sec() / 1e6},
          {"parallel_meps", pair.parallel.events_per_sec() / 1e6},

@@ -263,8 +263,11 @@ void run_sharded_dispatch(std::uint64_t events_per_shard,
       sharded_dispatch_bench(kShards, events_per_shard, 256, nullptr);
   report("sharded serial", serial.throughput);
   lsdf::exec::ThreadPool pool(workers);
+  const double probe_before = lsdf::bench::host_parallelism();
   const ShardedOutcome parallel =
       sharded_dispatch_bench(kShards, events_per_shard, 256, &pool);
+  const double host_parallelism =
+      std::min(probe_before, lsdf::bench::host_parallelism());
   report("sharded x" + std::to_string(workers), parallel.throughput);
   LSDF_REQUIRE(serial.fingerprint == parallel.fingerprint,
                "sharded run diverged from the single-threaded oracle");
@@ -283,9 +286,10 @@ void run_sharded_dispatch(std::uint64_t events_per_shard,
                      speedup);
   } else {
     lsdf::bench::row("sharded fingerprint: %016llx (serial == x%u), "
-                     "speedup %.2fx on %u hw threads",
+                     "speedup %.2fx on %u hw threads (host parallelism "
+                     "%.2fx)",
                      static_cast<unsigned long long>(serial.fingerprint),
-                     workers, speedup, hw);
+                     workers, speedup, hw, host_parallelism);
   }
   if (!json_path.empty()) {
     lsdf::bench::write_json_section(
@@ -293,6 +297,8 @@ void run_sharded_dispatch(std::uint64_t events_per_shard,
         {{"shards", static_cast<double>(kShards)},
          {"workers", static_cast<double>(workers)},
          {"hw_threads", static_cast<double>(hw)},
+         {"host_parallelism", host_parallelism},
+         {"release_build", lsdf::bench::kReleaseBuild ? 1.0 : 0.0},
          {"events", parallel.throughput.events},
          {"serial_events_per_sec", serial.throughput.events_per_sec()},
          {"parallel_events_per_sec", parallel.throughput.events_per_sec()},

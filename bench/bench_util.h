@@ -5,15 +5,20 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdarg>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <future>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/file_util.h"
+#include "exec/thread_pool.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -49,6 +54,47 @@ inline void compare(const std::string& metric, double paper,
   std::printf("[paper-vs-measured] %-34s paper=%-10.4g measured=%-10.4g %s"
               "  (x%.2f)\n",
               metric.c_str(), paper, measured, unit.c_str(), ratio);
+}
+
+// --- Host description --------------------------------------------------------
+//
+// A speedup only means something next to the parallelism the host offered
+// while it was measured: a shared or throttled machine can run far fewer
+// threads at once than hardware_concurrency() reports, and that changes
+// from minute to minute. Sections that report a speedup record both.
+
+#ifdef NDEBUG
+inline constexpr bool kReleaseBuild = true;
+#else
+inline constexpr bool kReleaseBuild = false;
+#endif
+
+// Times one fixed CPU-bound loop on the calling thread (t1), then one copy
+// per hardware thread at once on a pool of that many threads (t_hw), and
+// returns hw * t1 / t_hw: about hw on an idle host with hw real cores,
+// about 1 on a host that serialises them.
+inline double host_parallelism() {
+  const unsigned hw = exec::ThreadPool::default_thread_count();
+  const auto spin = [] {
+    std::uint64_t x = 0x9e3779b97f4a7c15ULL;
+    for (int i = 0; i < 20'000'000; ++i) {
+      x ^= x >> 29;
+      x *= 0xbf58476d1ce4e5b9ULL;
+    }
+    static std::atomic<std::uint64_t> sink{0};  // keeps the loop alive
+    sink.fetch_xor(x, std::memory_order_relaxed);
+  };
+  using Clock = std::chrono::steady_clock;
+  auto start = Clock::now();
+  spin();
+  const std::chrono::duration<double> one = Clock::now() - start;
+  exec::ThreadPool pool(hw);
+  std::vector<std::future<void>> copies;
+  start = Clock::now();
+  for (unsigned i = 0; i < hw; ++i) copies.push_back(pool.async(spin));
+  for (std::future<void>& copy : copies) copy.get();
+  const std::chrono::duration<double> all = Clock::now() - start;
+  return all.count() > 0.0 ? hw * one.count() / all.count() : 0.0;
 }
 
 // --- Machine-readable reports (BENCH_*.json) ---------------------------------

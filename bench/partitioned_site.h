@@ -18,12 +18,14 @@
 // bench run.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/require.h"
 #include "common/units.h"
 #include "exec/thread_pool.h"
@@ -258,11 +260,13 @@ inline PartitionedResult run_partitioned_facility(const PartitionedSpec& spec,
 }
 
 // Serial-oracle vs pooled pair with the invariance REQUIRE; returns
-// {serial, parallel}.
+// {serial, parallel} plus the smaller host_parallelism() probe of the two
+// taken just before and just after the pooled run.
 struct PartitionedPair {
   PartitionedResult serial;
   PartitionedResult parallel;
   unsigned workers = 0;
+  double host_parallelism = 0.0;
   [[nodiscard]] double speedup() const {
     return parallel.seconds > 0.0 ? serial.seconds / parallel.seconds : 0.0;
   }
@@ -274,7 +278,9 @@ inline PartitionedPair run_partitioned_pair(const PartitionedSpec& spec,
   pair.workers = workers;
   pair.serial = run_partitioned_facility(spec, nullptr);
   exec::ThreadPool pool(workers);
+  const double probe_before = host_parallelism();
   pair.parallel = run_partitioned_facility(spec, &pool);
+  pair.host_parallelism = std::min(probe_before, host_parallelism());
   LSDF_REQUIRE(pair.serial.fingerprint == pair.parallel.fingerprint,
                "partitioned run diverged from the single-threaded oracle");
   LSDF_REQUIRE(pair.serial.events == pair.parallel.events,

@@ -315,21 +315,20 @@ bool ShardedSimulator::plan_round() {
   return !plan_.ready.empty();
 }
 
-std::size_t ShardedSimulator::run_shard(std::uint32_t s, SimTime window_end) {
+void ShardedSimulator::run_shard(std::uint32_t s, SimTime window_end) {
   // run_window, not run_until: the window end is a safety bound, and with
   // idle peers it can be far beyond (or at SimTime::max()) — a shard that
   // advanced its clock there could never receive mail again.
   ShardState& st = shards_[s];
-  if (trace_rounds_) {
-    obs::Tracer& tracer = obs::Tracer::global();
-    st.window_start_us = tracer.now_us();
-    const ShardGuard guard(s);
-    const std::size_t executed = st.sim->run_window(window_end);
-    st.window_dur_us = tracer.now_us() - st.window_start_us;
-    return executed;
-  }
   const ShardGuard guard(s);
-  return st.sim->run_window(window_end);
+  if (!trace_rounds_) {
+    st.sim->run_window(window_end);
+    return;
+  }
+  obs::Tracer& tracer = obs::Tracer::global();
+  st.window_start_us = tracer.now_us();
+  st.sim->run_window(window_end);
+  st.window_dur_us = tracer.now_us() - st.window_start_us;
 }
 
 void ShardedSimulator::round_telemetry() {
@@ -357,50 +356,48 @@ std::size_t ShardedSimulator::run_core(SimTime limit) {
   limit_ = limit;
   obs::Tracer& tracer = obs::Tracer::global();
   trace_rounds_ = tracer.enabled() && !tracer.sim_clocked();
+  const std::uint64_t executed_before = executed_events();
   // Persistent executors only pay off with real parallelism: a 1-thread
   // pool (or none, or a single shard) runs the identical plan/deliver
   // arithmetic inline — that is the worker-count-invariance oracle, and
   // the honest configuration on a 1-core host.
-  const std::uint32_t spawn =
+  const std::uint32_t executors =
       pool_ == nullptr
-          ? 0
+          ? 1
           : std::min(static_cast<std::uint32_t>(pool_->thread_count()),
-                     shard_count()) -
-                1;
-  if (spawn > 0) return run_pooled(spawn);
-  std::size_t executed = 0;
+                     shard_count());
   barrier_deliver();
-  while (plan_round()) {
-    for (std::size_t k = 0; k < plan_.ready.size(); ++k) {
-      executed += run_shard(plan_.ready[k], plan_.window[k]);
+  if (executors > 1) {
+    run_pooled(executors);
+  } else {
+    while (plan_round()) {
+      for (std::size_t k = 0; k < plan_.ready.size(); ++k) {
+        run_shard(plan_.ready[k], plan_.window[k]);
+      }
+      if (trace_rounds_) round_telemetry();
+      barrier_deliver();
     }
-    if (trace_rounds_) round_telemetry();
-    barrier_deliver();
   }
-  return executed;
+  return static_cast<std::size_t>(executed_events() - executed_before);
 }
 
-std::size_t ShardedSimulator::run_pooled(std::uint32_t spawn) {
-  round_state_.store(0, std::memory_order_relaxed);
-  run_over_.store(false, std::memory_order_relaxed);
+void ShardedSimulator::run_pooled(std::uint32_t executors) {
+  if (!plan_round()) return;
+  // Round 1 is published before any executor starts, and — like every
+  // round — it completes only once all `executors` have arrived, so a
+  // worker the pool starts late still runs its stripe of it.
   arrived_.store(0, std::memory_order_relaxed);
-  round_executed_.store(0, std::memory_order_relaxed);
-  {
-    const chk::LockGuard lock(round_mutex_);
-    started_workers_ = 0;
-    error_ = nullptr;
-  }
-  barrier_deliver();
-  if (!plan_round()) return 0;
+  run_over_.store(false, std::memory_order_relaxed);
+  round_.store(1, std::memory_order_relaxed);
   // Park one persistent executor per pool thread (minus the caller, which
   // is executor 0) for the whole run: the only pool submissions a run makes.
   std::vector<std::future<void>> workers;
-  workers.reserve(spawn);
-  for (std::uint32_t e = 1; e <= spawn; ++e) {
-    workers.push_back(pool_->async([this, e] { executor_loop(e); }));
+  workers.reserve(executors - 1);
+  for (std::uint32_t e = 1; e < executors; ++e) {
+    workers.push_back(
+        pool_->async([this, e, executors] { executor_loop(e, executors); }));
   }
-  publish(/*over=*/false);
-  executor_loop(0);
+  executor_loop(0, executors);
   for (std::future<void>& worker : workers) worker.get();
   std::exception_ptr error;
   {
@@ -408,43 +405,12 @@ std::size_t ShardedSimulator::run_pooled(std::uint32_t spawn) {
     error = std::exchange(error_, nullptr);
   }
   if (error != nullptr) std::rethrow_exception(error);
-  return static_cast<std::size_t>(
-      round_executed_.load(std::memory_order_relaxed));
 }
 
-void ShardedSimulator::publish(bool over) {
-  // Precondition: the new plan (or terminal state) is fully written on this
-  // thread and every executor of the previous round has arrived. The
-  // release store on round_state_ publishes the plan to acquire-loaders.
-  {
-    const chk::LockGuard lock(round_mutex_);
-    if (!over) {
-      // Participant count caps at the executors that exist *now*; a worker
-      // registering later simply sits this round out (it reads only
-      // round_state_, never the plan).
-      const std::uint64_t participants = std::min<std::uint64_t>(
-          {started_workers_ + 1, plan_.ready.size(), 0xff});
-      const std::uint64_t round =
-          (round_state_.load(std::memory_order_relaxed) >> 8) + 1;
-      arrived_.store(0, std::memory_order_relaxed);
-      round_state_.store((round << 8) | participants,
-                         std::memory_order_release);
-    } else {
-      run_over_.store(true, std::memory_order_release);
-    }
-  }
-  round_cv_.notify_all();
-}
-
-void ShardedSimulator::executor_loop(std::uint32_t executor) {
-  if (executor != 0) {
-    const chk::LockGuard lock(round_mutex_);
-    ++started_workers_;
-  }
+void ShardedSimulator::executor_loop(std::uint32_t executor,
+                                     std::uint32_t executors) {
   std::uint64_t seen = 0;
-  while (await_round(seen)) {
-    run_round(executor, static_cast<std::uint32_t>(seen & 0xff));
-  }
+  while (await_round(seen)) run_round(executor, executors);
 }
 
 bool ShardedSimulator::await_round(std::uint64_t& seen) {
@@ -455,43 +421,38 @@ bool ShardedSimulator::await_round(std::uint64_t& seen) {
   };
   for (int spin = 0; spin < kBarrierSpins; ++spin) {
     if (run_over_.load(std::memory_order_acquire)) return settle(false);
-    const std::uint64_t state = round_state_.load(std::memory_order_acquire);
-    if (state != seen) {
-      seen = state;
+    const std::uint64_t round = round_.load(std::memory_order_acquire);
+    if (round != seen) {
+      seen = round;
       return settle(true);
     }
   }
   chk::UniqueLock lock(round_mutex_);
   round_cv_.wait(lock, [&] {
     return run_over_.load(std::memory_order_acquire) ||
-           round_state_.load(std::memory_order_acquire) != seen;
+           round_.load(std::memory_order_acquire) != seen;
   });
   if (run_over_.load(std::memory_order_acquire)) return settle(false);
-  seen = round_state_.load(std::memory_order_acquire);
+  seen = round_.load(std::memory_order_acquire);
   return settle(true);
 }
 
 void ShardedSimulator::run_round(std::uint32_t executor,
-                                 std::uint32_t participants) {
-  // Joined after this round's plan was published: not counted in its
-  // participants, so touching the plan would race the next winner.
-  if (executor >= participants) return;
-  // A participant's plan reads are published by the acquire on
-  // round_state_ in await_round, and the plan cannot be rewritten before
-  // every participant arrives below.
-  std::size_t executed = 0;
-  for (std::size_t k = executor; k < plan_.ready.size(); k += participants) {
+                                 std::uint32_t executors) {
+  // The plan's reads are published by the acquire on round_ in
+  // await_round, and the plan cannot be rewritten before every executor —
+  // with or without a shard this round — arrives below.
+  for (std::size_t k = executor; k < plan_.ready.size(); k += executors) {
     try {
-      executed += run_shard(plan_.ready[k], plan_.window[k]);
+      run_shard(plan_.ready[k], plan_.window[k]);
     } catch (...) {
       record_error(std::current_exception());
     }
   }
-  round_executed_.fetch_add(executed, std::memory_order_relaxed);
   // Last arriver fuses the barrier with the next window-advance: it drains
   // the mailboxes, plans the next round and wakes everyone — no separate
   // coordinator hop.
-  if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == participants) {
+  if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == executors) {
     finish_round();
   }
 }
@@ -507,10 +468,18 @@ void ShardedSimulator::finish_round() {
     over = true;
   }
   {
+    // The release increment of round_ publishes the new plan to
+    // acquire-loaders; under the mutex so a parking executor cannot miss
+    // the notify.
     const chk::LockGuard lock(round_mutex_);
-    if (error_ != nullptr) over = true;
+    if (over || error_ != nullptr) {
+      run_over_.store(true, std::memory_order_release);
+    } else {
+      arrived_.store(0, std::memory_order_relaxed);
+      round_.fetch_add(1, std::memory_order_release);
+    }
   }
-  publish(over);
+  round_cv_.notify_all();
 }
 
 void ShardedSimulator::record_error(std::exception_ptr error) {

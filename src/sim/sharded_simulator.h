@@ -20,15 +20,18 @@
 //! other.
 //!
 //! Execution uses persistent per-run workers: run() parks one executor per
-//! pool thread (capped at the shard count) in a round loop — no per-window
-//! ThreadPool submit churn. Ready shards are striped over the executors;
-//! the last executor to finish its stripe becomes the barrier winner and,
-//! still on its own thread, drains all mailboxes in one sorted splice,
-//! plans the next round and wakes the others (fused window-advance +
-//! barrier). The pool must keep its threads available for the duration of
-//! the run (dedicate one; workers park in the barrier, they do not yield
-//! tasks). With no pool — or a 1-thread pool — the caller thread runs the
-//! identical plan/deliver arithmetic in a tight serial loop.
+//! pool thread (capped at the shard count; the caller is executor 0) in a
+//! round loop — no per-window ThreadPool submit churn. The executor count
+//! is fixed for the run, ready shards are striped over the executors, and
+//! every executor arrives at every round's barrier, with or without a shard
+//! to run. The last to arrive becomes the barrier winner and, still on its
+//! own thread, drains all mailboxes in one sorted splice, plans the next
+//! round and wakes the others (fused window-advance + barrier). The pool
+//! must keep its threads available for the duration of the run (dedicate
+//! one; workers park in the barrier, they do not yield tasks, and a round
+//! cannot complete until every executor has started). With no pool — or a
+//! 1-thread pool — the caller thread runs the identical plan/deliver
+//! arithmetic in a tight serial loop.
 //!
 //! Determinism is the hard requirement (DESIGN.md §5c): a run on W worker
 //! threads produces byte-identical per-shard event streams — and therefore
@@ -220,11 +223,11 @@ class ShardedSimulator {
   };
 
   // One round's plan: the shards with work inside their window, ascending,
-  // with the parallel window-end array, striped over the round's
-  // participant executors. Written by the barrier winner, published by
-  // round_state_; only participants (who the round cannot complete
-  // without) ever read it, so it is stable for exactly as long as anyone
-  // looks at it.
+  // with the parallel window-end array, striped over the run's executors
+  // (entry k goes to executor k mod executors). Written by the barrier
+  // winner, published by round_; the round cannot complete until every
+  // executor has arrived, so it is stable for as long as anyone looks at
+  // it.
   struct RoundPlan {
     std::vector<std::uint32_t> ready;
     std::vector<SimTime> window;  // window[k] bounds ready[k]
@@ -252,16 +255,15 @@ class ShardedSimulator {
   // past limit_. Single thread, at a barrier.
   bool plan_round();
   // One shard's slice of a window (worker or caller thread; shard-guarded).
-  std::size_t run_shard(std::uint32_t s, SimTime window_end);
+  void run_shard(std::uint32_t s, SimTime window_end);
   std::size_t run_core(SimTime limit);
 
   // Persistent-worker machinery (pooled runs).
-  std::size_t run_pooled(std::uint32_t spawn);
-  void executor_loop(std::uint32_t executor);
+  void run_pooled(std::uint32_t executors);
+  void executor_loop(std::uint32_t executor, std::uint32_t executors);
   bool await_round(std::uint64_t& seen);
-  void run_round(std::uint32_t executor, std::uint32_t participants);
+  void run_round(std::uint32_t executor, std::uint32_t executors);
   void finish_round();
-  void publish(bool over);
   void record_error(std::exception_ptr error);
   void round_telemetry();
 
@@ -292,21 +294,16 @@ class ShardedSimulator {
   std::vector<SimTime> floors_ LSDF_BARRIER_SYNCHRONIZED;
 
   // --- round publication protocol ---
-  // The winner stores the new plan, then publishes
-  // round_state_ = (round number << 8) | participant count (release, under
-  // round_mutex_) and notifies; executors acquire-load it (a bounded spin,
-  // then the condition variable). Packing the participant count into the
-  // same word executors already watch means a non-participant — e.g. a
-  // worker that registered mid-round — decides "not my round" from that
-  // one atomic alone and never dereferences a plan that a concurrent
-  // winner may be rewriting.
-  std::atomic<std::uint64_t> round_state_{0};
+  // The winner stores the new plan, then bumps the round counter
+  // (release, under round_mutex_) and notifies; executors acquire-load it
+  // (a bounded spin, then the condition variable). Every executor arrives
+  // at every round, so no round is published before all executors have
+  // arrived at the previous one.
+  std::atomic<std::uint64_t> round_{0};
   std::atomic<bool> run_over_{false};
   std::atomic<std::uint32_t> arrived_{0};
-  std::atomic<std::uint64_t> round_executed_{0};
   chk::TrackedMutex round_mutex_{"sim.sharded_round"};
   std::condition_variable_any round_cv_;
-  std::uint32_t started_workers_ LSDF_GUARDED_BY(round_mutex_) = 0;
   std::exception_ptr error_ LSDF_GUARDED_BY(round_mutex_);
 
   // --- instruments (registry-owned; registration is construction-time) ---

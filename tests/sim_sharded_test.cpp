@@ -10,9 +10,14 @@
 // directly on a foreign shard's kernel.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <future>
 #include <memory>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "chk/replay.h"
@@ -207,6 +212,46 @@ TEST(ShardedKernel, PooledRunReplays) {
         seed);
     EXPECT_TRUE(report.deterministic()) << report.describe();
   }
+}
+
+TEST(ShardedKernel, FirstRoundRunsOnEveryExecutor) {
+  // Every executor a pooled run pins joins every round, including round 1,
+  // which is planned before any worker task has started. All four pool
+  // threads are held on a gate that opens ~20 ms into run(), so the caller
+  // reaches round 1 long before its workers exist; a protocol that let the
+  // round go ahead without them would run all four shards on the caller.
+  constexpr std::uint32_t kShards = 4;
+  exec::ThreadPool pool(kShards);
+  std::atomic<bool> open{false};
+  std::atomic<std::uint32_t> held{0};
+  std::vector<std::future<void>> gate;
+  for (std::uint32_t i = 0; i < kShards; ++i) {
+    gate.push_back(pool.async([&open, &held] {
+      ++held;
+      while (!open.load()) {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+    }));
+  }
+  while (held.load() < kShards) std::this_thread::yield();
+
+  sim::ShardedSimulator sharded(kShards, 1_ms, &pool);
+  std::vector<std::thread::id> ran_on(kShards);
+  for (std::uint32_t s = 0; s < kShards; ++s) {
+    sharded.seed(s, SimTime::zero(), [&ran_on, s] {
+      ran_on[s] = std::this_thread::get_id();
+    });
+  }
+  exec::ThreadPool opener(1);
+  std::future<void> opened = opener.async([&open] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    open.store(true);
+  });
+  EXPECT_EQ(sharded.run(), kShards);
+  opened.get();
+  for (std::future<void>& held_thread : gate) held_thread.get();
+  EXPECT_EQ(std::set<std::thread::id>(ran_on.begin(), ran_on.end()).size(),
+            kShards);
 }
 
 TEST(ShardedKernel, DistinctSeedsDiverge) {
