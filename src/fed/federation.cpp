@@ -408,11 +408,18 @@ void FederationService::transfer_done(meta::DatasetId dataset, SiteId site,
     return;
   }
   if (!delivered) {
-    // Retries exhausted: give up like the mirror does — a later tag or
-    // resolution pass restarts the copy from scratch.
+    // Retries exhausted: count the failure, drop the entry and re-resolve
+    // at once; no later tag is needed. pick_site ranks by (hosted, site id)
+    // and the drop just lowered this site's count again, so a site whose
+    // route is down but that no fault marked offline is normally picked
+    // again: the copy restarts there with a fresh retry budget, one failure
+    // per budget, rather than moving to a reachable site of the class. It
+    // lands once the route returns. With max_attempts = 1 and the route
+    // down at submission the restart fails synchronously and this path
+    // recurses without bound.
     drop_entry(dataset, site, /*lost=*/false);
     ++stats_.failed;
-    resolve_dataset(dataset);  // may reschedule elsewhere, or re-defer
+    resolve_dataset(dataset);
     pump();
     return;
   }

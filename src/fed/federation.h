@@ -1,5 +1,5 @@
 //! FederationService: declarative replica management over the facility
-//! models — the Rucio-style generalisation of core::MirrorService (DESIGN.md
+//! models, the library's one replication engine (Rucio-style, DESIGN.md
 //! §4i). Datasets live in meta::MetadataStore; replication rules ("2 copies
 //! on disk sites, 1 on tape", lifetimes, per-project quotas) are declared in
 //! code or parsed from `fed.*` properties; a deterministic resolution pass
@@ -52,7 +52,7 @@ struct FederationConfig {
   // node; the origin copy itself is outside the replica map and never
   // reclaimed).
   net::NodeId origin_gateway = 0;
-  // WAN protocol efficiency, as core::MirrorService (2011 long-haul TCP).
+  // WAN protocol efficiency (2011 long-haul TCP).
   double wan_efficiency = 0.62;
   // Concurrent WAN transfers across the whole federation.
   int max_concurrent = 4;
@@ -117,7 +117,8 @@ class FederationService {
   [[nodiscard]] std::size_t site_count() const { return sites_.size(); }
   [[nodiscard]] std::size_t rule_count() const { return rules_.size(); }
   [[nodiscard]] bool site_online(const std::string& name) const;
-  // Completed replicas of `dataset`, ascending site id.
+  // Replicas of `dataset` in any state (queued, in flight or complete),
+  // ascending site id.
   [[nodiscard]] std::vector<Replica> replicas(meta::DatasetId dataset) const;
   [[nodiscard]] bool has_replica(meta::DatasetId dataset,
                                  const std::string& site_name) const;

@@ -44,8 +44,8 @@ struct SiteConfig {
 
 // One declarative replication rule. A rule matches datasets by project
 // (exact name or "*") and, when `trigger_tag` is set, only datasets carrying
-// that tag — the generalisation of the Heidelberg mirror's
-// "share-with-heidelberg" trigger. The resolver keeps `copies` replicas of
+// that tag (the Heidelberg mirror in E11 triggers on
+// "share-with-heidelberg"). The resolver keeps `copies` replicas of
 // every matching dataset on distinct online sites of `storage` class.
 struct ReplicaRule {
   RuleId id = 0;  // assigned by FederationService::add_rule

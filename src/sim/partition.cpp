@@ -79,14 +79,6 @@ void Partitioner::assign(net::NodeId node, SiteId site) {
                "node already assigned to site " + sites_[it->second].name);
 }
 
-void Partitioner::assign_model(const std::string& name, SiteId site) {
-  LSDF_REQUIRE(site < sites_.size(), "site index out of range");
-  const auto [it, inserted] = model_site_.emplace(name, site);
-  LSDF_REQUIRE(inserted || it->second == site,
-               "model `" + name + "` already assigned to site " +
-                   sites_[it->second].name);
-}
-
 const std::string& Partitioner::site_name(SiteId site) const {
   LSDF_REQUIRE(site < sites_.size(), "site index out of range");
   return sites_[site].name;
@@ -102,14 +94,6 @@ Result<SiteId> Partitioner::site_of(net::NodeId node) const {
   if (it == node_site_.end()) {
     return not_found("node " + std::to_string(node) +
                      " is not assigned to any site");
-  }
-  return it->second;
-}
-
-Result<SiteId> Partitioner::site_of_model(const std::string& name) const {
-  const auto it = model_site_.find(name);
-  if (it == model_site_.end()) {
-    return not_found("model `" + name + "` is not assigned to any site");
   }
   return it->second;
 }

@@ -5,9 +5,9 @@
 //! *site* boundaries: models inside one site interact at sub-window
 //! granularity, while cross-site interactions ride links whose propagation
 //! latency is orders of magnitude larger. The Partitioner captures exactly
-//! that structure: declare sites, assign every topology node (and every
-//! named model) to one, and build() derives the per-ordered-pair lookahead
-//! matrix of a ShardedSimulator from the partitioned net::Topology — the
+//! that structure: declare sites, assign every topology node to one, and
+//! build() derives the per-ordered-pair lookahead matrix of a
+//! ShardedSimulator from the partitioned net::Topology — the
 //! min-latency chain of cross-site up links between the two sites, not the
 //! one global min_up_link_latency() floor — so a WAN-separated pair
 //! synchronizes every ~10ms of simulated time instead of every backbone
@@ -102,7 +102,7 @@ class Partition {
   std::vector<PairCoupling> couplings_;  // site_count^2, row-major by sender
 };
 
-// Builder: declare sites, assign nodes/models, build() the Partition.
+// Builder: declare sites, assign nodes, build() the Partition.
 class Partitioner {
  public:
   // Declares a site anchored at `gateway` (the topology node cross-site
@@ -114,18 +114,10 @@ class Partitioner {
   // build() must be assigned to exactly one site; reassignment is an error.
   void assign(net::NodeId node, SiteId site);
 
-  // Assigns a named model (a transfer engine, a monitor, an ingest chain —
-  // anything that needs a home kernel) to a site. Purely a registry:
-  // build() does not interpret the names, but site_of_model() lets wiring
-  // code place each model on its site's kernel without threading the map
-  // through every constructor.
-  void assign_model(const std::string& name, SiteId site);
-
   [[nodiscard]] std::size_t site_count() const { return sites_.size(); }
   [[nodiscard]] const std::string& site_name(SiteId site) const;
   [[nodiscard]] net::NodeId gateway(SiteId site) const;
   [[nodiscard]] Result<SiteId> site_of(net::NodeId node) const;
-  [[nodiscard]] Result<SiteId> site_of_model(const std::string& name) const;
 
   // Derives the coupling matrix from `topology` and returns the built
   // Partition (one shard per site, executing on `pool` — or serially when
@@ -152,7 +144,6 @@ class Partitioner {
   std::vector<Site> sites_;
   // Ordered containers keep iteration deterministic (lint LL010).
   std::map<net::NodeId, SiteId> node_site_;
-  std::map<std::string, SiteId> model_site_;
 };
 
 }  // namespace lsdf::sim

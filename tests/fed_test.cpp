@@ -1,9 +1,9 @@
 // Tests for the federation layer (fed::FederationService): declarative
 // replica rules over a small multi-site WAN world — deterministic
-// resolution, priority scheduling, quotas, lifetimes, and the mirror-era
-// re-replication edge cases the rule engine must preserve (replica lost
-// mid-transfer, site down at resolution time, rule satisfied by an
-// in-flight copy).
+// resolution, priority scheduling, quotas, lifetimes, the re-replication
+// edge cases (replica lost mid-transfer, site down at resolution time,
+// rule satisfied by an in-flight copy), and the one-rule Heidelberg
+// mirror bench E11 runs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -124,7 +124,7 @@ TEST(Federation, TriggerTagGatesTheRuleAndDoneTagIsStamped) {
 
 TEST(Federation, InFlightCopySatisfiesTheRule) {
   // Re-resolving while the copy is on the wire must not schedule a
-  // duplicate (the mirror's tracked_-set dedup, generalised).
+  // duplicate.
   World w;
   w.add_disk_sites();
   w.fed->add_rule({.name = "one-copy", .copies = 1,
@@ -376,6 +376,145 @@ TEST(Federation, SameSeedReplaysIdentically) {
   };
   chk::require_replay_deterministic(scenario, 0x6665645F5245504CULL,
                                     "federation scenario");
+}
+
+// The Heidelberg mirror as one tag-triggered rule to one site, which is
+// how bench E11 runs it. The suite keeps the name of the imperative mirror
+// service this rule replaced, one case per behaviour that service had.
+struct Mirror : World {
+  RuleId rule = 0;
+
+  explicit Mirror(FederationConfig config = base_config()) : World(config) {
+    fed->add_site({"heidelberg", node_a, StorageClass::kDisk, ""});
+    rule = fed->add_rule({.name = "mirror", .trigger_tag = "share",
+                          .done_tag = "mirrored"});
+    fed->start();
+  }
+
+  void share(meta::DatasetId id) { EXPECT_TRUE(store.tag(id, "share").is_ok()); }
+  bool mirrored(meta::DatasetId id) const { return fed->satisfied(id, rule); }
+  // No fault is attached, so the resolver keeps seeing the site online.
+  void set_wan_up(bool up) { topology.set_duplex_up(link_a, up); net.resync(); }
+};
+
+TEST(MirrorService, TagTriggersWanCopyAndDoneTag) {
+  Mirror m;
+  const meta::DatasetId id = m.ingest("frame-1");
+  m.share(id);
+  m.run_for(1_h);
+  EXPECT_TRUE(m.mirrored(id));
+  EXPECT_EQ(m.fed->stats().bytes_replicated, 10_GB);
+  const auto tags = m.store.get(id).value().tags;
+  EXPECT_NE(std::find(tags.begin(), tags.end(), "mirrored"), tags.end());
+}
+
+TEST(MirrorService, OtherTagsDoNothing) {
+  Mirror m;
+  const meta::DatasetId id = m.ingest("frame-1");
+  ASSERT_TRUE(m.store.tag(id, "unrelated").is_ok());
+  m.run_for(1_h);
+  EXPECT_EQ(m.fed->stats().scheduled, 0);
+  EXPECT_TRUE(m.fed->replicas(id).empty());
+}
+
+TEST(MirrorService, DuplicateRequestsAreDeduplicated) {
+  Mirror m;
+  const meta::DatasetId id = m.ingest("frame-1");
+  m.share(id);
+  m.fed->resolve_dataset(id);
+  m.fed->resolve_all();
+  m.run_for(1_h);
+  EXPECT_EQ(m.fed->stats().scheduled, 1);
+  EXPECT_EQ(m.fed->stats().replicated, 1);
+}
+
+TEST(MirrorService, ReTagWhileInFlightSchedulesNoDuplicate) {
+  Mirror m;
+  const meta::DatasetId id = m.ingest("frame-1");
+  m.share(id);
+  m.run_for(2_s);
+  EXPECT_EQ(m.fed->in_flight(), 1);
+  ASSERT_TRUE(m.store.untag(id, "share").is_ok());
+  m.share(id);
+  m.run_for(1_h);
+  EXPECT_EQ(m.fed->stats().scheduled, 1);
+  EXPECT_EQ(m.fed->stats().replicated, 1);
+}
+
+TEST(MirrorService, ConcurrencyIsBounded) {
+  FederationConfig config = World::base_config();
+  config.max_concurrent = 2;
+  Mirror m(config);
+  std::vector<meta::DatasetId> ids;
+  for (int i = 0; i < 6; ++i) ids.push_back(m.ingest("f" + std::to_string(i)));
+  for (const meta::DatasetId id : ids) m.share(id);
+  m.run_for(1_s);
+  EXPECT_EQ(m.fed->in_flight(), 2);
+  EXPECT_EQ(m.fed->backlog(), 4u);
+  m.run_for(1_h);
+  EXPECT_EQ(m.fed->stats().replicated, 6);
+  EXPECT_EQ(m.fed->in_flight(), 0);
+}
+
+TEST(MirrorService, SurvivesWanOutageViaInFlightStall) {
+  // The flow stalls mid-transfer and resumes on repair: no retry needed.
+  Mirror m;
+  const meta::DatasetId id = m.ingest("frame-1");
+  m.share(id);
+  m.run_for(2_s);
+  m.set_wan_up(false);
+  m.run_for(30_min);
+  EXPECT_FALSE(m.mirrored(id));
+  m.set_wan_up(true);
+  m.run_for(1_h);
+  EXPECT_TRUE(m.mirrored(id));
+  EXPECT_EQ(m.fed->stats().retries, 0);
+}
+
+TEST(MirrorService, RetriesWhenWanIsDownAtSubmission) {
+  FederationConfig config = World::base_config();
+  config.retry.max_attempts = 10;
+  Mirror m(config);
+  const meta::DatasetId id = m.ingest("frame-1");
+  m.set_wan_up(false);
+  m.share(id);
+  m.run_for(3_min);
+  EXPECT_GT(m.fed->stats().retries, 0);
+  EXPECT_FALSE(m.mirrored(id));
+  m.set_wan_up(true);
+  m.run_for(1_h);
+  EXPECT_TRUE(m.mirrored(id));
+  EXPECT_EQ(m.fed->stats().failed, 0);
+}
+
+TEST(MirrorService, GivesUpAfterMaxAttempts) {
+  // Each exhausted retry budget counts one failure and re-resolves at
+  // once onto the same unreachable site, so the copy lands once the WAN
+  // returns, without a second trigger tag.
+  FederationConfig config = World::base_config();
+  config.retry.max_attempts = 3;
+  Mirror m(config);
+  const meta::DatasetId id = m.ingest("frame-1");
+  m.set_wan_up(false);
+  m.share(id);
+  m.run_for(1_h);
+  EXPECT_GE(m.fed->stats().failed, 1);
+  EXPECT_GE(m.fed->stats().retries, 2);
+  EXPECT_LE(m.fed->in_flight(), 1);
+  EXPECT_FALSE(m.mirrored(id));
+  m.set_wan_up(true);
+  m.run_for(1_h);
+  EXPECT_TRUE(m.mirrored(id));
+  EXPECT_EQ(m.fed->stats().replicated, 1);
+  EXPECT_EQ(m.fed->in_flight(), 0);
+}
+
+TEST(MirrorService, UnknownDatasetIsIgnored) {
+  Mirror m;
+  m.fed->resolve_dataset(9999);
+  m.run_for(1_min);
+  EXPECT_EQ(m.fed->stats().resolutions, 0);
+  EXPECT_EQ(m.fed->stats().scheduled, 0);
 }
 
 }  // namespace

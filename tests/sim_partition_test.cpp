@@ -63,15 +63,9 @@ TEST(Partitioner, AssignmentBookkeeping) {
   EXPECT_EQ(world.partitioner.site_of(world.rack_b).value(), world.site_b);
   EXPECT_FALSE(world.partitioner.site_of(99).is_ok());
 
-  world.partitioner.assign_model("mirror-service", world.site_b);
-  EXPECT_EQ(world.partitioner.site_of_model("mirror-service").value(),
-            world.site_b);
-  EXPECT_FALSE(world.partitioner.site_of_model("absent").is_ok());
   // Re-assignment to the same site is idempotent; to another site, an error.
   world.partitioner.assign(world.rack_a, world.site_a);
   EXPECT_THROW(world.partitioner.assign(world.rack_a, world.site_b),
-               ContractViolation);
-  EXPECT_THROW(world.partitioner.assign_model("mirror-service", world.site_a),
                ContractViolation);
   EXPECT_THROW(world.partitioner.add_site("kit", world.rack_a),
                ContractViolation);
