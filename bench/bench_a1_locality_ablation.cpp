@@ -61,7 +61,8 @@ AblationPoint run_once(int racks, int nodes_per_rack, Bytes input,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const bench::ObsOptions obs_options = bench::obs_init(argc, argv);
   bench::headline("A1: locality-aware vs random task placement (ablation)",
                   "Hadoop's rack-aware scheduling is what keeps the "
                   "cluster's network out of the critical path");
@@ -103,5 +104,6 @@ int main() {
   }
   bench::row("random placement hurts MORE on bigger clusters: the odds of "
              "landing near the data shrink");
+  bench::obs_dump(obs_options);
   return 0;
 }

@@ -30,6 +30,7 @@ struct TraceResult {
 
 TraceResult run_trace(EvictionPolicy eviction, int drives) {
   sim::Simulator sim;
+  const bench::ScopedSimTraceClock trace_clock(sim);
   DiskArrayConfig cache_config;
   cache_config.name = "cache";
   cache_config.capacity = 20_GB;  // holds ~40 of the 200 runs
@@ -113,6 +114,7 @@ struct CacheAblation {
 
 CacheAblation run_cache_trace(bool cached, std::uint64_t seed) {
   sim::Simulator sim;
+  const bench::ScopedSimTraceClock trace_clock(sim);
   DiskArrayConfig cache_config;
   cache_config.name = "cache";
   cache_config.capacity = 20_GB;  // smaller than the 30 GB hot set: thrash
@@ -198,7 +200,8 @@ CacheAblation run_cache_trace(bool cached, std::uint64_t seed) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const bench::ObsOptions obs_options = bench::obs_init(argc, argv);
   bench::headline("A2: HSM staging policy & tape-drive count (ablation)",
                   "archive tier behaviour behind slide 7's tape backend");
 
@@ -265,7 +268,7 @@ int main() {
   bench::row("replay (cached): %s", replay.describe().c_str());
 
   bench::write_json_section(
-      "BENCH_cache.json", "a2_hsm_read_cache",
+      obs_options.json_path, "a2_hsm_read_cache",
       {{"cold_mean_read_s", cached.cold_mean_s},
        {"warm_mean_read_s", cached.warm_mean_s},
        {"uncached_cold_mean_read_s", uncached.cold_mean_s},
@@ -276,5 +279,6 @@ int main() {
        {"tape_stages_uncached", static_cast<double>(uncached.stages)},
        {"cache_evictions", static_cast<double>(cached.cache_evictions)},
        {"replay_deterministic", replay.deterministic() ? 1.0 : 0.0}});
+  bench::obs_dump(obs_options);
   return 0;
 }

@@ -64,7 +64,8 @@ double export_seconds(Bytes input, double wan_gbps) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const bench::ObsOptions obs_options = bench::obs_init(argc, argv);
   bench::headline("A3: compute-to-data vs data-to-compute crossover "
                   "(ablation of the slide-11 thesis)",
                   "transfer time dwarfs processing time once datasets pass "
@@ -100,5 +101,6 @@ int main() {
   bench::row("export only breaks even once the WAN alone outruns the "
              "cluster's aggregate read+process rate — far beyond 2011's "
              "10 GE (the paper's point)");
+  bench::obs_dump(obs_options);
   return 0;
 }

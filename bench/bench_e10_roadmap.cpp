@@ -26,7 +26,8 @@ struct CommunityPlan {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const bench::ObsOptions obs_options = bench::obs_init(argc, argv);
   bench::headline("E10: capacity roadmap 2011-2014 (slide 14)",
                   "6 PB in 2012; KATRIN, climate (archival), geophysics "
                   "and ANKA joining");
@@ -129,5 +130,6 @@ int main() {
         static_cast<double>(facility.metadata().project_names().size()),
         "communities");
   }
+  bench::obs_dump(obs_options);
   return 0;
 }

@@ -9,15 +9,11 @@
 // retry/stall machinery holding the backlog instead of losing data. Exits
 // non-zero if either day leaves a shared bundle unmirrored or fails a
 // transfer.
-#include <cstdlib>
-
 #include "bench_util.h"
 #include "core/facility.h"
-#include "exec/thread_pool.h"
 #include "fed/federation.h"
 #include "ingest/sources.h"
 #include "net/link_monitor.h"
-#include "partitioned_site.h"
 
 using namespace lsdf;
 
@@ -119,77 +115,13 @@ DayResult run_day(bool outage) {
   return result;
 }
 
-// KIT and BioQuant as two shards of the sharded kernel: each site a local
-// 10 GE star, coupled by the dedicated WAN link whose latency becomes the
-// pair lookahead (DESIGN.md §5c). Every 3rd local acquisition replicates
-// across — the mirror policy as deterministic cross-site mail. Reported as
-// perf_e11_sharded.
-void run_partitioned_section(unsigned workers, const std::string& json_path,
-                             const std::string& suffix) {
-  bench::section("partitioned 2-site run (KIT + Heidelberg, sharded kernel)");
-  bench::PartitionedSpec spec;
-  spec.sites = 2;
-  spec.wan_latency = 2_ms;  // the dedicated KIT–Heidelberg fibre
-  spec.readout_events = 1'200'000;
-  spec.replicate_every = 3;  // E11's every-3rd-frame sharing policy
-  spec.replica_size = 20_GB;
-  const unsigned hw = exec::ThreadPool::default_thread_count();
-  const bench::PartitionedPair pair = bench::run_partitioned_pair(
-      spec, workers == 0 ? std::min<unsigned>(2, hw) : workers);
-  bench::row("WAN lookahead %.1f ms; %llu mirror mails delivered, %llu "
-             "windows (%llu skipped idle)",
-             pair.serial.pair_lookahead.seconds() * 1e3,
-             (unsigned long long)pair.parallel.mail_delivered,
-             (unsigned long long)pair.parallel.windows_run,
-             (unsigned long long)pair.parallel.idle_windows_skipped);
-  bench::row("serial oracle   %12llu events  %8.3f s  %7.2f Meps",
-             (unsigned long long)pair.serial.events, pair.serial.seconds,
-             pair.serial.events_per_sec() / 1e6);
-  bench::row("pool x%-9u %12llu events  %8.3f s  %7.2f Meps", pair.workers,
-             (unsigned long long)pair.parallel.events, pair.parallel.seconds,
-             pair.parallel.events_per_sec() / 1e6);
-  bench::row("fingerprint %016llx (serial == x%u), speedup %.2fx on %u hw "
-             "threads (host parallelism %.2fx)",
-             (unsigned long long)pair.serial.fingerprint, pair.workers,
-             pair.speedup(), hw, pair.host_parallelism);
-  if (!json_path.empty()) {
-    bench::write_json_section(
-        json_path, "perf_e11_sharded" + suffix,
-        {{"shards", 2.0},
-         {"workers", static_cast<double>(pair.workers)},
-         {"hw_threads", static_cast<double>(hw)},
-         {"host_parallelism", pair.host_parallelism},
-         {"release_build", bench::kReleaseBuild ? 1.0 : 0.0},
-         {"events", static_cast<double>(pair.parallel.events)},
-         {"serial_meps", pair.serial.events_per_sec() / 1e6},
-         {"parallel_meps", pair.parallel.events_per_sec() / 1e6},
-         {"speedup", pair.speedup()}});
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  unsigned workers = 0;  // 0 = min(2, hw threads)
-  bool partitioned_only = false;
-  std::string json_path = "BENCH_perf.json";
-  std::string suffix;
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    if (flag == "--workers" && i + 1 < argc) {
-      workers = static_cast<unsigned>(std::atoi(argv[i + 1]));
-    }
-    if (flag == "--partitioned-only") partitioned_only = true;
-    if (flag == "--json" && i + 1 < argc) json_path = argv[i + 1];
-    if (flag == "--section-suffix" && i + 1 < argc) suffix = argv[i + 1];
-  }
+  const bench::ObsOptions obs_options = bench::obs_init(argc, argv);
   bench::headline("E11: cross-site mirroring to Heidelberg (slides 6/7)",
                   "tight cooperation with BioQuant over the dedicated WAN "
                   "link");
-  if (partitioned_only) {
-    run_partitioned_section(workers, json_path, suffix);
-    return 0;
-  }
 
   bench::section("normal day: every 3rd acquisition bundle shared");
   const DayResult normal = run_day(false);
@@ -218,7 +150,7 @@ int main(int argc, char** argv) {
   bench::compare("outage grows the backlog, not the failure count", 0.0,
                  static_cast<double>(outage.failures), "failures");
 
-  run_partitioned_section(workers, json_path, suffix);
+  bench::obs_dump(obs_options);
   const bool all_mirrored = normal.mirrored == normal.shared &&
                             outage.mirrored == outage.shared;
   return all_mirrored && normal.failures == 0 && outage.failures == 0 ? 0 : 1;

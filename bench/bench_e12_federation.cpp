@@ -275,7 +275,7 @@ int main(int argc, char** argv) {
                  replay.deterministic() ? 1.0 : 0.0, "bool");
 
   bench::write_json_section(
-      "BENCH_federation.json",
+      obs_options.json_path,
       smoke ? "e12_federation_smoke" : "e12_federation",
       {
           {"datasets", static_cast<double>(scale.datasets)},

@@ -7,95 +7,19 @@
 // ANKA) with community data batched into hourly containers; print the
 // utilisation time series per storage system, the backbone throughput, and
 // the archive tier's growth.
-#include <cstdlib>
-
 #include "bench_util.h"
 #include "core/facility.h"
-#include "exec/thread_pool.h"
 #include "ingest/sources.h"
 #include "net/link_monitor.h"
-#include "partitioned_site.h"
 
 using namespace lsdf;
 
-namespace {
-
-// The multi-core adoption (DESIGN.md §5c): the facility re-expressed as
-// per-site shards — local 10 GE stars joined by a WAN gateway ring — run
-// once serially (the oracle) and once on a worker pool, with the merged
-// fingerprints REQUIREd byte-identical. Reported as perf_e2_sharded.
-void run_partitioned_section(std::uint32_t shards, unsigned workers,
-                             const std::string& json_path,
-                             const std::string& suffix) {
-  bench::section("partitioned per-site run (sharded kernel)");
-  bench::PartitionedSpec spec;
-  spec.sites = shards;
-  spec.readout_events = 1'500'000;
-  const unsigned hw = exec::ThreadPool::default_thread_count();
-  const bench::PartitionedPair pair = bench::run_partitioned_pair(
-      spec, workers == 0 ? std::min<unsigned>(shards, hw) : workers);
-  bench::row("%u sites, WAN lookahead %.1f ms (derived from the gateway "
-             "ring, not the global backbone floor)",
-             shards, pair.serial.pair_lookahead.seconds() * 1e3);
-  bench::row("serial oracle   %12llu events  %8.3f s  %7.2f Meps",
-             (unsigned long long)pair.serial.events, pair.serial.seconds,
-             pair.serial.events_per_sec() / 1e6);
-  bench::row("pool x%-9u %12llu events  %8.3f s  %7.2f Meps", pair.workers,
-             (unsigned long long)pair.parallel.events, pair.parallel.seconds,
-             pair.parallel.events_per_sec() / 1e6);
-  bench::row("fingerprint %016llx (serial == x%u), speedup %.2fx on %u hw "
-             "threads (host parallelism %.2fx); %llu cross-site mails, %llu "
-             "windows (%llu skipped idle)",
-             (unsigned long long)pair.serial.fingerprint, pair.workers,
-             pair.speedup(), hw, pair.host_parallelism,
-             (unsigned long long)pair.parallel.mail_delivered,
-             (unsigned long long)pair.parallel.windows_run,
-             (unsigned long long)pair.parallel.idle_windows_skipped);
-  if (!json_path.empty()) {
-    bench::write_json_section(
-        json_path, "perf_e2_sharded" + suffix,
-        {{"shards", static_cast<double>(shards)},
-         {"workers", static_cast<double>(pair.workers)},
-         {"hw_threads", static_cast<double>(hw)},
-         {"host_parallelism", pair.host_parallelism},
-         {"release_build", bench::kReleaseBuild ? 1.0 : 0.0},
-         {"events", static_cast<double>(pair.parallel.events)},
-         {"serial_meps", pair.serial.events_per_sec() / 1e6},
-         {"parallel_meps", pair.parallel.events_per_sec() / 1e6},
-         {"speedup", pair.speedup()}});
-  }
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   const bench::ObsOptions obs_options = bench::obs_init(argc, argv);
-  std::uint32_t shards = 4;
-  unsigned workers = 0;  // 0 = min(shards, hw threads)
-  bool partitioned_only = false;
-  std::string json_path = "BENCH_perf.json";
-  std::string suffix;
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    if (flag == "--shards" && i + 1 < argc) {
-      shards = static_cast<std::uint32_t>(std::atoi(argv[i + 1]));
-    }
-    if (flag == "--workers" && i + 1 < argc) {
-      workers = static_cast<unsigned>(std::atoi(argv[i + 1]));
-    }
-    if (flag == "--partitioned-only") partitioned_only = true;
-    if (flag == "--json" && i + 1 < argc) json_path = argv[i + 1];
-    if (flag == "--section-suffix" && i + 1 < argc) suffix = argv[i + 1];
-  }
   bench::headline(
       "E2: facility storage fill & backbone load (slide 7)",
       "2 PB online in 2 systems (0.5 PB DDN + 1.4 PB IBM), 10 GE "
       "backbone, tape backend");
-  if (partitioned_only) {
-    run_partitioned_section(shards, workers, json_path, suffix);
-    bench::obs_dump(obs_options);
-    return 0;
-  }
 
   core::FacilityConfig config;  // full paper-scale facility
   config.cluster.racks = 2;     // cluster size is irrelevant to E2; shrink
@@ -220,8 +144,6 @@ int main(int argc, char** argv) {
                  facility.pool().capacity().as_double() / 1e15, "PB");
   bench::compare("9-month fill (vs 0.55 PB expected at 2.1 TB/day)", 0.55,
                  final_pool_pb, "PB");
-
-  run_partitioned_section(shards, workers, json_path, suffix);
 
   bench::metrics_digest();
   bench::obs_dump(obs_options);

@@ -55,7 +55,8 @@ meta::MetadataStore build_catalogue(std::int64_t datasets, int branches) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const bench::ObsOptions obs_options = bench::obs_init(argc, argv);
   bench::headline(
       "E3: project metadata DB & slide-8 processing-branch model",
       "WORM data + basic metadata + N independent processing branches; "
@@ -137,5 +138,6 @@ int main() {
     bench::compare("branch integrity", 1000.0,
                    static_cast<double>(closed_ok), "datasets");
   }
+  bench::obs_dump(obs_options);
   return 0;
 }

@@ -30,7 +30,8 @@ std::pair<bool, double> timed_read(core::Facility& facility,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const bench::ObsOptions obs_options = bench::obs_init(argc, argv);
   bench::headline(
       "E4: ADAL unified access layer (slides 9/10)",
       "one API over every backend; URIs survive storage technology changes");
@@ -121,5 +122,6 @@ int main() {
     bench::row("guest write without grant:     %s",
                guest_write->status.to_string().c_str());
   }
+  bench::obs_dump(obs_options);
   return 0;
 }

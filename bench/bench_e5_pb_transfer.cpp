@@ -15,7 +15,8 @@
 
 using namespace lsdf;
 
-int main() {
+int main(int argc, char** argv) {
+  const bench::ObsOptions obs_options = bench::obs_init(argc, argv);
   bench::headline("E5: 1 PB over a 10 Gb/s WAN vs computing in place "
                   "(slide 11)",
                   "15 days to transfer 1 PB over an ideal 10 Gb/s link");
@@ -133,5 +134,6 @@ int main() {
     bench::compare("same-seed fingerprints identical", 1.0,
                    report.deterministic() ? 1.0 : 0.0, "bool");
   }
+  bench::obs_dump(obs_options);
   return 0;
 }

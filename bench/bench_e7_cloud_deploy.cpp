@@ -44,7 +44,8 @@ FleetResult deploy_fleet(core::Facility& facility, int count,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const bench::ObsOptions obs_options = bench::obs_init(argc, argv);
   bench::headline("E7: cloud VM deployment (slide 11)",
                   "OpenNebula VMs: reliable, highly flexible, very fast to "
                   "deploy");
@@ -111,5 +112,6 @@ int main() {
                "RESOURCE_EXHAUSTED, %d running",
                fleet.failed, static_cast<int>(facility.cloud().running_vms()));
   }
+  bench::obs_dump(obs_options);
   return 0;
 }

@@ -20,7 +20,8 @@
 
 using namespace lsdf;
 
-int main() {
+int main(int argc, char** argv) {
+  const bench::ObsOptions obs_options = bench::obs_init(argc, argv);
   bench::headline("E8: 1 TB biomedical dataset in 20 minutes (slide 13)",
                   "3D visualisation processing of 1 TB in 20 min; DNA "
                   "sequencing with Hadoop tools");
@@ -132,7 +133,7 @@ int main() {
                warm.mean() * 1e3, 100.0 * hit_rate);
     bench::compare("warm vs cold block read", 5.0, speedup, "x");
     bench::write_json_section(
-        "BENCH_cache.json", "e8_dfs_block_cache",
+        obs_options.json_path, "e8_dfs_block_cache",
         {{"cold_mean_read_ms", cold.mean() * 1e3},
          {"warm_mean_read_ms", warm.mean() * 1e3},
          {"speedup", speedup},
@@ -201,5 +202,6 @@ int main() {
     bench::compare("configured per-slot rate vs paper-implied", 7.3, 8.0,
                    "MB/s per slot");
   }
+  bench::obs_dump(obs_options);
   return 0;
 }

@@ -14,7 +14,8 @@
 
 using namespace lsdf;
 
-int main() {
+int main(int argc, char** argv) {
+  const bench::ObsOptions obs_options = bench::obs_init(argc, argv);
   bench::headline("E9: tag-triggered workflow automation (slide 12)",
                   "tag via DataBrowser -> workflow runs -> results stored "
                   "and tagged in the DB");
@@ -110,5 +111,6 @@ int main() {
     bench::compare("provenance completeness", frames,
                    static_cast<double>(complete), "datasets");
   }
+  bench::obs_dump(obs_options);
   return 0;
 }

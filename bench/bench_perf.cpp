@@ -4,13 +4,16 @@
 // sim::Simulator and read the clock", so kernel events/sec is the
 // denominator of every reproduced figure. This harness measures the three
 // hot shapes — pure dispatch, schedule+cancel churn, and a mixed facility
-// workload (transfers + resources + periodic ticks) — in wall time, and
-// appends the results to BENCH_perf.json so the perf trajectory is
-// versioned alongside the paper-figure reports.
+// workload (transfers + resources + periodic ticks) — in wall time, plus
+// two sharded worlds serial vs pooled (a dispatch ring and a synthetic
+// 4-site partitioned world), and `--json BENCH_perf.json` appends the
+// results there so the perf trajectory is versioned alongside the
+// paper-figure reports.
 //
-// Flags:
-//   --quick               CI-sized run (~1s total)
-//   --json <path>         report file (default BENCH_perf.json)
+// Flags (besides bench_util.h's shared --json/--trace/--metrics set; the
+// report is written only when --json names it):
+//   --quick               CI-sized run (~2 s total)
+//   --sharded-smoke       only the two sharded worlds, small, no report
 //   --section-suffix <s>  appended to section names (used to record the
 //                         pre-rewrite kernel as *_seed_kernel)
 //   --floor <file>        key=value file with dispatch_min_meps; exits
@@ -21,9 +24,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -31,6 +34,7 @@
 #include "net/topology.h"
 #include "net/transfer_engine.h"
 #include "obs/metrics.h"
+#include "partitioned_site.h"
 #include "sim/sharded_simulator.h"
 #include "sim/simulator.h"
 
@@ -181,23 +185,21 @@ Throughput mixed_facility_bench(int waves, int flows_per_wave) {
   return t;
 }
 
-// --- 4. Sharded dispatch: worker-count scaling of the parallel kernel ---------
+// --- 4. Serial vs pooled: worker-count scaling of the sharded kernel --------
 //
+// Each sharded world runs twice — serially on the caller thread (the
+// single-threaded oracle), then fanned out on min(shards, hw threads) pool
+// workers — and the merged fingerprints and event counts must be equal;
+// the ratio of the two wall times is the kernel's parallel speedup.
+using lsdf::bench::ShardedRun;
+
 // The dispatch_bench workload partitioned over a 4-shard
 // sim::ShardedSimulator, with a cross-shard mailbox ring ping riding along
-// so every synchronization window carries real mail. Run twice — serially
-// on the caller thread (the single-threaded oracle) and fanned out on an
-// exec::ThreadPool — and the merged fingerprints must be byte-identical;
-// the ratio of the two wall times is the kernel's parallel speedup.
-struct ShardedOutcome {
-  Throughput throughput;
-  std::uint64_t fingerprint = 0;
-};
-
-ShardedOutcome sharded_dispatch_bench(std::uint32_t shards,
-                                      std::uint64_t events_per_shard,
-                                      std::size_t width,
-                                      lsdf::exec::ThreadPool* pool) {
+// so every synchronization window carries real mail.
+ShardedRun sharded_dispatch_bench(std::uint32_t shards,
+                                  std::uint64_t events_per_shard,
+                                  std::size_t width,
+                                  lsdf::exec::ThreadPool* pool) {
   // 100 µs lookahead → ~width·100k-event shard-windows: long enough to
   // amortize the barrier, short enough that a run crosses many of them.
   const SimDuration lookahead(100'000);
@@ -240,71 +242,100 @@ ShardedOutcome sharded_dispatch_bench(std::uint32_t shards,
   };
   sharded.seed(0, SimTime(1), Ping{&sharded, shards * 64ULL, 0});
   const auto start = Clock::now();
-  const auto executed = static_cast<double>(sharded.run());
-  ShardedOutcome outcome{Throughput{executed, seconds_since(start)},
-                         sharded.fingerprint()};
+  sharded.run();
+  const ShardedRun run = lsdf::bench::sharded_run_of(sharded,
+                                                     seconds_since(start));
   std::uint64_t chained = 0;
   for (const ShardCount& c : dispatched) chained += c.value;
   LSDF_REQUIRE(chained >= static_cast<std::uint64_t>(shards) *
                               (events_per_shard - width),
                "sharded dispatch chains lost events");
-  return outcome;
+  return run;
 }
 
-// Serial-vs-pooled pair; REQUIREs worker-count-invariant fingerprints (the
-// acceptance property, enforced on every bench and TSan-smoke run).
-void run_sharded_dispatch(std::uint64_t events_per_shard,
-                          const std::string& json_path,
-                          const std::string& suffix) {
-  constexpr std::uint32_t kShards = 4;
+// The serial-vs-pooled pair: REQUIREs the worker-count-invariant
+// fingerprint (the acceptance property, enforced on every bench and
+// TSan-smoke run), prints both rates, and records them as `section` next
+// to the host-parallelism probe taken just before and just after the
+// pooled run (the smaller reading is kept).
+void run_serial_vs_pooled(
+    const std::string& label, std::uint32_t shards,
+    const std::function<ShardedRun(lsdf::exec::ThreadPool*)>& world,
+    const std::string& json_path, const std::string& section) {
   const unsigned hw = lsdf::exec::ThreadPool::default_thread_count();
-  const unsigned workers = std::min<unsigned>(kShards, hw);
-  const ShardedOutcome serial =
-      sharded_dispatch_bench(kShards, events_per_shard, 256, nullptr);
-  report("sharded serial", serial.throughput);
+  const unsigned workers = std::min<unsigned>(shards, hw);
+  const ShardedRun serial = world(nullptr);
+  const Throughput serial_rate{static_cast<double>(serial.events),
+                               serial.seconds};
+  report(label + " serial", serial_rate);
   lsdf::exec::ThreadPool pool(workers);
   const double probe_before = lsdf::bench::host_parallelism();
-  const ShardedOutcome parallel =
-      sharded_dispatch_bench(kShards, events_per_shard, 256, &pool);
+  const ShardedRun pooled = world(&pool);
   const double host_parallelism =
       std::min(probe_before, lsdf::bench::host_parallelism());
-  report("sharded x" + std::to_string(workers), parallel.throughput);
-  LSDF_REQUIRE(serial.fingerprint == parallel.fingerprint,
-               "sharded run diverged from the single-threaded oracle");
+  const Throughput pooled_rate{static_cast<double>(pooled.events),
+                               pooled.seconds};
+  report(label + " x" + std::to_string(workers), pooled_rate);
+  LSDF_REQUIRE(serial.fingerprint == pooled.fingerprint,
+               label + " run diverged from the single-threaded oracle");
+  LSDF_REQUIRE(serial.events == pooled.events,
+               label + " run event counts diverged");
   const double speedup =
-      parallel.throughput.seconds > 0.0
-          ? serial.throughput.seconds / parallel.throughput.seconds
-          : 0.0;
-  if (workers == 1) {
-    // One hardware thread: the pooled run degenerates to the same serial
-    // loop (ShardedSimulator spawns pool_threads - 1 extra executors), so
-    // ~1.0x is the *correct* number, not a regression — record it as such
-    // instead of pretending a scaling measurement happened.
-    lsdf::bench::row("sharded fingerprint: %016llx (serial == x1); single "
-                     "hw thread — speedup not expected, ratio %.2fx",
-                     static_cast<unsigned long long>(serial.fingerprint),
-                     speedup);
-  } else {
-    lsdf::bench::row("sharded fingerprint: %016llx (serial == x%u), "
-                     "speedup %.2fx on %u hw threads (host parallelism "
-                     "%.2fx)",
-                     static_cast<unsigned long long>(serial.fingerprint),
-                     workers, speedup, hw, host_parallelism);
-  }
-  if (!json_path.empty()) {
-    lsdf::bench::write_json_section(
-        json_path, "perf_sharded_dispatch" + suffix,
-        {{"shards", static_cast<double>(kShards)},
-         {"workers", static_cast<double>(workers)},
-         {"hw_threads", static_cast<double>(hw)},
-         {"host_parallelism", host_parallelism},
-         {"release_build", lsdf::bench::kReleaseBuild ? 1.0 : 0.0},
-         {"events", parallel.throughput.events},
-         {"serial_events_per_sec", serial.throughput.events_per_sec()},
-         {"parallel_events_per_sec", parallel.throughput.events_per_sec()},
-         {"speedup", speedup},
-         {"speedup_expected", workers > 1 ? 1.0 : 0.0}});
-  }
+      pooled.seconds > 0.0 ? serial.seconds / pooled.seconds : 0.0;
+  // With one hardware thread the pooled run is the serial loop again, so
+  // ~1.0x is the correct ratio there (speedup_expected records 0).
+  lsdf::bench::row("%s fingerprint: %016llx (serial == x%u), speedup %.2fx "
+                   "on %u hw threads (host parallelism %.2fx); %llu "
+                   "cross-shard mails, %llu windows (%llu skipped idle)",
+                   label.c_str(),
+                   static_cast<unsigned long long>(serial.fingerprint),
+                   workers, speedup, hw, host_parallelism,
+                   static_cast<unsigned long long>(pooled.mail_delivered),
+                   static_cast<unsigned long long>(pooled.windows_run),
+                   static_cast<unsigned long long>(
+                       pooled.idle_windows_skipped));
+  lsdf::bench::write_json_section(
+      json_path, section,
+      {{"shards", static_cast<double>(shards)},
+       {"workers", static_cast<double>(workers)},
+       {"hw_threads", static_cast<double>(hw)},
+       {"host_parallelism", host_parallelism},
+       {"release_build", lsdf::bench::kReleaseBuild ? 1.0 : 0.0},
+       {"events", pooled_rate.events},
+       {"serial_events_per_sec", serial_rate.events_per_sec()},
+       {"parallel_events_per_sec", pooled_rate.events_per_sec()},
+       {"speedup", speedup},
+       {"speedup_expected", workers > 1 ? 1.0 : 0.0}});
+}
+
+// Both sharded worlds through the serial-vs-pooled pair: the dispatch ring
+// above and partitioned_site.h's synthetic 4-site world. main keeps that
+// world's full readout budget under --quick: CI gates its speedup, and the
+// docs quote its fingerprint and mail/window counts.
+void run_sharded_worlds(std::uint64_t dispatch_events_per_shard,
+                        std::uint64_t readout_events_per_site,
+                        const std::string& json_path,
+                        const std::string& suffix) {
+  constexpr std::uint32_t kShards = 4;
+  lsdf::bench::section("sharded dispatch: 4-shard ring");
+  run_serial_vs_pooled(
+      "sharded", kShards,
+      [&](lsdf::exec::ThreadPool* pool) {
+        return sharded_dispatch_bench(kShards, dispatch_events_per_shard, 256,
+                                      pool);
+      },
+      json_path, "perf_sharded_dispatch" + suffix);
+  lsdf::bench::PartitionedSpec spec;
+  spec.sites = kShards;
+  spec.readout_events = readout_events_per_site;
+  lsdf::bench::section("partitioned sites: 4-site WAN ring, lookahead " +
+                       format_duration(spec.wan_latency));
+  run_serial_vs_pooled(
+      "partitioned", kShards,
+      [&](lsdf::exec::ThreadPool* pool) {
+        return lsdf::bench::run_partitioned_facility(spec, pool);
+      },
+      json_path, "perf_partitioned_sites" + suffix);
 }
 
 double parse_floor(const std::string& path) {
@@ -327,26 +358,25 @@ int main(int argc, char** argv) {
   const auto obs = lsdf::bench::obs_init(argc, argv);
   bool quick = false;
   bool sharded_smoke = false;
-  std::string json_path = "BENCH_perf.json";
   std::string suffix;
   std::string floor_path;
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
     if (flag == "--quick") quick = true;
     if (flag == "--sharded-smoke") sharded_smoke = true;
-    if (flag == "--json" && i + 1 < argc) json_path = argv[i + 1];
     if (flag == "--section-suffix" && i + 1 < argc) suffix = argv[i + 1];
     if (flag == "--floor" && i + 1 < argc) floor_path = argv[i + 1];
   }
 
   if (sharded_smoke) {
     // TSan/CI mode: only the parallel kernel, small, no report file — the
-    // point is racing the window workers under the sanitizer and REQUIREing
-    // the worker-count-invariant fingerprint, not a timing.
+    // point is racing the window workers (and, in the partitioned world,
+    // the Partitioner and per-site TransferEngines) under the sanitizer
+    // and REQUIREing the worker-count-invariant fingerprint, not a timing.
     lsdf::bench::headline("PERF — sharded kernel smoke (determinism + races)",
                           "serial vs pooled fingerprints must match");
-    lsdf::bench::section("sharded smoke");
-    run_sharded_dispatch(200'000, "", suffix);
+    run_sharded_worlds(200'000, 100'000, "", suffix);
+    lsdf::bench::obs_dump(obs);
     return 0;
   }
 
@@ -373,7 +403,6 @@ int main(int argc, char** argv) {
   report("schedule+cancel", churn);
   const Throughput mixed = mixed_facility_bench(waves, 64);
   report("mixed facility", mixed);
-  run_sharded_dispatch(quick ? 1'000'000 : 4'000'000, json_path, suffix);
 
   const auto heap_callbacks =
       lsdf::obs::MetricsRegistry::global().counter_value(
@@ -382,19 +411,22 @@ int main(int argc, char** argv) {
                    "stay inline)",
                    static_cast<long long>(heap_callbacks));
 
+  run_sharded_worlds(quick ? 1'000'000 : 4'000'000, 1'500'000, obs.json_path,
+                     suffix);
+
   lsdf::bench::write_json_section(
-      json_path, "perf_dispatch" + suffix,
+      obs.json_path, "perf_dispatch" + suffix,
       {{"events", dispatch.events},
        {"events_per_sec", dispatch.events_per_sec()},
        {"ns_per_event", dispatch.ns_per_event()},
        {"callback_heap_total", static_cast<double>(dispatch_heap_callbacks)}});
   lsdf::bench::write_json_section(
-      json_path, "perf_schedule_cancel" + suffix,
+      obs.json_path, "perf_schedule_cancel" + suffix,
       {{"ops", churn.events},
        {"ops_per_sec", churn.events_per_sec()},
        {"ns_per_op", churn.ns_per_event()}});
   lsdf::bench::write_json_section(
-      json_path, "perf_mixed_facility" + suffix,
+      obs.json_path, "perf_mixed_facility" + suffix,
       {{"events", mixed.events},
        {"events_per_sec", mixed.events_per_sec()},
        {"ns_per_event", mixed.ns_per_event()}});

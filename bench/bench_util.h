@@ -104,11 +104,13 @@ inline double host_parallelism() {
 //   { "a2_hsm_read_cache": { "cold_mean_read_s": 41.2, ... }, ... }
 // write_json_section() replaces (or appends) exactly one section and
 // preserves every other byte-for-byte, so several bench binaries can share
-// one report file (bench_a2 and bench_e8 both feed BENCH_cache.json).
+// one report file (bench_a2 and bench_e8 both feed BENCH_cache.json). An
+// empty path — no `--json` on the command line — writes nothing.
 
 inline void write_json_section(
     const std::string& path, const std::string& section_name,
     const std::vector<std::pair<std::string, double>>& values) {
+  if (path.empty()) return;
   // Parse the existing file just enough to split it into (name, body) at
   // the top level: sections never nest further than one object deep.
   std::vector<std::pair<std::string, std::string>> sections;
@@ -207,6 +209,9 @@ inline void write_json_section(
 //                          chrome://tracing or https://ui.perfetto.dev)
 //   --metrics <file>       final metrics registry, Prometheus text format
 //   --metrics-csv <file>   same, as name,labels,field,value CSV
+//   --flight <dir>         flight-recorder postmortems and final timeline
+//   --json <file>          the bench's BENCH_*.json report sections; without
+//                          it a run writes no report
 // Call obs_init(argc, argv) at the top of main and obs_dump(options) at the
 // bottom. The tracer stays fully disabled unless --trace is given.
 
@@ -215,6 +220,7 @@ struct ObsOptions {
   std::string metrics_path;
   std::string metrics_csv_path;
   std::string flight_dir;
+  std::string json_path;
   [[nodiscard]] bool tracing() const { return !trace_path.empty(); }
   [[nodiscard]] bool flight() const { return !flight_dir.empty(); }
 };
@@ -227,6 +233,7 @@ inline ObsOptions obs_init(int argc, char** argv) {
     if (flag == "--metrics") options.metrics_path = argv[i + 1];
     if (flag == "--metrics-csv") options.metrics_csv_path = argv[i + 1];
     if (flag == "--flight") options.flight_dir = argv[i + 1];
+    if (flag == "--json") options.json_path = argv[i + 1];
   }
   if (options.tracing()) obs::Tracer::global().enable(true);
   if (options.flight()) {

@@ -1,5 +1,4 @@
-// Shared multi-site facility workload for the sharded-kernel adoption
-// benches (bench_e2, bench_e11) and the partition tests.
+// bench_perf's synthetic multi-site world, the only user of this header.
 //
 // Builds the LSDF "sites" shape with sim::Partitioner: per site a gateway
 // router plus a local 10 GE star of racks, sites joined into a WAN ring of
@@ -9,23 +8,21 @@
 // transfer replicates to the next site through the Partition's
 // deterministic mailbox (a post_notice announcement plus a post_transfer
 // carrying the bytes), so every synchronization window moves real
-// cross-site mail.
+// cross-site mail. It stands in for the facility models, which are not yet
+// partitioned by site: none of E2's storage, HSM or catalogue runs here.
 //
 // run_partitioned_facility() executes one full configuration and returns
-// wall time, events, and the merged fingerprint; callers run it twice
-// (serial oracle, then pooled) and LSDF_REQUIRE the fingerprints byte-equal
-// — the worker-count-invariance contract (DESIGN.md §5c) checked on every
-// bench run.
+// wall time, events, the merged fingerprint and the kernel's mailbox and
+// window telemetry; bench_perf runs it serially and pooled and REQUIREs
+// the two equal — the worker-count-invariance contract (DESIGN.md §5c).
 #pragma once
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "bench_util.h"
 #include "common/require.h"
 #include "common/units.h"
 #include "exec/thread_pool.h"
@@ -57,22 +54,24 @@ struct PartitionedSpec {
   SimDuration horizon = SimDuration::from_seconds(600.0);
 };
 
-struct PartitionedResult {
+// One timed run of a sharded world — this one or bench_perf's dispatch
+// ring: wall seconds, events, the merged fingerprint and the kernel's
+// mailbox and window telemetry.
+struct ShardedRun {
   double seconds = 0.0;
   std::uint64_t events = 0;
   std::uint64_t fingerprint = 0;
-  std::uint64_t transfers_completed = 0;
-  std::uint64_t replicas_applied = 0;
-  std::uint64_t notices_received = 0;
-  std::uint64_t mail_posted = 0;
   std::uint64_t mail_delivered = 0;
   std::uint64_t windows_run = 0;
   std::uint64_t idle_windows_skipped = 0;
-  SimDuration pair_lookahead;  // derived ring-neighbour lookahead
-  [[nodiscard]] double events_per_sec() const {
-    return seconds > 0.0 ? static_cast<double>(events) / seconds : 0.0;
-  }
 };
+
+inline ShardedRun sharded_run_of(const sim::ShardedSimulator& sharded,
+                                 double seconds) {
+  return ShardedRun{seconds, sharded.executed_events(), sharded.fingerprint(),
+                    sharded.mail_delivered(), sharded.windows_run(),
+                    sharded.idle_windows_skipped()};
+}
 
 namespace detail {
 
@@ -82,7 +81,6 @@ struct alignas(64) SiteCounters {
   std::uint64_t readout = 0;
   std::uint64_t transfers = 0;
   std::uint64_t replicas = 0;
-  std::uint64_t notices = 0;
 };
 
 struct ReadoutChain {
@@ -101,8 +99,8 @@ struct ReadoutChain {
 
 }  // namespace detail
 
-inline PartitionedResult run_partitioned_facility(const PartitionedSpec& spec,
-                                                  exec::ThreadPool* pool) {
+inline ShardedRun run_partitioned_facility(const PartitionedSpec& spec,
+                                           exec::ThreadPool* pool) {
   LSDF_REQUIRE(spec.sites >= 2, "a partitioned run needs at least two sites");
 
   // Facility-wide topology: the Partitioner derives the coupling matrix
@@ -213,8 +211,7 @@ inline PartitionedResult run_partitioned_facility(const PartitionedSpec& spec,
                     ++count->transfers;
                     if (replicate_every != 0 &&
                         count->transfers % replicate_every == 0) {
-                      part->post_notice(s, to,
-                                        [remote] { ++remote->notices; });
+                      part->post_notice(s, to, [] {});
                       part->post_transfer(s, to, replica_size, [remote] {
                         ++remote->replicas;
                       });
@@ -231,61 +228,24 @@ inline PartitionedResult run_partitioned_facility(const PartitionedSpec& spec,
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
 
-  PartitionedResult result;
-  result.seconds = seconds;
-  result.events = partition.sharded().executed_events();
-  result.fingerprint = partition.sharded().fingerprint();
+  std::uint64_t transfers_completed = 0;
+  std::uint64_t replicas_applied = 0;
   for (const detail::SiteCounters& c : counters) {
-    result.transfers_completed += c.transfers;
-    result.replicas_applied += c.replicas;
-    result.notices_received += c.notices;
+    transfers_completed += c.transfers;
+    replicas_applied += c.replicas;
   }
-  result.mail_posted = partition.sharded().mail_posted();
-  result.mail_delivered = partition.sharded().mail_delivered();
-  result.windows_run = partition.sharded().windows_run();
-  result.idle_windows_skipped = partition.sharded().idle_windows_skipped();
-  result.pair_lookahead = partition.lookahead(0, 1);
   const std::uint64_t expected_transfers =
       static_cast<std::uint64_t>(spec.sites) *
       static_cast<std::uint64_t>(spec.transfer_waves) *
       static_cast<std::uint64_t>(spec.transfers_per_wave);
-  LSDF_REQUIRE(result.transfers_completed == expected_transfers,
+  LSDF_REQUIRE(transfers_completed == expected_transfers,
                "partitioned facility lost local transfers");
-  LSDF_REQUIRE(result.replicas_applied ==
+  LSDF_REQUIRE(replicas_applied ==
                    (spec.replicate_every != 0
                         ? expected_transfers / spec.replicate_every
                         : 0),
                "partitioned facility lost cross-site replicas");
-  return result;
-}
-
-// Serial-oracle vs pooled pair with the invariance REQUIRE; returns
-// {serial, parallel} plus the smaller host_parallelism() probe of the two
-// taken just before and just after the pooled run.
-struct PartitionedPair {
-  PartitionedResult serial;
-  PartitionedResult parallel;
-  unsigned workers = 0;
-  double host_parallelism = 0.0;
-  [[nodiscard]] double speedup() const {
-    return parallel.seconds > 0.0 ? serial.seconds / parallel.seconds : 0.0;
-  }
-};
-
-inline PartitionedPair run_partitioned_pair(const PartitionedSpec& spec,
-                                            unsigned workers) {
-  PartitionedPair pair;
-  pair.workers = workers;
-  pair.serial = run_partitioned_facility(spec, nullptr);
-  exec::ThreadPool pool(workers);
-  const double probe_before = host_parallelism();
-  pair.parallel = run_partitioned_facility(spec, &pool);
-  pair.host_parallelism = std::min(probe_before, host_parallelism());
-  LSDF_REQUIRE(pair.serial.fingerprint == pair.parallel.fingerprint,
-               "partitioned run diverged from the single-threaded oracle");
-  LSDF_REQUIRE(pair.serial.events == pair.parallel.events,
-               "partitioned run event counts diverged");
-  return pair;
+  return sharded_run_of(partition.sharded(), seconds);
 }
 
 }  // namespace lsdf::bench

@@ -121,8 +121,8 @@ Facility::Facility(FacilityConfig config)
       simulator_, *net_, *adal_, metadata_, ingest_config);
 
   // --- Facility-level gauges. -------------------------------------------------
-  // Bound as providers: exports and FacilityMonitor::sample() see the live
-  // value without the facility pushing updates. ~Facility unbinds them.
+  // Bound as providers: metrics exports see the live value without the
+  // facility pushing updates. ~Facility unbinds them.
   auto& registry = obs::MetricsRegistry::global();
   registry.gauge("lsdf_pool_used_bytes").bind([this] {
     return pool_.used().as_double();

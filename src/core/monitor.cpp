@@ -19,18 +19,18 @@ void FacilityMonitor::start() {
 void FacilityMonitor::stop() { sampler_.stop(); }
 
 void FacilityMonitor::sample() {
-  // Samples come from the global metrics registry, not the subsystems
-  // directly: the facility binds its gauges there (see Facility's ctor),
-  // so the monitor sees exactly what a metrics scrape would.
+  // Read from this monitor's facility, as status_report() does: the
+  // registry's facility gauges show whichever Facility bound them last.
   const SimTime now = facility_.simulator().now();
+  pool_used_.record(now, facility_.pool().used().as_double());
+  tape_used_.record(now, facility_.tape().used().as_double());
+  datasets_.record(
+      now, static_cast<double>(facility_.metadata().dataset_count()));
+  ingest_queue_.record(
+      now, static_cast<double>(facility_.ingest().queue_depth()));
+  dfs_used_.record(now, facility_.dfs().used().as_double());
+  vms_.record(now, static_cast<double>(facility_.cloud().running_vms()));
   const auto& registry = obs::MetricsRegistry::global();
-  pool_used_.record(now, registry.gauge_value("lsdf_pool_used_bytes"));
-  tape_used_.record(now, registry.gauge_value("lsdf_tape_used_bytes"));
-  datasets_.record(now, registry.gauge_value("lsdf_catalogue_datasets"));
-  ingest_queue_.record(now,
-                       registry.gauge_value("lsdf_ingest_queue_depth"));
-  dfs_used_.record(now, registry.gauge_value("lsdf_dfs_used_bytes"));
-  vms_.record(now, registry.gauge_value("lsdf_cloud_running_vms"));
   // Summed across caches (hsm-read, dfs-block, ...). cache_served counts
   // only bytes a cache delivered itself; bytes a miss pulled through the
   // backing store stay in that tier's own counters (lsdf_disk_bytes_total

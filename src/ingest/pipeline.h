@@ -107,7 +107,7 @@ class IngestPipeline {
   sim::Resource slots_;
   IngestStats stats_;
 
-  // Telemetry: queue depth is also what core::FacilityMonitor samples.
+  // Telemetry: registry instruments for metrics exports.
   obs::Gauge& queue_depth_metric_;
   obs::Counter& ok_items_metric_;
   obs::Counter& failed_items_metric_;

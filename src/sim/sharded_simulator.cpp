@@ -51,6 +51,8 @@ class RunScope {
       .count();
 }
 
+constexpr int kTokenShardShift = 40;  // mail tokens: see post()
+
 // Executors check the round atomics this many times before parking on the
 // condition variable — long enough to catch a back-to-back window without
 // a futex round-trip, short enough not to starve the winner of a core.
@@ -163,7 +165,7 @@ MailId ShardedSimulator::post(std::uint32_t from, std::uint32_t to,
   // shared counter (post runs on worker threads); counting from 1 keeps
   // token 0 as the nil MailId.
   const std::uint64_t token =
-      (static_cast<std::uint64_t>(from) << 40) | ++sender.next_token;
+      (std::uint64_t{from} << kTokenShardShift) | ++sender.next_token;
   sender.outbox.push_back(
       Mail{sender.sim->now() + delay, token, to, std::move(callback)});
   return MailId{token};
@@ -203,24 +205,22 @@ void ShardedSimulator::barrier_deliver() {
                     return a.token == b.token;
                   }),
       scratch_cancels_.end());
-  // A cancel is honoured iff issued strictly before the mail's delivery
-  // time: by the sender's own clock the mail had not yet fired. Later
-  // cancels are deterministic no-ops, exactly as if the shards ran in one
-  // totally-ordered kernel.
-  const auto cancelled = [this](std::uint64_t token, SimTime deliver) {
+  // A cancel is honoured iff issued + lookahead(from, to) < deliver (see
+  // cancel_mail); with no cancels the lookup fails before any arithmetic.
+  const auto cancelled = [this](const auto& mail) {
     const auto it = std::lower_bound(
-        scratch_cancels_.begin(), scratch_cancels_.end(), token,
+        scratch_cancels_.begin(), scratch_cancels_.end(), mail.token,
         [](const Cancel& c, std::uint64_t t) { return c.token < t; });
-    return it != scratch_cancels_.end() && it->token == token &&
-           it->issued < deliver;
+    if (it == scratch_cancels_.end() || it->token != mail.token) return false;
+    const auto from =
+        static_cast<std::uint32_t>(mail.token >> kTokenShardShift);
+    return add_saturating(it->issued, pair_lookahead(from, mail.to)) <
+           mail.deliver;
   };
   // One pass over the (token-sorted) in-flight list: drop records whose
-  // delivery time has passed on the receiver — those events fired
-  // (run_until executes everything <= its deadline), so a late cancel_mail
-  // against them must be a no-op, not a stale cancel of whatever recycled
-  // the event slot (the kernel's generation check makes that impossible
-  // anyway; purging keeps the list bounded) — and apply cancels to the
-  // still-pending rest.
+  // delivery time has passed on the receiver — those events fired, so the
+  // rule above makes any cancel against them a no-op; purging keeps the
+  // list bounded — and apply cancels to the still-pending rest.
   in_flight_.erase(
       std::remove_if(in_flight_.begin(), in_flight_.end(),
                      [&](const DeliveredMail& flight) {
@@ -228,7 +228,7 @@ void ShardedSimulator::barrier_deliver() {
                            shards_[flight.to].sim->now()) {
                          return true;  // fired; cancel is a no-op
                        }
-                       if (!cancelled(flight.token, flight.deliver)) {
+                       if (!cancelled(flight)) {
                          return false;
                        }
                        if (shards_[flight.to].sim->cancel(flight.event)) {
@@ -244,7 +244,7 @@ void ShardedSimulator::barrier_deliver() {
   for (ShardState& st : shards_) {
     for (Mail& mail : st.outbox) {
       ++mail_posted_;
-      if (cancelled(mail.token, mail.deliver)) {
+      if (cancelled(mail)) {
         ++mail_cancelled_;
         continue;
       }

@@ -67,7 +67,7 @@
 namespace lsdf::sim {
 
 // Handle for a cross-shard message; usable by the *sending* shard to cancel
-// it (cancel_mail) before delivery reaches its lookahead horizon. 0 = nil.
+// it (cancel_mail) more than one pair lookahead before delivery. 0 = nil.
 struct MailId {
   std::uint64_t token = 0;
   friend bool operator==(MailId, MailId) = default;
@@ -131,13 +131,13 @@ class ShardedSimulator {
               Simulator::Callback callback);
 
   // Cancel a message previously post()ed by shard `from`. Effective iff
-  // issued (by the sender's sim clock) before the mail's delivery time —
-  // a rule in simulation time, so it cannot depend on how wide the
-  // scheduler happened to cut the windows. Applied at the next barrier:
-  // an effective cancel drops mail still in the sender's outbox, or
-  // cancels it on the destination shard if already scheduled there.
-  // Safe to call with a handle whose mail already fired (sim-time-wise) —
-  // it is then a deterministic no-op.
+  // issued (by the sender's sim clock) more than one pair lookahead before
+  // delivery, issued + lookahead(from, to) < deliver: until the next
+  // barrier the receiver may run up to the sender's floor plus that
+  // lookahead, so this rule in simulation time cannot depend on how wide
+  // the scheduler cut the windows. Applied at that barrier: mail still in
+  // the sender's outbox is dropped, mail already scheduled on the
+  // destination shard is cancelled there; later cancels are no-ops.
   void cancel_mail(std::uint32_t from, MailId id);
 
   // Run until every shard drains and no mail is in flight. Returns events
@@ -191,11 +191,11 @@ class ShardedSimulator {
   // acquire-release) provides the happens-before edge between one round's
   // writes and the next reader, so no per-shard locks are needed.
   // Cache-line aligned: adjacent shards run on different workers.
-  // A cancel_mail call, stamped with the sender's sim clock: a cancel is
-  // honoured only when it was issued before the mail's delivery time, so
-  // the outcome follows *simulation* time. (Window sizes are a scheduling
-  // artifact — an idle peer gives the sender an arbitrarily wide window,
-  // which may put a post and a much-later cancel into the same barrier.)
+  // A cancel_mail call, stamped with the sender's sim clock: whether it is
+  // honoured follows *simulation* time (see cancel_mail). (Window sizes are
+  // a scheduling artifact — an idle peer gives the sender an arbitrarily
+  // wide window, which may put a post and a much-later cancel into the
+  // same barrier.)
   struct Cancel {
     std::uint64_t token = 0;
     SimTime issued;

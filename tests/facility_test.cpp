@@ -545,6 +545,22 @@ TEST(Facility, MonitorSamplesAndReports) {
   EXPECT_NE(csv.find("dataset_count"), std::string::npos);
 }
 
+TEST(Facility, MonitorSamplesItsOwnFacility) {
+  FacilityFixture a;
+  FacilityMonitor monitor(a.facility, 1_min);
+  a.ingest_one("frame-1");
+  a.ingest_one("frame-2");
+  {
+    // A second facility rebinds the registry's facility gauges and freezes
+    // them at its own values when it dies.
+    FacilityFixture b;
+    b.ingest_one("frame-1");
+  }
+  monitor.sample();
+  EXPECT_DOUBLE_EQ(monitor.pool_used_bytes().last_value(), 8e6);
+  EXPECT_DOUBLE_EQ(monitor.dataset_count().last_value(), 2.0);
+}
+
 TEST(Facility, MonitorTracksGrowthOverTime) {
   FacilityFixture f;
   FacilityMonitor monitor(f.facility, 30_s);

@@ -6,8 +6,8 @@
 // fanned out on an exec::ThreadPool — and chk::replay_check must hold over
 // pooled runs exactly as it does over single-kernel ones. The remaining
 // tests pin the mailbox contract: lookahead enforcement, cross-shard
-// cancellation before the horizon, and the debug guard against scheduling
-// directly on a foreign shard's kernel.
+// cancellation more than one lookahead before delivery, and the debug
+// guard against scheduling directly on a foreign shard's kernel.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -308,6 +308,43 @@ TEST(ShardedKernel, CancelAfterFireIsANoOp) {
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(sharded.mail_delivered(), 1u);
   EXPECT_EQ(sharded.mail_cancelled(), 0u);
+}
+
+// Two shards 1 ms apart; shard 1 is busy every 0.5 ms. Shard 0 posts at
+// 1 ms with a 5 ms delay (delivery at 6 ms) and cancels at `cancel_at`.
+// `extra_event` adds an unrelated no-op shard-0 event at 4.8 ms, which only
+// changes where the planner cuts the windows. Returns how often the mail
+// fired.
+int cancel_probe(SimDuration cancel_at, bool extra_event) {
+  sim::ShardedSimulator sharded(2, 1_ms);
+  int fired = 0;
+  sim::MailId id{};
+  for (int t = 1; t <= 40; ++t) {
+    sharded.seed(1, SimTime::zero() + t * 500_us, [] {});
+  }
+  sharded.seed(0, SimTime::zero() + 1_ms, [&sharded, &id, &fired] {
+    id = sharded.post(0, 1, 5_ms, [&fired] { ++fired; });
+  });
+  sharded.seed(0, SimTime::zero() + cancel_at,
+               [&sharded, &id] { sharded.cancel_mail(0, id); });
+  if (extra_event) sharded.seed(0, SimTime::zero() + 4800_us, [] {});
+  sharded.run();
+  EXPECT_EQ(sharded.mail_cancelled(), fired == 0 ? 1u : 0u);
+  return fired;
+}
+
+TEST(ShardedKernel, CancelWithinOneLookaheadOfDeliveryIgnoresWindowLayout) {
+  // Issued 0.5 ms before delivery, less than the 1 ms lookahead: without
+  // the extra event the receiver runs past 6 ms before the barrier that
+  // applies the cancel, with it the cancel arrives first. The outcome must
+  // not depend on that, so the cancel is a no-op in both layouts.
+  EXPECT_EQ(cancel_probe(5500_us, false), 1);
+  EXPECT_EQ(cancel_probe(5500_us, true), 1);
+}
+
+TEST(ShardedKernel, CancelMoreThanOneLookaheadBeforeDeliveryIsHonoured) {
+  EXPECT_EQ(cancel_probe(4500_us, false), 0);
+  EXPECT_EQ(cancel_probe(4500_us, true), 0);
 }
 
 TEST(ShardedKernel, MailDeliversAtSenderClockPlusDelay) {
