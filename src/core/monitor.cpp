@@ -1,10 +1,38 @@
 #include "core/monitor.h"
 
+#include <cstdint>
 #include <sstream>
 
-#include "obs/metrics.h"
+#include "cache/cached_store.h"
 
 namespace lsdf::core {
+
+namespace {
+
+struct CacheTotals {
+  Bytes used;
+  Bytes served;
+  std::int64_t hits = 0;
+  std::int64_t misses = 0;
+};
+
+// Summed over the facility's own read caches (HSM recall, DFS block; each
+// null when unsized), not the registry's lsdf_cache_* totals, which count
+// every cache in the process.
+CacheTotals cache_totals(Facility& facility) {
+  CacheTotals totals;
+  for (const cache::CachedStore* store :
+       {facility.hsm().read_cache(), facility.dfs().block_cache()}) {
+    if (store == nullptr) continue;
+    totals.used += store->cache().used();
+    totals.served += store->bytes_served();
+    totals.hits += store->cache().stats().hits;
+    totals.misses += store->cache().stats().misses;
+  }
+  return totals;
+}
+
+}  // namespace
 
 FacilityMonitor::FacilityMonitor(Facility& facility,
                                  SimDuration sample_period)
@@ -30,15 +58,9 @@ void FacilityMonitor::sample() {
       now, static_cast<double>(facility_.ingest().queue_depth()));
   dfs_used_.record(now, facility_.dfs().used().as_double());
   vms_.record(now, static_cast<double>(facility_.cloud().running_vms()));
-  const auto& registry = obs::MetricsRegistry::global();
-  // Summed across caches (hsm-read, dfs-block, ...). cache_served counts
-  // only bytes a cache delivered itself; bytes a miss pulled through the
-  // backing store stay in that tier's own counters (lsdf_disk_bytes_total
-  // etc.), so the tiers partition the served total.
-  cache_used_.record(now, registry.gauge_total("lsdf_cache_used_bytes"));
-  cache_served_.record(
-      now, static_cast<double>(
-               registry.counter_total("lsdf_cache_served_bytes_total")));
+  const CacheTotals caches = cache_totals(facility_);
+  cache_used_.record(now, caches.used.as_double());
+  cache_served_.record(now, caches.served.as_double());
 }
 
 std::string FacilityMonitor::status_report() const {
@@ -68,21 +90,12 @@ std::string FacilityMonitor::status_report() const {
   out << "ingest:         " << facility_.ingest().stats().completed
       << " completed, " << facility_.ingest().in_flight() << " in flight, "
       << facility_.ingest().queue_depth() << " queued\n";
-  const auto& registry = obs::MetricsRegistry::global();
-  const std::int64_t cache_hits =
-      registry.counter_total("lsdf_cache_hits_total");
-  const std::int64_t cache_misses =
-      registry.counter_total("lsdf_cache_misses_total");
-  if (cache_hits + cache_misses > 0) {
-    out << "read caches:    "
-        << format_bytes(Bytes(static_cast<std::int64_t>(
-               registry.gauge_total("lsdf_cache_used_bytes"))))
-        << " resident, "
-        << format_bytes(Bytes(
-               registry.counter_total("lsdf_cache_served_bytes_total")))
-        << " served, hit rate "
-        << static_cast<int>(100.0 * static_cast<double>(cache_hits) /
-                            static_cast<double>(cache_hits + cache_misses))
+  const CacheTotals caches = cache_totals(facility_);
+  if (caches.hits + caches.misses > 0) {
+    out << "read caches:    " << format_bytes(caches.used) << " resident, "
+        << format_bytes(caches.served) << " served, hit rate "
+        << static_cast<int>(100.0 * static_cast<double>(caches.hits) /
+                            static_cast<double>(caches.hits + caches.misses))
         << "%\n";
   }
   out << "cloud:          " << facility_.cloud().running_vms()

@@ -43,19 +43,18 @@ SimDuration Partition::transfer_delay(SiteId from, SiteId to,
   return pair.lookahead + transfer_time(size, pair.bottleneck);
 }
 
-MailId Partition::post_transfer(SiteId from, SiteId to, Bytes size,
-                                Simulator::Callback done) {
-  return sharded_->post(from, to, transfer_delay(from, to, size),
-                        std::move(done));
+void Partition::post_transfer(SiteId from, SiteId to, Bytes size,
+                              Simulator::Callback done) {
+  sharded_->post(from, to, transfer_delay(from, to, size), std::move(done));
 }
 
-MailId Partition::post_notice(SiteId from, SiteId to,
-                              Simulator::Callback callback) {
+void Partition::post_notice(SiteId from, SiteId to,
+                            Simulator::Callback callback) {
   const PairCoupling& pair = coupling(from, to);
   LSDF_REQUIRE(pair.lookahead != SimDuration::max(),
                "notice between uncoupled sites — no cross-site path existed "
                "when the partition was built");
-  return sharded_->post(from, to, pair.lookahead, std::move(callback));
+  sharded_->post(from, to, pair.lookahead, std::move(callback));
 }
 
 SiteId Partitioner::add_site(std::string name, net::NodeId gateway) {

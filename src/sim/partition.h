@@ -19,7 +19,10 @@
 //! path's bottleneck capacity; post_notice() delivers control mail (replica
 //! announcements, catalogue updates) at exactly the pair lookahead. Both
 //! route through the deterministic mailbox, so a partitioned run keeps the
-//! kernel's worker-count-invariance contract (DESIGN.md §5c).
+//! kernel's worker-count-invariance contract (DESIGN.md §5c). The mailbox
+//! is post-only: a site revokes mail it already sent with a post_notice()
+//! that sets state the mail's callback checks — the notice wins iff it
+//! lands strictly before the mail.
 #pragma once
 
 #include <cstdint>
@@ -73,17 +76,13 @@ class Partition {
   // Cross-site bulk data movement: runs `done` on site `to`'s kernel at
   // now(from) + transfer_delay(from, to, size). Callable from site `from`'s
   // window (or at build time). The pair must be coupled.
-  MailId post_transfer(SiteId from, SiteId to, Bytes size,
-                       Simulator::Callback done);
+  void post_transfer(SiteId from, SiteId to, Bytes size,
+                     Simulator::Callback done);
 
   // Cross-site control mail (replica-rule announcements, catalogue sync):
   // one traversal of the pair's min-latency path, i.e. exactly the pair
   // lookahead. The pair must be coupled.
-  MailId post_notice(SiteId from, SiteId to, Simulator::Callback callback);
-
-  // Revoke a pending transfer/notice (sender-side, sim-time semantics —
-  // see ShardedSimulator::cancel_mail).
-  void cancel(SiteId from, MailId id) { sharded_->cancel_mail(from, id); }
+  void post_notice(SiteId from, SiteId to, Simulator::Callback callback);
 
  private:
   friend class Partitioner;

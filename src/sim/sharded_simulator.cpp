@@ -51,8 +51,6 @@ class RunScope {
       .count();
 }
 
-constexpr int kTokenShardShift = 40;  // mail tokens: see post()
-
 // Executors check the round atomics this many times before parking on the
 // condition variable — long enough to catch a back-to-back window without
 // a futex round-trip, short enough not to starve the winner of a core.
@@ -68,8 +66,6 @@ ShardedSimulator::ShardedSimulator(std::uint32_t shards, SimDuration lookahead,
           "lsdf_sim_shard_windows_total")),
       idle_metric_(obs::MetricsRegistry::global().counter(
           "lsdf_sim_shard_idle_windows_total")),
-      mailbox_depth_metric_(obs::MetricsRegistry::global().gauge(
-          "lsdf_sim_shard_mailbox_depth")),
       barrier_wait_metric_(obs::MetricsRegistry::global().hdr_histogram(
           "lsdf_sim_shard_barrier_wait_seconds")) {
   LSDF_REQUIRE(shards >= 1, "a sharded simulator needs at least one shard");
@@ -148,9 +144,8 @@ EventId ShardedSimulator::seed(std::uint32_t s, SimTime at,
   return shards_[s].sim->schedule_at(at, std::move(callback));
 }
 
-MailId ShardedSimulator::post(std::uint32_t from, std::uint32_t to,
-                              SimDuration delay,
-                              Simulator::Callback callback) {
+void ShardedSimulator::post(std::uint32_t from, std::uint32_t to,
+                            SimDuration delay, Simulator::Callback callback) {
   LSDF_REQUIRE(from < shards_.size() && to < shards_.size(),
                "shard index out of range");
   LSDF_REQUIRE(delay >= pair_lookahead(from, to),
@@ -161,115 +156,22 @@ MailId ShardedSimulator::post(std::uint32_t from, std::uint32_t to,
                   detail::t_active_shard == from,
               "post() on behalf of a shard other than the one executing");
   ShardState& sender = shards_[from];
-  // Tokens encode the sending shard so they are process-unique without any
-  // shared counter (post runs on worker threads); counting from 1 keeps
-  // token 0 as the nil MailId.
-  const std::uint64_t token =
-      (std::uint64_t{from} << kTokenShardShift) | ++sender.next_token;
   sender.outbox.push_back(
-      Mail{sender.sim->now() + delay, token, to, std::move(callback)});
-  return MailId{token};
-}
-
-void ShardedSimulator::cancel_mail(std::uint32_t from, MailId id) {
-  LSDF_REQUIRE(from < shards_.size(), "shard index out of range");
-  LSDF_DCHECK(detail::t_active_shard == detail::kNoActiveShard ||
-                  detail::t_active_shard == from,
-              "cancel_mail() on behalf of a shard other than the one "
-              "executing");
-  if (id.token == 0) return;  // nil handle
-  shards_[from].cancels.push_back(Cancel{id.token, shards_[from].sim->now()});
+      Mail{sender.sim->now() + delay, to, std::move(callback)});
 }
 
 void ShardedSimulator::barrier_deliver() {
-  // One thread, all executors quiescent. Every container below is iterated
-  // in a deterministic order (shards ascending, outboxes in post order, the
-  // cancel list sorted), so delivery — and therefore every receiver's
-  // (time, seq) stream — is identical whatever the worker count.
-  scratch_cancels_.clear();
-  for (ShardState& st : shards_) {
-    scratch_cancels_.insert(scratch_cancels_.end(), st.cancels.begin(),
-                            st.cancels.end());
-    st.cancels.clear();
-  }
-  // Sorted by (token, issue time); deduplication keeps the earliest issue
-  // per token, which is the one that decides effectiveness.
-  std::sort(scratch_cancels_.begin(), scratch_cancels_.end(),
-            [](const Cancel& a, const Cancel& b) {
-              return a.token != b.token ? a.token < b.token
-                                        : a.issued < b.issued;
-            });
-  scratch_cancels_.erase(
-      std::unique(scratch_cancels_.begin(), scratch_cancels_.end(),
-                  [](const Cancel& a, const Cancel& b) {
-                    return a.token == b.token;
-                  }),
-      scratch_cancels_.end());
-  // A cancel is honoured iff issued + lookahead(from, to) < deliver (see
-  // cancel_mail); with no cancels the lookup fails before any arithmetic.
-  const auto cancelled = [this](const auto& mail) {
-    const auto it = std::lower_bound(
-        scratch_cancels_.begin(), scratch_cancels_.end(), mail.token,
-        [](const Cancel& c, std::uint64_t t) { return c.token < t; });
-    if (it == scratch_cancels_.end() || it->token != mail.token) return false;
-    const auto from =
-        static_cast<std::uint32_t>(mail.token >> kTokenShardShift);
-    return add_saturating(it->issued, pair_lookahead(from, mail.to)) <
-           mail.deliver;
-  };
-  // One pass over the (token-sorted) in-flight list: drop records whose
-  // delivery time has passed on the receiver — those events fired, so the
-  // rule above makes any cancel against them a no-op; purging keeps the
-  // list bounded — and apply cancels to the still-pending rest.
-  in_flight_.erase(
-      std::remove_if(in_flight_.begin(), in_flight_.end(),
-                     [&](const DeliveredMail& flight) {
-                       if (flight.deliver <=
-                           shards_[flight.to].sim->now()) {
-                         return true;  // fired; cancel is a no-op
-                       }
-                       if (!cancelled(flight)) {
-                         return false;
-                       }
-                       if (shards_[flight.to].sim->cancel(flight.event)) {
-                         ++mail_cancelled_;
-                       }
-                       return true;
-                     }),
-      in_flight_.end());
-  // Deliver this window's outboxes; a post() cancelled within its own
-  // window never reaches the receiver at all. New in-flight records land in
-  // a scratch batch and merge into the sorted list in one splice.
-  scratch_delivered_.clear();
+  // One thread, all executors quiescent. Shards ascending, outboxes in post
+  // order, so every receiver's (time, seq) stream — and with it the merged
+  // fingerprint — is identical whatever the worker count.
   for (ShardState& st : shards_) {
     for (Mail& mail : st.outbox) {
-      ++mail_posted_;
-      if (cancelled(mail)) {
-        ++mail_cancelled_;
-        continue;
-      }
-      const EventId event = shards_[mail.to].sim->schedule_at(
-          mail.deliver, std::move(mail.callback));
-      scratch_delivered_.push_back(
-          DeliveredMail{mail.token, mail.to, event, mail.deliver});
-      ++mail_delivered_;
+      shards_[mail.to].sim->schedule_at(mail.deliver,
+                                        std::move(mail.callback));
     }
+    mail_delivered_ += st.outbox.size();
     st.outbox.clear();
   }
-  if (!scratch_delivered_.empty()) {
-    const auto by_token = [](const DeliveredMail& a, const DeliveredMail& b) {
-      return a.token < b.token;
-    };
-    std::sort(scratch_delivered_.begin(), scratch_delivered_.end(), by_token);
-    const std::size_t sorted_prefix = in_flight_.size();
-    in_flight_.insert(in_flight_.end(), scratch_delivered_.begin(),
-                      scratch_delivered_.end());
-    std::inplace_merge(in_flight_.begin(),
-                       in_flight_.begin() +
-                           static_cast<std::ptrdiff_t>(sorted_prefix),
-                       in_flight_.end(), by_token);
-  }
-  mailbox_depth_metric_.set(static_cast<double>(in_flight_.size()));
 }
 
 bool ShardedSimulator::plan_round() {

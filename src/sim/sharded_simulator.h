@@ -25,13 +25,13 @@
 //! is fixed for the run, ready shards are striped over the executors, and
 //! every executor arrives at every round's barrier, with or without a shard
 //! to run. The last to arrive becomes the barrier winner and, still on its
-//! own thread, drains all mailboxes in one sorted splice, plans the next
-//! round and wakes the others (fused window-advance + barrier). The pool
-//! must keep its threads available for the duration of the run (dedicate
-//! one; workers park in the barrier, they do not yield tasks, and a round
-//! cannot complete until every executor has started). With no pool — or a
-//! 1-thread pool — the caller thread runs the identical plan/deliver
-//! arithmetic in a tight serial loop.
+//! own thread, delivers every outbox (shards ascending, post order), plans
+//! the next round and wakes the others (fused window-advance + barrier).
+//! The pool must keep its threads available for the duration of the run
+//! (dedicate one; workers park in the barrier, they do not yield tasks,
+//! and a round cannot complete until every executor has started). With no
+//! pool — or a 1-thread pool — the caller thread runs the identical
+//! plan/deliver arithmetic in a tight serial loop.
 //!
 //! Determinism is the hard requirement (DESIGN.md §5c): a run on W worker
 //! threads produces byte-identical per-shard event streams — and therefore
@@ -39,13 +39,13 @@
 //! because (a) each shard's kernel is sequential and deterministic, (b)
 //! window plans are a pure function of per-shard next-event times and the
 //! lookahead matrix, computed by one thread at each barrier regardless of
-//! W, and (c) mailbox deliveries and cancellations are applied only at
-//! barriers, on the winner's thread, in a fixed total order (sending shard
-//! id, then post order — a deterministic tie-break under the merge's
-//! (time, shard, seq) total order). Which executor runs which shard is the
-//! only timing-dependent choice, and it cannot matter: shards never touch
-//! each other's state inside a round. chk::replay_check remains the
-//! oracle: wrap a sharded scenario exactly like a single-kernel one.
+//! W, and (c) mailbox deliveries are applied only at barriers, on the
+//! winner's thread, in a fixed total order (sending shard id, then post
+//! order — a deterministic tie-break under the merge's (time, shard, seq)
+//! total order). Which executor runs which shard is the only
+//! timing-dependent choice, and it cannot matter: shards never touch each
+//! other's state inside a round. chk::replay_check remains the oracle:
+//! wrap a sharded scenario exactly like a single-kernel one.
 #pragma once
 
 #include <atomic>
@@ -65,13 +65,6 @@
 #include "sim/simulator.h"
 
 namespace lsdf::sim {
-
-// Handle for a cross-shard message; usable by the *sending* shard to cancel
-// it (cancel_mail) more than one pair lookahead before delivery. 0 = nil.
-struct MailId {
-  std::uint64_t token = 0;
-  friend bool operator==(MailId, MailId) = default;
-};
 
 class ShardedSimulator {
  public:
@@ -126,19 +119,11 @@ class ShardedSimulator {
   // now(from) + delay. `delay` must be >= lookahead(from, to) — that bound
   // is what guarantees the receiver has not yet executed past the delivery
   // time. Delivery happens at the next window barrier, in deterministic
-  // (sending shard, post order) order.
-  MailId post(std::uint32_t from, std::uint32_t to, SimDuration delay,
-              Simulator::Callback callback);
-
-  // Cancel a message previously post()ed by shard `from`. Effective iff
-  // issued (by the sender's sim clock) more than one pair lookahead before
-  // delivery, issued + lookahead(from, to) < deliver: until the next
-  // barrier the receiver may run up to the sender's floor plus that
-  // lookahead, so this rule in simulation time cannot depend on how wide
-  // the scheduler cut the windows. Applied at that barrier: mail still in
-  // the sender's outbox is dropped, mail already scheduled on the
-  // destination shard is cancelled there; later cancels are no-ops.
-  void cancel_mail(std::uint32_t from, MailId id);
+  // (sending shard, post order) order. Mail cannot be recalled: to revoke
+  // it, post a notice at lookahead(from, to) that the mail's callback
+  // checks (DESIGN.md §5c).
+  void post(std::uint32_t from, std::uint32_t to, SimDuration delay,
+            Simulator::Callback callback);
 
   // Run until every shard drains and no mail is in flight. Returns events
   // executed across all shards during this call.
@@ -162,13 +147,11 @@ class ShardedSimulator {
   // chk::replay_check asserts for sharded scenarios.
   [[nodiscard]] std::uint64_t fingerprint() const;
 
-  // Mailbox telemetry for tests and benches.
-  [[nodiscard]] std::uint64_t mail_posted() const { return mail_posted_; }
+  // Mailbox telemetry for tests and benches. Every post is delivered at
+  // the barrier that ends its window, so the two counts are always equal.
+  [[nodiscard]] std::uint64_t mail_posted() const { return mail_delivered_; }
   [[nodiscard]] std::uint64_t mail_delivered() const {
     return mail_delivered_;
-  }
-  [[nodiscard]] std::uint64_t mail_cancelled() const {
-    return mail_cancelled_;
   }
   // Window telemetry: shard-windows actually advanced, and windows a shard
   // with pending work sat out because its next event lay beyond its
@@ -181,7 +164,6 @@ class ShardedSimulator {
  private:
   struct Mail {
     SimTime deliver;
-    std::uint64_t token = 0;
     std::uint32_t to = 0;
     Simulator::Callback callback;
   };
@@ -191,35 +173,13 @@ class ShardedSimulator {
   // acquire-release) provides the happens-before edge between one round's
   // writes and the next reader, so no per-shard locks are needed.
   // Cache-line aligned: adjacent shards run on different workers.
-  // A cancel_mail call, stamped with the sender's sim clock: whether it is
-  // honoured follows *simulation* time (see cancel_mail). (Window sizes are
-  // a scheduling artifact — an idle peer gives the sender an arbitrarily
-  // wide window, which may put a post and a much-later cancel into the
-  // same barrier.)
-  struct Cancel {
-    std::uint64_t token = 0;
-    SimTime issued;
-  };
-
   struct alignas(64) ShardState {
     std::unique_ptr<Simulator> sim;
-    std::vector<Mail> outbox;    // posts made this window
-    std::vector<Cancel> cancels; // cancel_mail calls this window
-    std::uint64_t next_token = 0;
+    std::vector<Mail> outbox;  // posts made this window
     // Wall-clock bracket of this shard's latest window, for the
     // shard.window / shard.barrier trace spans the winner emits.
     std::int64_t window_start_us = 0;
     std::int64_t window_dur_us = 0;
-  };
-
-  // Mail already scheduled on its destination shard but (possibly) not yet
-  // fired — the barrier's handle for cancellation, kept sorted by token so
-  // a barrier costs one binary-searched pass plus one sorted splice.
-  struct DeliveredMail {
-    std::uint64_t token = 0;
-    std::uint32_t to = 0;
-    EventId event;
-    SimTime deliver;
   };
 
   // One round's plan: the shards with work inside their window, ascending,
@@ -238,8 +198,6 @@ class ShardedSimulator {
     return pair_lookahead_[from * shards_.size() + to];
   }
 
-  // Apply pending cancels and deliver pending outboxes (single thread, at
-  // a barrier). Deterministic: shards in id order, entries in post order.
   // Min-plus transitive closure of pair_lookahead_ (saturating at
   // SimDuration::max()), run lazily at the top of run_core after any
   // set_pair_lookahead. Closure is what lets plan_round drop drained peers
@@ -250,6 +208,8 @@ class ShardedSimulator {
   // validation checks the closed value, which every physically-derived
   // delay still satisfies.
   void close_lookahead();
+  // Deliver pending outboxes (single thread, at a barrier). Deterministic:
+  // shards in id order, entries in post order.
   void barrier_deliver();
   // Compute the next round's ready set and windows; false when drained or
   // past limit_. Single thread, at a barrier.
@@ -278,19 +238,14 @@ class ShardedSimulator {
   // barrier winner between rounds; every hand-off goes through the round
   // publication protocol.
   std::vector<ShardState> shards_ LSDF_BARRIER_SYNCHRONIZED;
-  std::vector<DeliveredMail> in_flight_ LSDF_BARRIER_SYNCHRONIZED;
   RoundPlan plan_ LSDF_BARRIER_SYNCHRONIZED;
   SimTime limit_ LSDF_BARRIER_SYNCHRONIZED = SimTime::max();
   bool running_ LSDF_BARRIER_SYNCHRONIZED = false;
   bool trace_rounds_ LSDF_BARRIER_SYNCHRONIZED = false;
-  std::uint64_t mail_posted_ LSDF_BARRIER_SYNCHRONIZED = 0;
   std::uint64_t mail_delivered_ LSDF_BARRIER_SYNCHRONIZED = 0;
-  std::uint64_t mail_cancelled_ LSDF_BARRIER_SYNCHRONIZED = 0;
   std::uint64_t windows_run_ LSDF_BARRIER_SYNCHRONIZED = 0;
   std::uint64_t idle_windows_skipped_ LSDF_BARRIER_SYNCHRONIZED = 0;
   // Barrier scratch, reused so steady state allocates nothing.
-  std::vector<Cancel> scratch_cancels_ LSDF_BARRIER_SYNCHRONIZED;
-  std::vector<DeliveredMail> scratch_delivered_ LSDF_BARRIER_SYNCHRONIZED;
   std::vector<SimTime> floors_ LSDF_BARRIER_SYNCHRONIZED;
 
   // --- round publication protocol ---
@@ -309,7 +264,6 @@ class ShardedSimulator {
   // --- instruments (registry-owned; registration is construction-time) ---
   obs::Counter& windows_metric_ LSDF_CONST_AFTER_INIT;
   obs::Counter& idle_metric_ LSDF_CONST_AFTER_INIT;
-  obs::Gauge& mailbox_depth_metric_ LSDF_CONST_AFTER_INIT;
   obs::HdrHistogram& barrier_wait_metric_ LSDF_CONST_AFTER_INIT;
 };
 

@@ -77,8 +77,8 @@ EventId Simulator::schedule_at(SimTime t, Callback callback) {
 bool Simulator::cancel(EventId id) {
   LSDF_DCHECK(detail::t_active_shard == detail::kNoActiveShard ||
                   detail::t_active_shard == shard_,
-              "cross-shard Simulator::cancel — use the ShardedSimulator "
-              "mailbox (cancel_mail) instead");
+              "cross-shard Simulator::cancel — a shard cancels only its own "
+              "events; revoke cross-shard mail with a notice (post)");
   // A handle minted by a different kernel can never name a tenancy here.
   if (id.shard != shard_) return false;
   if (id.index >= slot_count_) return false;

@@ -40,8 +40,8 @@ namespace lsdf::sim {
 // never cancel the unrelated event that now occupies the same slot (ABA
 // safety; the guard window is 2^32 reuses of one slot). The shard field names
 // the kernel that owns the slot (DESIGN.md §5c): in a sharded run, only the
-// owning shard's Simulator may resolve the handle — cross-shard cancellation
-// goes through the ShardedSimulator mailbox. Hashable (std::hash
+// owning shard's Simulator may resolve the handle — cross-shard work is
+// revoked with a ShardedSimulator mailbox notice instead. Hashable (std::hash
 // specialisation below), so model code can key unordered maps by pending
 // event.
 struct EventId {

@@ -561,6 +561,39 @@ TEST(Facility, MonitorSamplesItsOwnFacility) {
   EXPECT_DOUBLE_EQ(monitor.dataset_count().last_value(), 2.0);
 }
 
+TEST(Facility, MonitorReadsOnlyItsOwnReadCaches) {
+  FacilityFixture a;  // no read cache sized
+  FacilityMonitor monitor(a.facility, 1_min);
+  {
+    // A second facility with a 1 GB HSM read cache: one miss admits the
+    // object, one hit serves it. The process-wide lsdf_cache_* registry
+    // totals keep both after it dies.
+    FacilityConfig config = small_facility_config();
+    config.hsm.read_cache.capacity = 1_GB;
+    Facility b(config);
+    std::optional<storage::IoResult> put;
+    b.hsm().put("obj", 8_MB, [&](const storage::IoResult& r) { put = r; });
+    b.simulator().run_while_pending([&] { return put.has_value(); });
+    for (int read = 0; read < 2; ++read) {
+      std::optional<storage::IoResult> got;
+      b.hsm().get("obj", [&](const storage::IoResult& r) { got = r; });
+      b.simulator().run_while_pending([&] { return got.has_value(); });
+      ASSERT_TRUE(got && got->status.is_ok());
+    }
+    FacilityMonitor own(b, 1_min);
+    own.sample();
+    EXPECT_DOUBLE_EQ(own.cache_used_bytes().last_value(), 8e6);
+    EXPECT_DOUBLE_EQ(own.cache_served_bytes().last_value(), 8e6);
+    EXPECT_NE(own.status_report().find(
+                  "8.00 MB resident, 8.00 MB served, hit rate 50%"),
+              std::string::npos);
+  }
+  monitor.sample();
+  EXPECT_DOUBLE_EQ(monitor.cache_used_bytes().last_value(), 0.0);
+  EXPECT_DOUBLE_EQ(monitor.cache_served_bytes().last_value(), 0.0);
+  EXPECT_EQ(monitor.status_report().find("read caches"), std::string::npos);
+}
+
 TEST(Facility, MonitorTracksGrowthOverTime) {
   FacilityFixture f;
   FacilityMonitor monitor(f.facility, 30_s);

@@ -80,7 +80,7 @@ LOCK_DISCIPLINE_EXEMPT_PREFIXES = ("src/chk/",)
 _SHARD_MESSAGE = (
     "scheduling through a foreign shard's kernel — wire models "
     "shard-locally, seed() initial events, and cross shards via the "
-    "ShardedSimulator mailbox (post/cancel_mail)"
+    "ShardedSimulator mailbox (post)"
 )
 
 
