@@ -240,9 +240,9 @@ void BM_ObsGaugeSet(benchmark::State& state) {
 }
 BENCHMARK(BM_ObsGaugeSet);
 
-void BM_ObsHistogramObserve(benchmark::State& state) {
-  obs::Histogram& histogram = obs::MetricsRegistry::global().histogram(
-      "bench_histogram", obs::Histogram::exponential_bounds(1e-6, 10.0, 12));
+void BM_ObsHdrRecord(benchmark::State& state) {
+  obs::HdrHistogram& histogram =
+      obs::MetricsRegistry::global().hdr_histogram("bench_hdr_seconds");
   Rng rng(3);
   // Pre-generated samples so the RNG is not in the measured loop.
   std::vector<double> samples(1024);
@@ -251,11 +251,11 @@ void BM_ObsHistogramObserve(benchmark::State& state) {
   }
   std::size_t i = 0;
   for (auto _ : state) {
-    histogram.observe(samples[i++ & 1023]);
+    histogram.record(samples[i++ & 1023]);
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_ObsHistogramObserve);
+BENCHMARK(BM_ObsHdrRecord);
 
 void BM_ObsRegistryLookup(benchmark::State& state) {
   // The cold path: what a non-handle-holding caller would pay per update.

@@ -166,9 +166,7 @@ int main() {
         std::printf("  %-20s %zu\n", value.c_str(), count);
       }
     } else if (command == "report") {
-      core::FacilityMonitor monitor(facility, 1_h);
-      monitor.sample();
-      std::fputs(monitor.status_report().c_str(), stdout);
+      std::fputs(core::status_report(facility).c_str(), stdout);
     } else if (command == "download") {
       meta::DatasetId id = 0;
       in >> id;

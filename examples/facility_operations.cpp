@@ -2,8 +2,8 @@
 // mixed community workload while the operator injects the faults real
 // facilities see — a degraded disk array, a router failure, a dead Hadoop
 // datanode, a corrupt replica, a failed tape drive — and uses the
-// facility's own tooling (monitor, balancer, decommission, failover) to
-// ride through all of it without losing data or stopping ingest.
+// facility's own tooling (status report, balancer, decommission, failover)
+// to ride through all of it without losing data or stopping ingest.
 //
 //   ./facility_operations [deployment.conf]
 //
@@ -52,8 +52,6 @@ int main(int argc, char** argv) {
   }
   core::Facility facility(config);
   sim::Simulator& sim = facility.simulator();
-  core::FacilityMonitor monitor(facility, 10_min);
-  monitor.start();
 
   if (!facility.metadata().create_project("zebrafish-htm", {}).is_ok()) {
     return 1;
@@ -132,8 +130,7 @@ int main(int argc, char** argv) {
 
   std::puts("== 18:00  end-of-day status ==");
   sim.run_until(SimTime::zero() + 18_h);
-  std::fputs(monitor.status_report().c_str(), stdout);
-  monitor.stop();
+  std::fputs(core::status_report(facility).c_str(), stdout);
 
   const auto& stats = facility.ingest().stats();
   std::printf("ingest through all incidents: %lld items, %lld failed, "

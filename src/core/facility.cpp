@@ -119,35 +119,6 @@ Facility::Facility(FacilityConfig config)
   ingest_config.credentials = service_credentials_;
   ingest_ = std::make_unique<ingest::IngestPipeline>(
       simulator_, *net_, *adal_, metadata_, ingest_config);
-
-  // --- Facility-level gauges. -------------------------------------------------
-  // Bound as providers: metrics exports see the live value without the
-  // facility pushing updates. ~Facility unbinds them.
-  auto& registry = obs::MetricsRegistry::global();
-  registry.gauge("lsdf_pool_used_bytes").bind([this] {
-    return pool_.used().as_double();
-  });
-  registry.gauge("lsdf_tape_used_bytes").bind([this] {
-    return tape_->used().as_double();
-  });
-  registry.gauge("lsdf_catalogue_datasets").bind([this] {
-    return static_cast<double>(metadata_.dataset_count());
-  });
-  registry.gauge("lsdf_dfs_used_bytes").bind([this] {
-    return dfs_->used().as_double();
-  });
-  registry.gauge("lsdf_cloud_running_vms").bind([this] {
-    return static_cast<double>(cloud_->running_vms());
-  });
-}
-
-Facility::~Facility() {
-  auto& registry = obs::MetricsRegistry::global();
-  registry.gauge("lsdf_pool_used_bytes").unbind();
-  registry.gauge("lsdf_tape_used_bytes").unbind();
-  registry.gauge("lsdf_catalogue_datasets").unbind();
-  registry.gauge("lsdf_dfs_used_bytes").unbind();
-  registry.gauge("lsdf_cloud_running_vms").unbind();
 }
 
 Result<FacilityConfig> facility_config_from_properties(

@@ -30,7 +30,6 @@
 #include "meta/rules.h"
 #include "meta/store.h"
 #include "net/topology.h"
-#include "obs/metrics.h"
 #include "net/transfer_engine.h"
 #include "sim/simulator.h"
 #include "storage/disk_array.h"
@@ -84,10 +83,6 @@ struct FacilityConfig {
 class Facility {
  public:
   explicit Facility(FacilityConfig config = {});
-  // Unbinds the facility-level gauges bound into the global metrics
-  // registry (freezing their last values), since their providers read
-  // from subsystems that die with the facility.
-  ~Facility();
 
   Facility(const Facility&) = delete;
   Facility& operator=(const Facility&) = delete;

@@ -1,66 +1,20 @@
-//! FacilityMonitor: periodic sampling of facility-wide health metrics into
-//! time series, plus human-readable status reports — the operations view a
-//! real facility runs on ("infrastructure and storage services up and
-//! running", slide 15). Benches use it to print figure-style series.
+//! status_report(): a human-readable snapshot of one facility — the
+//! operations view a real facility runs on ("infrastructure and storage
+//! services up and running", slide 15). Every figure is read from the
+//! facility's own subsystems at call time, so two facilities in one process
+//! never see each other's state.
 #pragma once
 
 #include <string>
 
-#include "common/stats.h"
 #include "core/facility.h"
 
 namespace lsdf::core {
 
-class FacilityMonitor {
- public:
-  FacilityMonitor(Facility& facility, SimDuration sample_period);
-
-  // Begin/stop periodic sampling (one sample is taken at start).
-  void start();
-  void stop();
-  // Take one sample immediately (also usable without start()).
-  void sample();
-
-  [[nodiscard]] const TimeSeries& pool_used_bytes() const {
-    return pool_used_;
-  }
-  [[nodiscard]] const TimeSeries& tape_used_bytes() const {
-    return tape_used_;
-  }
-  [[nodiscard]] const TimeSeries& dataset_count() const { return datasets_; }
-  [[nodiscard]] const TimeSeries& ingest_queue_depth() const {
-    return ingest_queue_;
-  }
-  [[nodiscard]] const TimeSeries& dfs_used_bytes() const { return dfs_used_; }
-  [[nodiscard]] const TimeSeries& running_vms() const { return vms_; }
-  // Read caches, summed over every cache in the facility. Served bytes are
-  // tier-exclusive: a read lands in cache_served_bytes OR in the backing
-  // store's byte counters, never both, so per-tier series add up to the
-  // total bytes delivered (no double counting within a sample tick).
-  [[nodiscard]] const TimeSeries& cache_used_bytes() const {
-    return cache_used_;
-  }
-  [[nodiscard]] const TimeSeries& cache_served_bytes() const {
-    return cache_served_;
-  }
-
-  // Multi-line snapshot of the facility right now.
-  [[nodiscard]] std::string status_report() const;
-
-  // All series as CSV (time_s, metric, value) for offline plotting.
-  [[nodiscard]] std::string to_csv() const;
-
- private:
-  Facility& facility_;
-  sim::PeriodicTask sampler_;
-  TimeSeries pool_used_;
-  TimeSeries tape_used_;
-  TimeSeries datasets_;
-  TimeSeries ingest_queue_;
-  TimeSeries dfs_used_;
-  TimeSeries vms_;
-  TimeSeries cache_used_;
-  TimeSeries cache_served_;
-};
+// Multi-line snapshot of the facility right now. Read caches (HSM recall,
+// DFS block) are summed over the facility's own caches; served bytes are
+// tier-exclusive, so a read counts there or at the backing store, never at
+// both.
+[[nodiscard]] std::string status_report(Facility& facility);
 
 }  // namespace lsdf::core

@@ -36,7 +36,12 @@ std::string sanitize_label(const std::string& label) {
   return out;
 }
 
+std::atomic<std::uint64_t> next_recorder_id{1};  // 0 marks an empty cache
+
 }  // namespace
+
+FlightRecorder::FlightRecorder()
+    : id_(next_recorder_id.fetch_add(1, std::memory_order_relaxed)) {}
 
 FlightRecorder& FlightRecorder::global() {
   static FlightRecorder recorder;
@@ -66,10 +71,10 @@ FlightRecorder::Ring& FlightRecorder::local_ring() {
   // One-slot thread-local cache: exact for any recorder, and the common
   // case (the global recorder) hits it every time after the first record.
   thread_local struct {
-    FlightRecorder* owner = nullptr;
+    std::uint64_t owner = 0;
     Ring* ring = nullptr;
   } cache;
-  if (cache.owner == this) return *cache.ring;
+  if (cache.owner == id_) return *cache.ring;
   const chk::LockGuard lock(mutex_);
   const auto [it, inserted] =
       ring_index_.try_emplace(std::this_thread::get_id(), rings_.size());
@@ -80,7 +85,7 @@ FlightRecorder::Ring& FlightRecorder::local_ring() {
     rings_.push_back(std::move(ring));
   }
   Ring& ring = *rings_[it->second];
-  cache.owner = this;
+  cache.owner = id_;
   cache.ring = &ring;
   return ring;
 }

@@ -47,7 +47,7 @@ class FlightRecorder {
  public:
   static constexpr std::size_t kDefaultCapacity = 256;  // slots per thread
 
-  FlightRecorder() = default;
+  FlightRecorder();
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
@@ -104,6 +104,10 @@ class FlightRecorder {
   void on_contract_failure(const char* what);
   static void contract_failure_trampoline(const char* what);
 
+  // Process-unique and never reused. local_ring()'s thread-local cache keys
+  // on it, not on `this`: a recorder built where a destroyed one lived must
+  // not pick up the dead recorder's freed ring.
+  const std::uint64_t id_;
   std::atomic<bool> enabled_{false};
   std::atomic<std::size_t> capacity_{kDefaultCapacity};
   mutable chk::TrackedMutex mutex_{"obs.flight_recorder"};

@@ -77,13 +77,4 @@ double HdrHistogram::quantile(double q) const {
   return max_value();  // racing recorders mid-scan; max is still a bound
 }
 
-void HdrHistogram::reset() {
-  for (std::size_t i = 0; i < kBucketCount; ++i) {
-    buckets_[i].store(0, std::memory_order_relaxed);
-  }
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
-  max_.store(0.0, std::memory_order_relaxed);
-}
-
 }  // namespace lsdf::obs

@@ -1,12 +1,12 @@
-//! HdrHistogram: log-bucketed latency histogram with bounded relative error
-//! (DESIGN.md §4g). Fixed-boundary obs::Histogram answers "how many requests
-//! beat the 100 ms SLO", but tail quantiles (p99/p999) for a million-client
-//! workload need resolution everywhere on the latency axis without choosing
-//! boundaries up front. This is the classic HdrHistogram construction: split
-//! every power-of-two range into 64 equal sub-buckets, so any recorded value
-//! lands in a bucket whose midpoint is within 1/128 ≈ 0.79% of it, with a
-//! fixed ~32 KiB footprint per instrument and a record path of three relaxed
-//! atomic ops plus a CAS max — no locks, no allocation, safe from any thread.
+//! HdrHistogram: log-bucketed histogram with bounded relative error
+//! (DESIGN.md §4g), the registry's one distribution instrument. Tail
+//! quantiles (p99/p999) for a million-client workload need resolution
+//! everywhere on the latency axis without choosing boundaries up front. This
+//! is the classic HdrHistogram construction: split every power-of-two range
+//! into 64 equal sub-buckets, so any recorded value lands in a bucket whose
+//! midpoint is within 1/128 ≈ 0.79% of it, with a fixed ~32 KiB footprint
+//! per instrument and a record path of three relaxed atomic ops plus a CAS
+//! max — no locks, no allocation, safe from any thread.
 //!
 //! Values are seconds. The covered range is [2^-34, 2^30) s (≈58 ps to ~34
 //! years); values at or below zero land in a dedicated zero bucket and
@@ -60,8 +60,6 @@ class HdrHistogram {
   // ceil(q * count)-th observation, clamped to the exact recorded max (so
   // quantile(1.0) == max_value()). 0 when empty.
   [[nodiscard]] double quantile(double q) const;
-
-  void reset();
 
   // Bucket math, exposed for the oracle test and the registry exporter.
   [[nodiscard]] static std::size_t bucket_index(double value);

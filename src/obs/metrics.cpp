@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <sstream>
 
 #include "common/require.h"
@@ -16,69 +15,6 @@ void Gauge::add(double delta) {
   while (!value_.compare_exchange_weak(current, current + delta,
                                        std::memory_order_relaxed)) {
   }
-}
-
-void Gauge::bind(std::function<double()> provider) {
-  LSDF_REQUIRE(provider != nullptr, "binding a null gauge provider");
-  const chk::LockGuard lock(provider_mutex_);
-  provider_ = std::move(provider);
-  bound_.store(true, std::memory_order_release);
-}
-
-void Gauge::unbind() {
-  const chk::LockGuard lock(provider_mutex_);
-  if (!provider_) return;
-  value_.store(provider_(), std::memory_order_relaxed);
-  provider_ = nullptr;
-  bound_.store(false, std::memory_order_release);
-}
-
-double Gauge::value() const {
-  if (bound_.load(std::memory_order_acquire)) {
-    const chk::LockGuard lock(provider_mutex_);
-    if (provider_) return provider_();
-  }
-  return value_.load(std::memory_order_relaxed);
-}
-
-Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
-  LSDF_REQUIRE(!bounds_.empty(), "histogram needs at least one bound");
-  LSDF_REQUIRE(std::is_sorted(bounds_.begin(), bounds_.end()) &&
-                   std::adjacent_find(bounds_.begin(), bounds_.end()) ==
-                       bounds_.end(),
-               "histogram bounds must be strictly increasing");
-  buckets_.resize(bounds_.size() + 1);  // + implicit +Inf bucket
-}
-
-void Histogram::observe(double x) {
-  // Prometheus `le` buckets: bucket i counts x <= bounds[i]; values above
-  // every bound land in the implicit +Inf bucket.
-  const auto le = std::lower_bound(bounds_.begin(), bounds_.end(), x);
-  const auto idx = static_cast<std::size_t>(le - bounds_.begin());
-  buckets_[idx].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(x, std::memory_order_relaxed);
-}
-
-void Histogram::reset() {
-  for (auto& bucket : buckets_) bucket.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
-}
-
-std::vector<double> Histogram::exponential_bounds(double start, double factor,
-                                                  std::size_t count) {
-  LSDF_REQUIRE(start > 0.0, "exponential bounds need a positive start");
-  LSDF_REQUIRE(factor > 1.0, "exponential bounds need factor > 1");
-  LSDF_REQUIRE(count > 0, "exponential bounds need at least one bucket");
-  std::vector<double> bounds;
-  bounds.reserve(count);
-  double bound = start;
-  for (std::size_t i = 0; i < count; ++i) {
-    bounds.push_back(bound);
-    bound *= factor;
-  }
-  return bounds;
 }
 
 MetricsRegistry& MetricsRegistry::global() {
@@ -137,23 +73,6 @@ Gauge& MetricsRegistry::gauge(const std::string& name, const Labels& labels) {
   return instrument;
 }
 
-Histogram& MetricsRegistry::histogram(const std::string& name,
-                                      std::vector<double> bounds,
-                                      const Labels& labels) {
-  const chk::LockGuard lock(mutex_);
-  const std::string key = key_of(name, labels);
-  const auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    LSDF_REQUIRE(it->second.kind == InstrumentKind::kHistogram,
-                 name + " already registered as a different kind");
-    return *it->second.histogram;
-  }
-  Histogram& instrument = histograms_.emplace_back(std::move(bounds));
-  entries_.emplace(key, Entry{name, labels, InstrumentKind::kHistogram,
-                              nullptr, nullptr, &instrument});
-  return instrument;
-}
-
 HdrHistogram& MetricsRegistry::hdr_histogram(const std::string& name,
                                              const Labels& labels) {
   const chk::LockGuard lock(mutex_);
@@ -165,10 +84,8 @@ HdrHistogram& MetricsRegistry::hdr_histogram(const std::string& name,
     return *it->second.hdr;
   }
   HdrHistogram& instrument = hdr_histograms_.emplace_back();
-  Entry entry{name, labels, InstrumentKind::kHdrHistogram, nullptr, nullptr,
-              nullptr};
-  entry.hdr = &instrument;
-  entries_.emplace(key, std::move(entry));
+  entries_.emplace(key, Entry{name, labels, InstrumentKind::kHdrHistogram,
+                              nullptr, nullptr, &instrument});
   return instrument;
 }
 
@@ -199,17 +116,6 @@ std::int64_t MetricsRegistry::counter_total(const std::string& name) const {
   return total;
 }
 
-double MetricsRegistry::gauge_total(const std::string& name) const {
-  const chk::LockGuard lock(mutex_);
-  double total = 0.0;
-  for (const auto& [key, entry] : entries_) {
-    if (entry.name == name && entry.kind == InstrumentKind::kGauge) {
-      total += entry.gauge->value();
-    }
-  }
-  return total;
-}
-
 std::vector<InstrumentSnapshot> MetricsRegistry::snapshot() const {
   const chk::LockGuard lock(mutex_);
   std::vector<InstrumentSnapshot> out;
@@ -226,20 +132,6 @@ std::vector<InstrumentSnapshot> MetricsRegistry::snapshot() const {
       case InstrumentKind::kGauge:
         snap.value = entry.gauge->value();
         break;
-      case InstrumentKind::kHistogram: {
-        const Histogram& h = *entry.histogram;
-        snap.value = h.sum();
-        snap.count = h.count();
-        std::int64_t cumulative = 0;
-        for (std::size_t i = 0; i < h.bounds().size(); ++i) {
-          cumulative += h.bucket_count(i);
-          snap.cumulative_buckets.emplace_back(h.bounds()[i], cumulative);
-        }
-        cumulative += h.bucket_count(h.bounds().size());
-        snap.cumulative_buckets.emplace_back(
-            std::numeric_limits<double>::infinity(), cumulative);
-        break;
-      }
       case InstrumentKind::kHdrHistogram: {
         const HdrHistogram& h = *entry.hdr;
         snap.value = h.sum();
@@ -299,12 +191,6 @@ std::string render_value(double v) {
   return out.str();
 }
 
-Labels with_le(const Labels& labels, double bound) {
-  Labels out = labels;
-  out.emplace_back("le", render_value(bound));
-  return out;
-}
-
 Labels with_quantile(const Labels& labels, const std::string& q) {
   Labels out = labels;
   out.emplace_back("quantile", q);
@@ -327,11 +213,9 @@ std::string MetricsRegistry::to_prometheus() const {
   std::string last_typed;
   for (const InstrumentSnapshot& snap : snaps) {
     if (snap.name != last_typed) {
-      const char* type = snap.kind == InstrumentKind::kCounter   ? "counter"
-                         : snap.kind == InstrumentKind::kGauge   ? "gauge"
-                         : snap.kind == InstrumentKind::kHistogram
-                             ? "histogram"
-                             : "summary";
+      const char* type = snap.kind == InstrumentKind::kCounter ? "counter"
+                         : snap.kind == InstrumentKind::kGauge ? "gauge"
+                                                               : "summary";
       out << "# TYPE " << snap.name << ' ' << type << '\n';
       last_typed = snap.name;
     }
@@ -340,17 +224,6 @@ std::string MetricsRegistry::to_prometheus() const {
       case InstrumentKind::kGauge:
         out << snap.name << format_labels(snap.labels) << ' '
             << render_value(snap.value) << '\n';
-        break;
-      case InstrumentKind::kHistogram:
-        for (const auto& [bound, cumulative] : snap.cumulative_buckets) {
-          out << snap.name << "_bucket"
-              << format_labels(with_le(snap.labels, bound)) << ' '
-              << cumulative << '\n';
-        }
-        out << snap.name << "_sum" << format_labels(snap.labels) << ' '
-            << render_value(snap.value) << '\n';
-        out << snap.name << "_count" << format_labels(snap.labels) << ' '
-            << snap.count << '\n';
         break;
       case InstrumentKind::kHdrHistogram:
         // Prometheus summary: pre-computed quantiles; the exact recorded
@@ -403,16 +276,6 @@ std::string MetricsRegistry::to_csv() const {
         out << snap.name << ",\"" << labels << "\",value,"
             << render_value(snap.value) << '\n';
         break;
-      case InstrumentKind::kHistogram:
-        out << snap.name << ",\"" << labels << "\",sum,"
-            << render_value(snap.value) << '\n';
-        out << snap.name << ",\"" << labels << "\",count," << snap.count
-            << '\n';
-        for (const auto& [bound, cumulative] : snap.cumulative_buckets) {
-          out << snap.name << ",\"" << labels << "\",le_"
-              << render_value(bound) << ',' << cumulative << '\n';
-        }
-        break;
       case InstrumentKind::kHdrHistogram:
         out << snap.name << ",\"" << labels << "\",sum,"
             << render_value(snap.value) << '\n';
@@ -428,16 +291,6 @@ std::string MetricsRegistry::to_csv() const {
     }
   }
   return out.str();
-}
-
-void MetricsRegistry::reset_values() {
-  const chk::LockGuard lock(mutex_);
-  for (auto& counter : counters_) counter.reset();
-  for (auto& histogram : histograms_) histogram.reset();
-  for (auto& hdr : hdr_histograms_) hdr.reset();
-  for (auto& gauge : gauges_) {
-    if (!gauge.bound()) gauge.set(0.0);
-  }
 }
 
 std::size_t MetricsRegistry::instrument_count() const {

@@ -3,22 +3,21 @@
 //! and what Rucio-class facilities treat as a first-class subsystem).
 //!
 //! Design rules:
+//!  * Push only: every value is written by the subsystem that owns it. The
+//!    registry never calls back into a subsystem, so no instrument outlives
+//!    the object it describes and reading an export touches no model state.
 //!  * Handle-based updates: callers resolve an instrument once (one lock,
 //!    one map lookup) and then update it through a stable reference. The hot
-//!    path — Counter::add, Gauge::set, Histogram::observe — is a relaxed
-//!    atomic operation, never a lock or a lookup.
+//!    path — Counter::add, Gauge::set/add, HdrHistogram::record — is relaxed
+//!    atomics, never a lock or a lookup.
 //!  * Instruments live as long as the registry (node-stable storage); handles
 //!    returned by the registry never dangle.
-//!  * Gauges can either be set directly or bound to a provider callback
-//!    (sampled at read time); providers must be unbound before the object
-//!    they read from dies — unbinding freezes the last value.
 //!  * Export: Prometheus text exposition, CSV, and a merged Snapshot struct.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <string>
 #include <utility>
@@ -34,7 +33,7 @@ namespace lsdf::obs {
 // canonicalised (sorted by key) when used as a registry key.
 using Labels = std::vector<std::pair<std::string, std::string>>;
 
-enum class InstrumentKind { kCounter, kGauge, kHistogram, kHdrHistogram };
+enum class InstrumentKind { kCounter, kGauge, kHdrHistogram };
 
 // Monotonic event count. add() is a single relaxed fetch_add.
 class Counter {
@@ -43,82 +42,31 @@ class Counter {
   [[nodiscard]] std::int64_t value() const {
     return value_.load(std::memory_order_relaxed);
   }
-  void reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<std::int64_t> value_{0};
 };
 
-// Point-in-time value. Either set directly (atomic store) or bound to a
-// provider callback sampled at read time.
+// Point-in-time value its owner sets (atomic store) or moves by a delta.
 class Gauge {
  public:
   void set(double v) { value_.store(v, std::memory_order_relaxed); }
   void add(double delta);
-
-  // Bind a provider: value() and exports call it instead of the stored
-  // value. Rebinding replaces the previous provider.
-  void bind(std::function<double()> provider);
-  // Freeze the current provider value into the gauge and drop the provider.
-  // Safe to call when unbound (no-op).
-  void unbind();
-  [[nodiscard]] bool bound() const {
-    return bound_.load(std::memory_order_acquire);
+  [[nodiscard]] double value() const {
+    return value_.load(std::memory_order_relaxed);
   }
-
-  [[nodiscard]] double value() const;
 
  private:
   std::atomic<double> value_{0.0};
-  std::atomic<bool> bound_{false};
-  mutable chk::TrackedMutex provider_mutex_{"obs.gauge_provider"};
-  std::function<double()> provider_ LSDF_GUARDED_BY(provider_mutex_);
 };
 
-// Fixed-boundary histogram (Prometheus semantics: cumulative buckets on
-// export, plus sum and count; an implicit +Inf bucket catches overflow).
-// observe() is a short bounds scan plus two relaxed atomic adds.
-class Histogram {
- public:
-  explicit Histogram(std::vector<double> bounds);
-
-  void observe(double x);
-
-  [[nodiscard]] std::int64_t count() const {
-    return count_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] double sum() const {
-    return sum_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] const std::vector<double>& bounds() const { return bounds_; }
-  // Non-cumulative count of bucket i (i == bounds().size() is +Inf).
-  [[nodiscard]] std::int64_t bucket_count(std::size_t i) const {
-    return buckets_[i].load(std::memory_order_relaxed);
-  }
-  void reset();
-
-  // `count` boundaries growing geometrically from `start` by `factor`.
-  [[nodiscard]] static std::vector<double> exponential_bounds(double start,
-                                                              double factor,
-                                                              std::size_t count);
-
- private:
-  std::vector<double> bounds_;  // strictly increasing upper bounds
-  std::deque<std::atomic<std::int64_t>> buckets_;  // bounds_.size() + 1
-  std::atomic<std::int64_t> count_{0};
-  std::atomic<double> sum_{0.0};
-};
-
-// One instrument flattened for consumers (monitor sampling, bench reports).
+// One instrument flattened for consumers (bench reports, exports).
 struct InstrumentSnapshot {
   std::string name;
   Labels labels;
   InstrumentKind kind = InstrumentKind::kCounter;
   double value = 0.0;        // counter value / gauge value / histogram sum
   std::int64_t count = 0;    // histogram observation count
-  // Histogram only: (upper bound, cumulative count) pairs; the final entry
-  // is (+Inf, total count).
-  std::vector<std::pair<double, std::int64_t>> cumulative_buckets;
   // HdrHistogram only: (quantile, value) for p50/p90/p99/p999, plus the
   // exact recorded maximum.
   std::vector<std::pair<double, double>> quantiles;
@@ -141,14 +89,8 @@ class MetricsRegistry {
                                  const Labels& labels = {});
   [[nodiscard]] Gauge& gauge(const std::string& name,
                              const Labels& labels = {});
-  [[nodiscard]] Histogram& histogram(const std::string& name,
-                                     std::vector<double> bounds,
-                                     const Labels& labels = {});
-  // Log-bucketed latency histogram (see obs/hdr_histogram.h). The house
-  // rule — enforced by lsdf_lint's hdr-latency check — is that every
-  // `*_seconds` latency
-  // instrument in src/ uses this; fixed-boundary histograms stay for
-  // size/count distributions. Exported as a Prometheus summary with
+  // Log-bucketed histogram (see obs/hdr_histogram.h), the one distribution
+  // kind. Exported as a Prometheus summary with
   // quantile="0.5/0.9/0.99/0.999/1" series.
   [[nodiscard]] HdrHistogram& hdr_histogram(const std::string& name,
                                             const Labels& labels = {});
@@ -160,20 +102,13 @@ class MetricsRegistry {
                                            const Labels& labels = {}) const;
   // Sum of a counter across every label set registered under `name`.
   [[nodiscard]] std::int64_t counter_total(const std::string& name) const;
-  // Sum of a gauge across every label set registered under `name` (e.g.
-  // lsdf_cache_used_bytes over all caches).
-  [[nodiscard]] double gauge_total(const std::string& name) const;
 
   [[nodiscard]] std::vector<InstrumentSnapshot> snapshot() const;
-  // Prometheus text exposition format (counters get a _total-less name as
-  // registered; histograms expand to _bucket/_sum/_count).
+  // Prometheus text exposition format (names as registered; histograms
+  // expand to summary quantiles plus _sum/_count).
   [[nodiscard]] std::string to_prometheus() const;
   // CSV: name,labels,field,value — one row per scalar.
   [[nodiscard]] std::string to_csv() const;
-
-  // Zero every counter and histogram and every unbound gauge; instruments
-  // and handles stay valid. For tests and bench isolation.
-  void reset_values();
 
   [[nodiscard]] std::size_t instrument_count() const;
 
@@ -184,7 +119,6 @@ class MetricsRegistry {
     InstrumentKind kind;
     Counter* counter = nullptr;
     Gauge* gauge = nullptr;
-    Histogram* histogram = nullptr;
     HdrHistogram* hdr = nullptr;
   };
 
@@ -200,7 +134,6 @@ class MetricsRegistry {
   // on the instruments themselves and deliberately lock-free.
   std::deque<Counter> counters_ LSDF_GUARDED_BY(mutex_);
   std::deque<Gauge> gauges_ LSDF_GUARDED_BY(mutex_);
-  std::deque<Histogram> histograms_ LSDF_GUARDED_BY(mutex_);
   std::deque<HdrHistogram> hdr_histograms_ LSDF_GUARDED_BY(mutex_);
   std::map<std::string, Entry> entries_
       LSDF_GUARDED_BY(mutex_);  // canonical key -> entry

@@ -522,48 +522,32 @@ TEST(Facility, DaqTrafficOutranksBulkExportOnTheBackbone) {
 
 TEST(Facility, MonitorSamplesAndReports) {
   FacilityFixture f;
-  FacilityMonitor monitor(f.facility, 1_min);
-  monitor.start();
   f.ingest_one("frame-1");
   f.ingest_one("frame-2");
   f.facility.simulator().run_until(f.facility.simulator().now() + 10_min);
-  monitor.stop();
 
-  // Series captured one point per minute plus the start sample.
-  EXPECT_GE(monitor.pool_used_bytes().points().size(), 10u);
-  EXPECT_DOUBLE_EQ(monitor.pool_used_bytes().last_value(), 8e6);
-  EXPECT_DOUBLE_EQ(monitor.dataset_count().last_value(), 2.0);
-
-  const std::string report = monitor.status_report();
-  EXPECT_NE(report.find("online storage"), std::string::npos);
+  const std::string report = status_report(f.facility);
+  EXPECT_NE(report.find("online storage: 8.00 MB / "), std::string::npos);
   EXPECT_NE(report.find("zebrafish-htm"), std::string::npos);
   EXPECT_NE(report.find("2 datasets"), std::string::npos);
-
-  const std::string csv = monitor.to_csv();
-  EXPECT_NE(csv.find("time_s,metric,value"), std::string::npos);
-  EXPECT_NE(csv.find("pool_used_bytes"), std::string::npos);
-  EXPECT_NE(csv.find("dataset_count"), std::string::npos);
 }
 
 TEST(Facility, MonitorSamplesItsOwnFacility) {
   FacilityFixture a;
-  FacilityMonitor monitor(a.facility, 1_min);
   a.ingest_one("frame-1");
   a.ingest_one("frame-2");
   {
-    // A second facility rebinds the registry's facility gauges and freezes
-    // them at its own values when it dies.
+    // A second facility in the same process, destroyed before the report.
     FacilityFixture b;
     b.ingest_one("frame-1");
   }
-  monitor.sample();
-  EXPECT_DOUBLE_EQ(monitor.pool_used_bytes().last_value(), 8e6);
-  EXPECT_DOUBLE_EQ(monitor.dataset_count().last_value(), 2.0);
+  const std::string report = status_report(a.facility);
+  EXPECT_NE(report.find("online storage: 8.00 MB / "), std::string::npos);
+  EXPECT_NE(report.find("2 datasets"), std::string::npos);
 }
 
 TEST(Facility, MonitorReadsOnlyItsOwnReadCaches) {
   FacilityFixture a;  // no read cache sized
-  FacilityMonitor monitor(a.facility, 1_min);
   {
     // A second facility with a 1 GB HSM read cache: one miss admits the
     // object, one hit serves it. The process-wide lsdf_cache_* registry
@@ -580,33 +564,11 @@ TEST(Facility, MonitorReadsOnlyItsOwnReadCaches) {
       b.simulator().run_while_pending([&] { return got.has_value(); });
       ASSERT_TRUE(got && got->status.is_ok());
     }
-    FacilityMonitor own(b, 1_min);
-    own.sample();
-    EXPECT_DOUBLE_EQ(own.cache_used_bytes().last_value(), 8e6);
-    EXPECT_DOUBLE_EQ(own.cache_served_bytes().last_value(), 8e6);
-    EXPECT_NE(own.status_report().find(
+    EXPECT_NE(status_report(b).find(
                   "8.00 MB resident, 8.00 MB served, hit rate 50%"),
               std::string::npos);
   }
-  monitor.sample();
-  EXPECT_DOUBLE_EQ(monitor.cache_used_bytes().last_value(), 0.0);
-  EXPECT_DOUBLE_EQ(monitor.cache_served_bytes().last_value(), 0.0);
-  EXPECT_EQ(monitor.status_report().find("read caches"), std::string::npos);
-}
-
-TEST(Facility, MonitorTracksGrowthOverTime) {
-  FacilityFixture f;
-  FacilityMonitor monitor(f.facility, 30_s);
-  monitor.start();
-  for (int i = 0; i < 5; ++i) {
-    f.ingest_one("frame-" + std::to_string(i));
-    f.facility.simulator().run_until(f.facility.simulator().now() + 1_min);
-  }
-  monitor.stop();
-  const auto& series = monitor.dataset_count().points();
-  ASSERT_GE(series.size(), 2u);
-  EXPECT_LE(series.front().value, series.back().value);
-  EXPECT_DOUBLE_EQ(series.back().value, 5.0);
+  EXPECT_EQ(status_report(a.facility).find("read caches"), std::string::npos);
 }
 
 }  // namespace

