@@ -25,7 +25,7 @@ IngestPipeline::IngestPipeline(sim::Simulator& simulator,
       config_(config),
       transfer_(simulator, net, "ingest", config.retry_seed),
       slots_(simulator, config.parallel_slots, "ingest.slots"),
-      queue_depth_metric_(
+      queue_length_metric_(
           obs::MetricsRegistry::global().gauge("lsdf_ingest_queue_depth")),
       ok_items_metric_(obs::MetricsRegistry::global().counter(
           "lsdf_ingest_items_total", {{"result", "ok"}})),
@@ -45,7 +45,7 @@ IngestPipeline::IngestPipeline(sim::Simulator& simulator,
   LSDF_REQUIRE(config_.checksum_rate.bps() > 0.0,
                "checksum rate must be positive");
   config_.transfer_retry.validate();
-  queue_depth_metric_.set(0.0);
+  queue_length_metric_.set(0.0);
 }
 
 void IngestPipeline::finish(IngestReport report, IngestCallback done) {
@@ -62,7 +62,7 @@ void IngestPipeline::finish(IngestReport report, IngestCallback done) {
     failed_items_metric_.add(1);
   }
   slots_.release(1);
-  queue_depth_metric_.set(static_cast<double>(slots_.queue_length()));
+  queue_length_metric_.set(static_cast<double>(slots_.queue_length()));
   // Per-tenant tail latency for E2's fairness tables. The tenant rides the
   // request context from submit() through every async leg to here.
   if (report.status.is_ok()) {
@@ -113,7 +113,7 @@ void IngestPipeline::submit(IngestItem item, IngestCallback done) {
   auto shared_done = std::make_shared<IngestCallback>(std::move(done));
 
   slots_.acquire(1, [this, shared_item, shared_done, report] {
-    queue_depth_metric_.set(static_cast<double>(slots_.queue_length()));
+    queue_length_metric_.set(static_cast<double>(slots_.queue_length()));
     const SimTime granted = simulator_.now();
     // Stage 1: move the data from the experiment's DAQ node to the ingest
     // head node over the facility backbone, retrying transient faults so a
@@ -180,7 +180,7 @@ void IngestPipeline::submit(IngestItem item, IngestCallback done) {
         },
         [this](int, const Status&) { ++stats_.transfer_retries; });
   });
-  queue_depth_metric_.set(static_cast<double>(slots_.queue_length()));
+  queue_length_metric_.set(static_cast<double>(slots_.queue_length()));
 }
 
 }  // namespace lsdf::ingest

@@ -108,7 +108,7 @@ class IngestPipeline {
   IngestStats stats_;
 
   // Telemetry: registry instruments for metrics exports.
-  obs::Gauge& queue_depth_metric_;
+  obs::Gauge& queue_length_metric_;
   obs::Counter& ok_items_metric_;
   obs::Counter& failed_items_metric_;
   obs::Counter& rejected_items_metric_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <set>
 #include <string>
 
 #include "common/require.h"
@@ -27,9 +26,7 @@ TransferEngine::TransferEngine(sim::Simulator& simulator,
       cancelled_metric_(obs::MetricsRegistry::global().counter(
           "lsdf_net_cancelled_total")),
       duration_metric_(obs::MetricsRegistry::global().hdr_histogram(
-          "lsdf_net_transfer_seconds")),
-      active_flows_metric_(
-          obs::MetricsRegistry::global().gauge("lsdf_net_active_flows")) {}
+          "lsdf_net_transfer_seconds")) {}
 
 obs::Counter& TransferEngine::link_bytes_metric(LinkId link) {
   if (link >= link_bytes_.size()) link_bytes_.resize(link + 1, nullptr);
@@ -119,10 +116,7 @@ Result<FlowId> TransferEngine::start_transfer(NodeId src, NodeId dst,
         flow.size = size;
         flow.started = started;
         flow.on_complete = std::move(cb);
-        const auto [it, inserted] = flows_.emplace(id, std::move(flow));
-        index_flow_links(id, it->second.path);
-        mark_links_dirty(it->second.path);
-        active_flows_metric_.set(static_cast<double>(flows_.size()));
+        flows_.emplace(id, std::move(flow));
         reallocate();
       });
   return id;
@@ -134,11 +128,6 @@ bool TransferEngine::cancel(FlowId id) {
   if (it == flows_.end()) return false;
   Flow flow = std::move(it->second);
   flows_.erase(it);
-  if (!flow.stalled) {
-    unindex_flow_links(flow.id, flow.path);
-    mark_links_dirty(flow.path);
-  }
-  active_flows_metric_.set(static_cast<double>(flows_.size()));
   reallocate();
   // Deliver the terminal cancelled completion after the engine state is
   // consistent: the callback may start a replacement transfer.
@@ -180,18 +169,11 @@ void TransferEngine::advance_progress() {
     credit_link_bytes(flow.path, moved);
     flow.wire_bytes_remaining -= flow.rate_bps * elapsed.seconds();
     if (flow.wire_bytes_remaining <= kEpsilonBytes) {
-      if (!flow.stalled) {
-        unindex_flow_links(flow.id, flow.path);
-        mark_links_dirty(flow.path);
-      }
       finished.push_back(std::move(flow));
       it = flows_.erase(it);
     } else {
       ++it;
     }
-  }
-  if (!finished.empty()) {
-    active_flows_metric_.set(static_cast<double>(flows_.size()));
   }
   for (Flow& flow : finished) complete_flow(std::move(flow));
 }
@@ -231,85 +213,13 @@ void TransferEngine::repath_flows() {
     }
     if (!broken) continue;
     auto rerouted = topology_.route(flow.src, flow.dst);
-    // Stalled flows are not in the flows-on-link index (they carry no
-    // allocation); keep the index in step as the flow moves between paths
-    // and the stalled state.
-    if (!flow.stalled) {
-      unindex_flow_links(id, flow.path);
-      mark_links_dirty(flow.path);
-    }
     if (rerouted.is_ok()) {
       flow.path = std::move(rerouted).take();
       flow.stalled = false;
-      index_flow_links(id, flow.path);
-      mark_links_dirty(flow.path);
     } else {
       flow.stalled = true;
       flow.rate_bps = 0.0;
     }
-  }
-}
-
-void TransferEngine::mark_links_dirty(const std::vector<LinkId>& path) {
-  dirty_links_.insert(dirty_links_.end(), path.begin(), path.end());
-}
-
-void TransferEngine::index_flow_links(FlowId id,
-                                      const std::vector<LinkId>& path) {
-  for (const LinkId link : path) {
-    if (link >= flows_on_link_.size()) flows_on_link_.resize(link + 1);
-    flows_on_link_[link].push_back(id);
-  }
-}
-
-void TransferEngine::unindex_flow_links(FlowId id,
-                                        const std::vector<LinkId>& path) {
-  for (const LinkId link : path) {
-    auto& on_link = flows_on_link_[link];
-    const auto it = std::find(on_link.begin(), on_link.end(), id);
-    LSDF_DCHECK(it != on_link.end(), "unindexing a flow not on its link");
-    if (it != on_link.end()) on_link.erase(it);
-  }
-}
-
-void TransferEngine::closure_of_dirty(std::vector<Flow*>* flows_out,
-                                      std::vector<LinkId>* links_out) {
-  std::vector<char> link_seen(topology_.link_count(), 0);
-  std::set<FlowId> flow_ids;
-  std::vector<LinkId> frontier;
-  for (const LinkId link : dirty_links_) {
-    if (link < link_seen.size() && link_seen[link] == 0) {
-      link_seen[link] = 1;
-      frontier.push_back(link);
-    }
-  }
-  // Alternate link -> flows-on-link -> links-on-flow until the frontier is
-  // exhausted: the result is the union of the connected components (flows
-  // joined through shared links) touched by any dirty link. Every flow
-  // crossing an output link is in the output flow set, so the water-fill
-  // sees the complete demand on every capacity it redistributes.
-  while (!frontier.empty()) {
-    const LinkId link = frontier.back();
-    frontier.pop_back();
-    links_out->push_back(link);
-    if (link >= flows_on_link_.size()) continue;
-    for (const FlowId id : flows_on_link_[link]) {
-      if (!flow_ids.insert(id).second) continue;
-      const auto it = flows_.find(id);
-      LSDF_REQUIRE(it != flows_.end(),
-                   "flows-on-link index holds a dead flow");
-      for (const LinkId next : it->second.path) {
-        if (next < link_seen.size() && link_seen[next] == 0) {
-          link_seen[next] = 1;
-          frontier.push_back(next);
-        }
-      }
-    }
-  }
-  std::sort(links_out->begin(), links_out->end());
-  flows_out->reserve(flow_ids.size());
-  for (const FlowId id : flow_ids) {
-    flows_out->push_back(&flows_.at(id));
   }
 }
 
@@ -318,50 +228,18 @@ void TransferEngine::reallocate() {
     simulator_.cancel(pending_completion_);
     completion_scheduled_ = false;
   }
-  if (flows_.empty()) {
-    dirty_links_.clear();
-    return;
+  if (flows_.empty()) return;
+  if (seen_topology_version_ != topology_.state_version()) repath_flows();
+  std::vector<Flow*> unfrozen;
+  unfrozen.reserve(flows_.size());
+  for (auto& [id, flow] : flows_) {
+    if (!flow.stalled) unfrozen.push_back(&flow);
   }
-  bool full = full_reallocation_;
-  if (seen_topology_version_ != topology_.state_version()) {
-    // Link-state changes can reroute flows arbitrarily far from the links
-    // that went down or came back; recompute everything.
-    repath_flows();
-    full = true;
-  }
-
-  if (full) {
-    dirty_links_.clear();
-    std::vector<Flow*> unfrozen;
-    unfrozen.reserve(flows_.size());
-    for (auto& [id, flow] : flows_) {
-      if (!flow.stalled) unfrozen.push_back(&flow);
-    }
-    std::vector<LinkId> links(topology_.link_count());
-    for (std::size_t at = 0; at < links.size(); ++at) {
-      links[at] = static_cast<LinkId>(at);
-    }
-    allocate(std::move(unfrozen), links);
-  } else {
-    // Incremental path: only the components reachable from links whose
-    // flow set changed can see different rates — max-min allocations are
-    // component-local, and iterating the affected flows in FlowId order
-    // over the affected links in ascending id order reproduces exactly
-    // the floating-point reduction sequence a full pass would run for
-    // those components, so the rates match a full recompute bit-for-bit
-    // (transfer_incremental_test.cpp hunts for divergence with exact
-    // double comparisons over a randomized schedule).
-    std::vector<Flow*> affected;
-    std::vector<LinkId> links;
-    closure_of_dirty(&affected, &links);
-    dirty_links_.clear();
-    if (!affected.empty()) allocate(std::move(affected), links);
-  }
+  allocate(std::move(unfrozen));
   schedule_next_completion();
 }
 
-void TransferEngine::allocate(std::vector<Flow*> unfrozen,
-                              const std::vector<LinkId>& links) {
+void TransferEngine::allocate(std::vector<Flow*> unfrozen) {
   // Progressive filling (weighted water-filling) with per-flow caps:
   // repeatedly find the binding constraint — either the tightest link's
   // per-unit-weight share or the smallest unfrozen cap-to-weight ratio —
@@ -388,7 +266,7 @@ void TransferEngine::allocate(std::vector<Flow*> unfrozen,
   while (!unfrozen.empty()) {
     // Tightest per-unit-weight share among links carrying unfrozen flows.
     double unit_share = std::numeric_limits<double>::infinity();
-    for (const LinkId link : links) {
+    for (LinkId link = 0; link < link_count; ++link) {
       if (unfrozen_weight[link] > 0.0) {
         unit_share =
             std::min(unit_share, remaining[link] / unfrozen_weight[link]);
@@ -422,11 +300,10 @@ void TransferEngine::allocate(std::vector<Flow*> unfrozen,
       // Flows crossing a bottleneck link freeze at weight x unit share.
       // The comparison is exact (no epsilon slack): links whose ratio is
       // the same double as the minimum freeze together, links even one ulp
-      // above it wait for their own round. A tolerance here would make the
-      // freeze set depend on which OTHER components share the round — the
-      // per-component and whole-facility passes would then disagree at the
-      // last bit whenever structurally similar components produce
-      // algebraically equal ratios rounded one ulp apart.
+      // above it wait for their own round. A tolerance would regroup the
+      // rounds wherever algebraically equal ratios round one ulp apart,
+      // moving the last bits of rates and so every completion time: every
+      // chk fingerprint and replay golden pins this compare.
       for (Flow* flow : unfrozen) {
         bool bottlenecked = false;
         for (const LinkId link : flow->path) {
@@ -455,8 +332,7 @@ void TransferEngine::allocate(std::vector<Flow*> unfrozen,
 }
 
 void TransferEngine::schedule_next_completion() {
-  // Earliest completion across every allocated flow (including flows in
-  // components an incremental pass left untouched). Stalled flows (no
+  // Earliest completion across every allocated flow. Stalled flows (no
   // route) sit at rate zero until a resync finds them a path.
   double min_seconds = std::numeric_limits<double>::infinity();
   for (const auto& [id, flow] : flows_) {

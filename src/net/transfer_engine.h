@@ -93,13 +93,6 @@ class TransferEngine {
   // Instantaneous rate of one flow (zero if unknown/finished).
   [[nodiscard]] Rate flow_rate(FlowId id) const;
 
-  // Test hook: force every reallocation to recompute the whole flow set
-  // from scratch instead of only the components touched by dirty links.
-  // The incremental path must produce identical allocations — the
-  // differential test in transfer_incremental_test.cpp drives one engine
-  // in each mode through the same schedule and compares rates exactly.
-  void set_full_reallocation(bool full) { full_reallocation_ = full; }
-
  private:
   struct Flow {
     FlowId id = 0;
@@ -126,37 +119,23 @@ class TransferEngine {
   // rerouted flows attribute bytes to the links that actually carried
   // them), and completing any flows that finish.
   void advance_progress();
-  // Recompute the max-min allocation and schedule the next completion.
-  // Incremental: only the connected components (flows linked through
-  // shared links) reachable from links marked dirty since the last
-  // allocation are recomputed; untouched components keep their rates,
-  // which a full recompute would reproduce bit-for-bit (their binding
-  // arithmetic involves only component-local capacities and weights).
+  // Re-path flows if the link state changed, water-fill the whole set of
+  // non-stalled flows and schedule the next completion. Every flow start,
+  // finish, cancel and reroute lands here.
   void reallocate();
-  // Weighted max-min water-filling over one flow set. `links` is every
-  // link carrying a flow in `unfrozen` (ascending, deduplicated), and
-  // `unfrozen` is in FlowId order — both orders match what a full pass
-  // over flows_ would produce, so the floating-point reduction sequence
-  // (and therefore every allocated rate) is identical either way.
-  void allocate(std::vector<Flow*> unfrozen, const std::vector<LinkId>& links);
-  // Affected-component closure: BFS from the dirty links over the
-  // flows-on-link index. Appends the component's flows (FlowId order) and
-  // links (ascending) to the out-params.
-  void closure_of_dirty(std::vector<Flow*>* flows_out,
-                        std::vector<LinkId>* links_out);
+  // Weighted max-min water-filling over `unfrozen`, which is in FlowId
+  // order; links are scanned in ascending id order. Both orders are fixed
+  // by the flow set alone, so the floating-point reduction sequence (and
+  // therefore every allocated rate) is too.
+  void allocate(std::vector<Flow*> unfrozen);
   // Re-arm the pending completion event for the earliest-finishing flow.
   void schedule_next_completion();
   void complete_flow(Flow flow);
 
   void repath_flows();
 
-  // Dirty-link bookkeeping feeding the incremental reallocation.
-  void mark_links_dirty(const std::vector<LinkId>& path);
-  void index_flow_links(FlowId id, const std::vector<LinkId>& path);
-  void unindex_flow_links(FlowId id, const std::vector<LinkId>& path);
-
-  // Telemetry: completion totals, duration distribution, live-flow gauge
-  // and lazily created per-link byte counters (labels: link id).
+  // Telemetry: completion totals, duration distribution and lazily
+  // created per-link byte counters (labels: link id).
   void record_completion(const TransferCompletion& completion);
   obs::Counter& link_bytes_metric(LinkId link);
   // Credit `wire_bytes` to every link on `path`, accumulating sub-byte
@@ -171,18 +150,11 @@ class TransferEngine {
   std::uint64_t seen_topology_version_ = 0;
   sim::EventId pending_completion_{};
   bool completion_scheduled_ = false;
-  // Which flows currently cross each link (insertion order = join order);
-  // drives the affected-component closure in reallocate().
-  std::vector<std::vector<FlowId>> flows_on_link_;
-  // Links whose flow set changed since the last allocation (dupes fine).
-  std::vector<LinkId> dirty_links_;
-  bool full_reallocation_ = false;
 
   obs::Counter& transfers_metric_;
   obs::Counter& bytes_metric_;
   obs::Counter& cancelled_metric_;
   obs::HdrHistogram& duration_metric_;
-  obs::Gauge& active_flows_metric_;
   std::vector<obs::Counter*> link_bytes_;   // indexed by LinkId
   std::vector<double> link_bytes_residue_;  // sub-byte carry per link
 };

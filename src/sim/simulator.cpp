@@ -10,8 +10,6 @@ Simulator::Simulator(std::uint32_t shard)
     : shard_(shard),
       events_metric_(
           obs::MetricsRegistry::global().counter("lsdf_sim_events_total")),
-      queue_depth_metric_(
-          obs::MetricsRegistry::global().gauge("lsdf_sim_queue_depth")),
       event_lag_metric_(obs::MetricsRegistry::global().hdr_histogram(
           "lsdf_sim_event_lag_seconds")) {}
 
@@ -110,7 +108,6 @@ void Simulator::flush_observability() {
     events_metric_.add(static_cast<std::int64_t>(executed_ - reported_events_));
     reported_events_ = executed_;
   }
-  queue_depth_metric_.set(static_cast<double>(live_events_));
 }
 
 bool Simulator::settle_top() {

@@ -13,9 +13,9 @@
 //! Slots live in fixed 256-slot chunks whose addresses never move, so a
 //! dispatched callback runs in place instead of being copied out. The ready
 //! queue is two lanes — a monotone FIFO lane that turns in-time-order
-//! scheduling (the overwhelmingly common case) into O(1) pointer bumps, and
-//! a 4-ary implicit heap of 24-byte entries for out-of-order schedules —
-//! with cancelled events discarded lazily via a generation mismatch.
+//! scheduling into O(1) pointer bumps, and a 4-ary implicit heap of 24-byte
+//! entries for out-of-order schedules — with cancelled events discarded
+//! lazily via a generation mismatch.
 #pragma once
 
 #include <cstdint>
@@ -226,14 +226,16 @@ class Simulator {
   void heap_pop();
 
   // The ready queue is two lanes: the heap above, plus a monotone FIFO
-  // lane. Models overwhelmingly schedule in nondecreasing time order
-  // (self-rescheduling sources, timers, transfer completions at now + dt
-  // with steady dt); such entries append to `fifo_` — which therefore
-  // stays sorted by (time, seq), seq being monotone — and push/pop become
-  // O(1) pointer bumps instead of O(log n) sifts. An out-of-order entry
-  // falls back to the heap. The global minimum is the smaller of the two
-  // lane heads under the same strict total order, so the dispatch sequence
-  // is identical to a single-heap kernel, entry for entry.
+  // lane. An entry at or after the FIFO tail appends to `fifo_` — which
+  // therefore stays sorted by (time, seq), seq being monotone — so its
+  // push and pop are O(1) pointer bumps instead of O(log n) sifts; an
+  // out-of-order entry falls back to the heap. The facility models rarely
+  // schedule in order (0.5-0.7% of schedules take this lane in the
+  // perfbench workloads), but the self-rescheduling ring CI's dispatch
+  // floor measures and the schedule+cancel bench do, and run 1.4-3x
+  // slower heap-only (DESIGN.md §5b). The global minimum is the smaller of
+  // the two lane heads under the same strict total order, so the dispatch
+  // sequence is identical to a single-heap kernel, entry for entry.
   void queue_push(const QueueEntry& entry) {
     if (fifo_head_ == fifo_.size() || !earlier(entry, fifo_.back())) {
       fifo_.push_back(entry);
@@ -296,7 +298,7 @@ class Simulator {
   // Pop and execute the queue head. Pre-condition: settle_top() was true
   // and no schedule/cancel happened since — the head is live.
   void dispatch_top();
-  // Push counter deltas and the depth gauge out to obs. Called every
+  // Push the events counter delta out to obs. Called every
   // kObsSamplePeriod events and at drains/deadlines, not per event.
   void flush_observability();
 
@@ -316,15 +318,13 @@ class Simulator {
 
   // Process-wide telemetry (obs/metrics.h): handles resolved once here.
   // Updates are batched: the events counter advances in sampled strides
-  // (exact again at every drain/deadline/predicate exit), the depth gauge
-  // is refreshed on the same cadence, and the lag histogram observes every
-  // kObsSamplePeriod-th event (a 1-in-64 sample of the dwell distribution)
-  // — per-event instrument traffic is the one observability cost the
-  // dispatch loop no longer pays (DESIGN.md §5b).
+  // (exact again at every drain/deadline/predicate exit), and the lag
+  // histogram observes every kObsSamplePeriod-th event (a 1-in-64 sample
+  // of the dwell distribution) — per-event instrument traffic is the one
+  // observability cost the dispatch loop no longer pays (DESIGN.md §5b).
   static constexpr std::uint64_t kObsSamplePeriod = 64;
   std::uint64_t reported_events_ = 0;
   obs::Counter& events_metric_;
-  obs::Gauge& queue_depth_metric_;
   obs::HdrHistogram& event_lag_metric_;
 };
 
