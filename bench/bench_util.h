@@ -17,7 +17,9 @@
 #include <utility>
 #include <vector>
 
+#include "chk/lock_registry.h"
 #include "common/file_util.h"
+#include "common/require.h"
 #include "exec/thread_pool.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -213,7 +215,8 @@ inline void write_json_section(
 //   --json <file>          the bench's BENCH_*.json report sections; without
 //                          it a run writes no report
 // Call obs_init(argc, argv) at the top of main and obs_dump(options) at the
-// bottom. The tracer stays fully disabled unless --trace is given.
+// bottom; obs_dump also fails the run on a lock-order cycle. The tracer
+// stays fully disabled unless --trace is given.
 
 struct ObsOptions {
   std::string trace_path;
@@ -388,6 +391,10 @@ inline void obs_dump(const ObsOptions& options) {
     tracer.enable(false);
     tracer.use_steady_clock();  // drop any sim-clock closure before exit
   }
+  // The run's lock-order verdict: a cycle between tracked lock classes is
+  // a potential deadlock, so the bench fails with the registry's report.
+  const chk::LockRegistry& locks = chk::LockRegistry::global();
+  LSDF_REQUIRE(locks.cycles().empty(), locks.report());
 }
 
 }  // namespace lsdf::bench

@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "common/require.h"
-#include "obs/metrics.h"
 
 namespace lsdf::chk {
 namespace {
@@ -11,7 +10,6 @@ namespace {
 struct HeldLock {
   const LockRegistry* registry;
   int node;
-  std::chrono::steady_clock::time_point acquired;
 };
 
 // Per-thread stack of currently held tracked locks (across all
@@ -19,59 +17,12 @@ struct HeldLock {
 // edges with the global one).
 thread_local std::vector<HeldLock> tl_held;
 
-// True while the registry itself is running: nested acquisitions (the
-// metrics registry's own tracked mutex, the logger) are real locks but
-// must not be re-tracked, or instrumentation would recurse.
-thread_local bool tl_in_chk = false;
-
-class ReentrancyGuard {
- public:
-  ReentrancyGuard() { tl_in_chk = true; }
-  ~ReentrancyGuard() { tl_in_chk = false; }
-};
-
 }  // namespace
-
-struct LockRegistry::Instruments {
-  obs::Counter& acquisitions;
-  obs::Counter& contended;
-  obs::Counter& long_holds;
-  obs::Counter& cycles;
-  obs::Gauge& edges;
-  obs::HdrHistogram& hold_seconds;
-};
 
 LockRegistry& LockRegistry::global() {
   // Leaked: tracked locks fire during static destruction (logger, metrics).
-  static LockRegistry* registry = new LockRegistry(/*publish=*/true);
+  static LockRegistry* registry = new LockRegistry();
   return *registry;
-}
-
-LockRegistry::LockRegistry(bool publish) : publish_(publish) {}
-
-void LockRegistry::ensure_instruments() {
-  // Must run while the calling thread holds NO tracked lock (TrackedMutex
-  // calls it before its inner lock): resolving instruments locks the
-  // metrics registry, whose own mutex is tracked — resolving lazily from
-  // on_acquire would self-deadlock on that very mutex. The guard makes the
-  // nested metrics-mutex acquisition invisible to tracking and short-
-  // circuits the nested ensure_instruments before it can re-enter
-  // call_once (std::call_once is not reentrant on one thread).
-  if (!publish_ || tl_in_chk) return;
-  const ReentrancyGuard guard;
-  std::call_once(instruments_once_, [this] {
-    auto& reg = obs::MetricsRegistry::global();
-    // Leaked with the registry (instrument handles must outlive every
-    // lock, including ones used during static destruction).
-    instruments_ = new Instruments{
-        reg.counter("lsdf_chk_lock_acquisitions_total"),
-        reg.counter("lsdf_chk_lock_contended_total"),
-        reg.counter("lsdf_chk_lock_long_holds_total"),
-        reg.counter("lsdf_chk_lock_cycles_total"),
-        reg.gauge("lsdf_chk_lock_order_edges"),
-        reg.hdr_histogram("lsdf_chk_lock_hold_seconds"),
-    };
-  });
 }
 
 int LockRegistry::node_for(const std::string& name) {
@@ -85,45 +36,22 @@ int LockRegistry::node_for(const std::string& name) {
   return static_cast<int>(names_.size() - 1);
 }
 
-void LockRegistry::on_acquire(int node, bool contended,
-                              const std::source_location& site) {
-  if (tl_in_chk) return;
-  const ReentrancyGuard guard;
-  acquisitions_.fetch_add(1, std::memory_order_relaxed);
-  if (instruments_ != nullptr) instruments_->acquisitions.add(1);
-  if (contended) {
-    contended_.fetch_add(1, std::memory_order_relaxed);
-    if (instruments_ != nullptr) instruments_->contended.add(1);
-  }
+void LockRegistry::on_acquire(int node, const std::source_location& site) {
   for (const HeldLock& held : tl_held) {
     if (held.registry == this) record_edge(held.node, node, site);
   }
-  tl_held.push_back(HeldLock{this, node, std::chrono::steady_clock::now()});
+  tl_held.push_back(HeldLock{this, node});
 }
 
 void LockRegistry::on_release(int node) {
-  if (tl_in_chk) return;
-  const ReentrancyGuard guard;
   // Search from the back: releases are almost always LIFO, but unlock
   // order is not a requirement (std::scoped_lock releases in any order).
   for (auto it = tl_held.rbegin(); it != tl_held.rend(); ++it) {
-    if (it->registry != this || it->node != node) continue;
-    const auto held_for = std::chrono::steady_clock::now() - it->acquired;
-    tl_held.erase(std::next(it).base());
-    const auto nanos =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(held_for)
-            .count();
-    if (nanos > long_hold_nanos_.load(std::memory_order_relaxed)) {
-      long_holds_.fetch_add(1, std::memory_order_relaxed);
-      if (instruments_ != nullptr) instruments_->long_holds.add(1);
+    if (it->registry == this && it->node == node) {
+      tl_held.erase(std::next(it).base());
+      return;
     }
-    if (instruments_ != nullptr) {
-      instruments_->hold_seconds.record(static_cast<double>(nanos) * 1e-9);
-    }
-    return;
   }
-  // No matching entry: the acquisition happened inside the registry's own
-  // bookkeeping (tl_in_chk) and was deliberately untracked.
 }
 
 void LockRegistry::record_edge(int from, int to,
@@ -141,9 +69,6 @@ void LockRegistry::record_edge(int from, int to,
   // Publish after the graph is consistent; the store orders the matrix
   // update before readers skip the locked path.
   edge_seen_[index].store(true, std::memory_order_release);
-  if (instruments_ != nullptr) {
-    instruments_->edges.set(static_cast<double>(edges_.size()));
-  }
 }
 
 void LockRegistry::note_cycle(int from, int to) {
@@ -201,7 +126,6 @@ void LockRegistry::note_cycle(int from, int to) {
     previous = *it;
   }
   cycles_.push_back(out.str());
-  if (instruments_ != nullptr) instruments_->cycles.add(1);
 }
 
 std::size_t LockRegistry::edge_count() const {

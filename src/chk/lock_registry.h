@@ -1,6 +1,6 @@
 //! Runtime lock-order analysis: a drop-in std::mutex wrapper that records
 //! per-thread acquisition stacks, builds the global lock-order graph and
-//! reports cycles (potential ABBA deadlocks) and long-hold outliers.
+//! reports cycles (potential ABBA deadlocks).
 //!
 //! Locks are grouped by *name* (one graph node per name, however many
 //! instances share it — e.g. every ThreadPool worker queue is one node), so
@@ -10,27 +10,22 @@
 //!   * adds an edge held-lock -> new-lock for each lock the thread already
 //!     holds (first observation records the acquiring file:line);
 //!   * runs incremental cycle detection when the edge is new — a cycle is a
-//!     potential deadlock and lands in cycles() plus the
-//!     lsdf_chk_lock_cycles_total counter;
-//!   * times the hold and feeds lsdf_chk_lock_hold_seconds; holds longer
-//!     than the configurable threshold count as long-hold outliers.
+//!     potential deadlock and lands in cycles().
+//!
+//! Order between lock *instances* is TSan's job: lock() is one blocking
+//! std::mutex::lock(), so TSan's deadlock detector sees every acquisition
+//! (a try_lock fast path would hide the uncontended ones from it).
 //!
 //! The wrapper satisfies Lockable, so std::lock_guard/std::scoped_lock work,
 //! but adopted code uses chk::LockGuard / chk::UniqueLock: they capture the
 //! acquisition site via std::source_location and carry the Clang
 //! thread-safety annotations (thread_annotations.h) that libstdc++'s guards
 //! lack, keeping -Wthread-safety effective.
-//!
-//! Reentrancy: the registry's own bookkeeping may touch the metrics
-//! registry, whose mutex is itself tracked; a thread-local guard makes any
-//! nested tracking a no-op, so instrumentation can never recurse or
-//! self-deadlock.
 #pragma once
 
 #include <array>
 #include <atomic>
-#include <chrono>
-#include <cstdint>
+#include <cstddef>
 #include <mutex>
 #include <source_location>
 #include <string>
@@ -51,35 +46,19 @@ class LockRegistry {
   // destruction, after function-local statics would have died.
   [[nodiscard]] static LockRegistry& global();
 
-  // `publish` = export lsdf_chk_* instruments to the global metrics
-  // registry (only the global lock registry publishes; test instances
-  // stay silent so they cannot pollute process metrics).
-  explicit LockRegistry(bool publish = false);
+  LockRegistry() = default;
   LockRegistry(const LockRegistry&) = delete;
   LockRegistry& operator=(const LockRegistry&) = delete;
 
   // Get-or-create the graph node for a lock name.
   [[nodiscard]] int node_for(const std::string& name);
 
-  // Called by TrackedMutex; `contended` = the fast try_lock failed first.
-  void on_acquire(int node, bool contended, const std::source_location& site);
+  // Called by TrackedMutex once it holds (on_acquire) or is about to drop
+  // (on_release) the lock.
+  void on_acquire(int node, const std::source_location& site);
   void on_release(int node);
 
-  // Holds longer than this count as long-hold outliers (default 10 ms).
-  void set_long_hold_threshold(std::chrono::nanoseconds threshold) {
-    long_hold_nanos_.store(threshold.count(), std::memory_order_relaxed);
-  }
-
   // -- Observation ------------------------------------------------------------
-  [[nodiscard]] std::int64_t acquisitions() const {
-    return acquisitions_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::int64_t contended() const {
-    return contended_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::int64_t long_holds() const {
-    return long_holds_.load(std::memory_order_relaxed);
-  }
   [[nodiscard]] std::size_t edge_count() const;
   // One human-readable description per distinct lock-order cycle, naming
   // every lock on the cycle and the file:line that recorded each edge.
@@ -96,22 +75,10 @@ class LockRegistry {
     std::string site;  // file:line of the acquisition that recorded it
   };
 
-  friend class TrackedMutex;  // calls ensure_instruments before locking
-
   void record_edge(int from, int to, const std::source_location& site);
   // Caller holds mutex_ (a plain std::mutex — the registry cannot track or
   // annotate itself, so this contract is by comment, not attribute).
   void note_cycle(int from, int to);
-  // Resolve the lsdf_chk_* instrument handles. Must be called while the
-  // thread holds no tracked lock (TrackedMutex calls it *before* its inner
-  // lock): resolution locks the metrics registry, whose mutex is itself
-  // tracked — doing this lazily from on_acquire would self-deadlock.
-  void ensure_instruments();
-
-  std::atomic<std::int64_t> acquisitions_{0};
-  std::atomic<std::int64_t> contended_{0};
-  std::atomic<std::int64_t> long_holds_{0};
-  std::atomic<std::int64_t> long_hold_nanos_{10'000'000};  // 10 ms
 
   // Fast already-seen filter so the hot path takes mutex_ once per new
   // edge, not per acquisition. False "unseen" reads just retry under the
@@ -126,13 +93,6 @@ class LockRegistry {
   std::array<bool, kMaxLocks * kMaxLocks> adjacency_{};
   std::vector<EdgeInfo> edges_;
   std::vector<std::string> cycles_;
-
-  const bool publish_;
-  std::once_flag instruments_once_;
-  // Resolved metric handles (null until first use; updates are relaxed
-  // atomics on the instruments themselves, never registry lookups).
-  struct Instruments;
-  Instruments* instruments_ = nullptr;
 };
 
 // Drop-in std::mutex replacement that feeds the registry. Meets the
@@ -148,19 +108,15 @@ class LSDF_CAPABILITY("mutex") TrackedMutex {
 
   void lock(const std::source_location& site =
                 std::source_location::current()) LSDF_ACQUIRE() {
-    registry_.ensure_instruments();  // before the inner lock — see its doc
-    // The uncontended path stays one try_lock; the failure branch both
-    // counts the contention and takes the slow blocking path.
-    const bool contended = !mutex_.try_lock();
-    if (contended) mutex_.lock();
-    registry_.on_acquire(node_, contended, site);
+    // Never a try_lock first: TSan must see every acquisition (see above).
+    mutex_.lock();
+    registry_.on_acquire(node_, site);
   }
 
   bool try_lock(const std::source_location& site =
                     std::source_location::current()) LSDF_TRY_ACQUIRE(true) {
-    registry_.ensure_instruments();
     if (!mutex_.try_lock()) return false;
-    registry_.on_acquire(node_, false, site);
+    registry_.on_acquire(node_, site);
     return true;
   }
 
@@ -198,8 +154,8 @@ class LSDF_SCOPED_CAPABILITY LockGuard {
 };
 
 // Relockable guard for condition_variable_any waits (the CV unlocks and
-// relocks through these members, so hold-time accounting stays exact
-// across waits).
+// relocks through these members, so the held-lock stack stays exact across
+// waits).
 class LSDF_SCOPED_CAPABILITY UniqueLock {
  public:
   explicit UniqueLock(TrackedMutex& mutex,

@@ -15,16 +15,11 @@ ThreadPool::ThreadPool(unsigned thread_count)
     : tasks_metric_(
           obs::MetricsRegistry::global().counter("lsdf_exec_tasks_total")),
       steals_metric_(
-          obs::MetricsRegistry::global().counter("lsdf_exec_steals_total")),
-      pending_metric_(
-          obs::MetricsRegistry::global().gauge("lsdf_exec_pending_tasks")) {
+          obs::MetricsRegistry::global().counter("lsdf_exec_steals_total")) {
   LSDF_REQUIRE(thread_count > 0, "thread pool needs at least one thread");
   queues_.reserve(thread_count);
-  worker_depth_metric_.reserve(thread_count);
   for (unsigned i = 0; i < thread_count; ++i) {
     queues_.push_back(std::make_unique<WorkerQueue>());
-    worker_depth_metric_.push_back(&obs::MetricsRegistry::global().gauge(
-        "lsdf_exec_worker_queue_depth", {{"worker", std::to_string(i)}}));
   }
   workers_.reserve(thread_count);
   for (unsigned i = 0; i < thread_count; ++i) {
@@ -78,12 +73,9 @@ void ThreadPool::submit(Task task) {
     // check so a notify cannot slip into the check-then-block window.
     const chk::LockGuard lock(sleep_mutex_);
     LSDF_REQUIRE(!stopping_.load(), "submit on a stopping pool");
-    pending_metric_.set(static_cast<double>(
-        pending_.fetch_add(1, std::memory_order_acq_rel) + 1));
+    pending_.fetch_add(1, std::memory_order_acq_rel);
     const chk::LockGuard qlock(queues_[target]->mutex);
     queues_[target]->tasks.push_back(std::move(task));
-    worker_depth_metric_[target]->set(
-        static_cast<double>(queues_[target]->tasks.size()));
   }
   work_available_.notify_one();
 }
@@ -94,7 +86,6 @@ bool ThreadPool::try_pop(std::size_t index, Task& task) {
   if (queue.tasks.empty()) return false;
   task = std::move(queue.tasks.front());
   queue.tasks.pop_front();
-  worker_depth_metric_[index]->set(static_cast<double>(queue.tasks.size()));
   return true;
 }
 
@@ -108,8 +99,6 @@ bool ThreadPool::try_steal(std::size_t thief, Task& task) {
     // to touch soon.
     task = std::move(queue.tasks.back());
     queue.tasks.pop_back();
-    worker_depth_metric_[victim]->set(
-        static_cast<double>(queue.tasks.size()));
     steals_.fetch_add(1, std::memory_order_relaxed);
     steals_metric_.add(1);
     return true;
@@ -127,10 +116,7 @@ void ThreadPool::worker_loop(std::size_t index) {
       task = nullptr;
       executed_.fetch_add(1, std::memory_order_relaxed);
       tasks_metric_.add(1);
-      const std::int64_t left =
-          pending_.fetch_sub(1, std::memory_order_acq_rel) - 1;
-      pending_metric_.set(static_cast<double>(left));
-      if (left == 0) {
+      if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
         {
           const chk::LockGuard lock(sleep_mutex_);
         }
@@ -158,10 +144,9 @@ void ThreadPool::worker_loop(std::size_t index) {
         task = nullptr;
         executed_.fetch_add(1, std::memory_order_relaxed);
         tasks_metric_.add(1);
-        const std::int64_t left =
-            pending_.fetch_sub(1, std::memory_order_acq_rel) - 1;
-        pending_metric_.set(static_cast<double>(left));
-        if (left == 0) all_idle_.notify_all();
+        if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+          all_idle_.notify_all();
+        }
       }
       return;
     }

@@ -98,7 +98,7 @@ class ThreadPool {
   std::vector<std::thread> workers_ LSDF_CONST_AFTER_INIT;
   chk::TrackedMutex sleep_mutex_{"exec.pool_sleep"};
   // _any variants: TrackedMutex is BasicLockable but not a std::mutex, and
-  // chk::UniqueLock keeps hold-time accounting exact across waits.
+  // chk::UniqueLock keeps the held-lock stack exact across waits.
   std::condition_variable_any work_available_;
   std::condition_variable_any all_idle_;
   std::atomic<std::int64_t> pending_{0};
@@ -107,13 +107,10 @@ class ThreadPool {
   std::atomic<bool> stopping_{false};
   std::atomic<std::size_t> next_queue_{0};
 
-  // Process-wide telemetry: totals as counters, load as gauges. Pools share
-  // these instruments (they describe the process's executor layer).
+  // Process-wide totals. Pools share these instruments (they describe the
+  // process's executor layer).
   obs::Counter& tasks_metric_;
   obs::Counter& steals_metric_;
-  obs::Gauge& pending_metric_;
-  // Per worker index; filled in the constructor, pointees are atomic.
-  std::vector<obs::Gauge*> worker_depth_metric_ LSDF_CONST_AFTER_INIT;
 
   // Index of the worker the current thread is, or npos on external threads.
   static thread_local std::size_t current_worker_;

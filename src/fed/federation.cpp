@@ -98,6 +98,10 @@ FederationService::FederationService(sim::Simulator& simulator,
   LSDF_REQUIRE(config_.wan_efficiency > 0.0 && config_.wan_efficiency <= 1.0,
                "WAN efficiency must be in (0, 1]");
   config_.retry.validate();
+  // transfer_done sits an exhausted site out for max_backoff; a zero
+  // sit-out would resubmit a synchronous failure at the same instant.
+  LSDF_REQUIRE(config_.retry.max_backoff > SimDuration::zero(),
+               "federation retry policy needs a positive max_backoff");
 }
 
 SiteId FederationService::add_site(SiteConfig site) {
@@ -332,6 +336,7 @@ SiteId FederationService::pick_site(meta::DatasetId dataset,
   for (const auto& [id, site] : sites_) {
     if (!site.online || site.config.storage != storage) continue;
     if (placed_at(dataset, id)) continue;
+    if (exhausted_.contains({dataset, id})) continue;
     if (best == kNoSite || site.hosted < best_hosted) {
       best = id;
       best_hosted = site.hosted;
@@ -409,16 +414,22 @@ void FederationService::transfer_done(meta::DatasetId dataset, SiteId site,
   }
   if (!delivered) {
     // Retries exhausted: count the failure, drop the entry and re-resolve
-    // at once; no later tag is needed. pick_site ranks by (hosted, site id)
-    // and the drop just lowered this site's count again, so a site whose
-    // route is down but that no fault marked offline is normally picked
-    // again: the copy restarts there with a fresh retry budget, one failure
-    // per budget, rather than moving to a reachable site of the class. It
-    // lands once the route returns. With max_attempts = 1 and the route
-    // down at submission the restart fails synchronously and this path
-    // recurses without bound.
+    // at once with this site sitting out, so the copy moves to another
+    // site of the class — the route may be down with no fault marking the
+    // site offline. A site sitting out is never resubmitted in this call
+    // chain, so a synchronous failure (max_attempts = 1, route down at
+    // submission) recurses at most once per site of the class. After the
+    // longest backoff a scheduled re-resolve makes the site a candidate
+    // again, drawing nothing from the retry stream; a copy with nowhere
+    // else to go then lands once its route returns.
     drop_entry(dataset, site, /*lost=*/false);
     ++stats_.failed;
+    exhausted_.insert({dataset, site});
+    simulator_.schedule_after(config_.retry.max_backoff,
+                              [this, dataset, site] {
+                                exhausted_.erase({dataset, site});
+                                resolve_dataset(dataset);
+                              });
     resolve_dataset(dataset);
     pump();
     return;

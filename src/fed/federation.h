@@ -180,8 +180,9 @@ class FederationService {
   [[nodiscard]] int placed_count(meta::DatasetId dataset,
                                  StorageClass storage) const;
   [[nodiscard]] bool placed_at(meta::DatasetId dataset, SiteId site) const;
-  // Least-loaded online site of the class without a replica of `dataset`;
-  // kNoSite when every candidate is down or taken.
+  // Least-loaded online site of the class without a replica of `dataset`
+  // and not sitting out an exhausted copy of it; kNoSite when every
+  // candidate is down or taken.
   [[nodiscard]] SiteId pick_site(meta::DatasetId dataset,
                                  StorageClass storage) const;
   void enqueue(const meta::DatasetRecord& record, const RuleEntry& entry,
@@ -222,6 +223,9 @@ class FederationService {
   std::set<meta::DatasetId> quota_blocked_;
   // Rules already stamped done_tag per dataset (tag exactly once).
   std::set<std::pair<meta::DatasetId, RuleId>> done_tagged_;
+  // Copies whose retries just ran out: pick_site skips the pair until a
+  // re-resolve config_.retry.max_backoff later (transfer_done).
+  std::set<std::pair<meta::DatasetId, SiteId>> exhausted_;
 
   SiteId next_site_ = 1;
   RuleId next_rule_ = 1;

@@ -219,7 +219,11 @@ void FlightRecorder::on_contract_failure(const char* what) {
   thread_local bool dumping = false;
   if (dumping) return;
   dumping = true;
-  record('X', what);
+  // `what` starts with __FILE__, an absolute path that would push the
+  // file:line site out of the 42-char name; keep the file's basename.
+  const std::string_view text(what);
+  const std::size_t slash = text.substr(0, text.find(':')).rfind('/');
+  record('X', slash == std::string_view::npos ? text : text.substr(slash + 1));
   if (postmortem_dir().empty()) {
     std::fprintf(stderr, "lsdf contract failure: %s\n%s", what,
                  dump().c_str());

@@ -2,8 +2,8 @@
 // replica rules over a small multi-site WAN world — deterministic
 // resolution, priority scheduling, quotas, lifetimes, the re-replication
 // edge cases (replica lost mid-transfer, site down at resolution time,
-// rule satisfied by an in-flight copy), and the one-rule Heidelberg
-// mirror bench E11 runs.
+// rule satisfied by an in-flight copy, a copy whose retries run out), and
+// the one-rule Heidelberg mirror bench E11 runs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "chk/replay.h"
+#include "common/require.h"
 #include "fault/injector.h"
 #include "fed/federation.h"
 #include "meta/store.h"
@@ -207,6 +208,35 @@ TEST(Federation, SiteFaultTriggersReReplicationToAnotherSite) {
   EXPECT_TRUE(w.fed->site_online("site-a"));
   EXPECT_EQ(w.fed->stats().lost, 1);
   EXPECT_EQ(w.fed->replicas(id).size(), 1u);
+}
+
+TEST(Federation, ExhaustedCopyMovesToAReachableSite) {
+  // site-a's route is down but no fault marks it offline, so only the
+  // retry budget running out tells the resolver: the copy must then move
+  // to another disk site instead of restarting on site-a.
+  FederationConfig config = World::base_config();
+  config.retry.max_attempts = 3;
+  World w(config);
+  w.add_disk_sites();
+  w.fed->add_rule({.name = "one-copy", .copies = 1,
+                   .storage = StorageClass::kDisk});
+  w.fed->start();
+  w.topology.set_duplex_up(w.link_a, false);
+  w.net.resync();
+  const meta::DatasetId id = w.ingest("frame-1");
+  w.run_for(1_h);
+  EXPECT_GE(w.fed->stats().failed, 1);
+  EXPECT_TRUE(w.fed->has_replica(id, "site-b"));
+  EXPECT_FALSE(w.fed->has_replica(id, "site-a"));
+}
+
+TEST(Federation, RejectsZeroMaxBackoff) {
+  // An exhausted site sits out for max_backoff; with zero, a synchronous
+  // failure would be resubmitted at the same instant without end.
+  FederationConfig config = World::base_config();
+  config.retry.initial_backoff = SimDuration::zero();
+  config.retry.max_backoff = SimDuration::zero();
+  EXPECT_THROW(World{config}, ContractViolation);
 }
 
 TEST(Federation, ProjectQuotaDefersAndReleasesTransfers) {
@@ -488,9 +518,9 @@ TEST(MirrorService, RetriesWhenWanIsDownAtSubmission) {
 }
 
 TEST(MirrorService, GivesUpAfterMaxAttempts) {
-  // Each exhausted retry budget counts one failure and re-resolves at
-  // once onto the same unreachable site, so the copy lands once the WAN
-  // returns, without a second trigger tag.
+  // Each exhausted retry budget counts one failure; with no other site the
+  // copy waits out the longest backoff and restarts on the same site, so
+  // it lands once the WAN returns, without a second trigger tag.
   FederationConfig config = World::base_config();
   config.retry.max_attempts = 3;
   Mirror m(config);
@@ -507,6 +537,25 @@ TEST(MirrorService, GivesUpAfterMaxAttempts) {
   EXPECT_TRUE(m.mirrored(id));
   EXPECT_EQ(m.fed->stats().replicated, 1);
   EXPECT_EQ(m.fed->in_flight(), 0);
+}
+
+TEST(MirrorService, SingleAttemptWithRouteDownWaitsForTheRoute) {
+  // With one attempt per budget and the WAN down, every submission fails
+  // synchronously; the copy must wait for the route, not recurse.
+  FederationConfig config = World::base_config();
+  config.retry.max_attempts = 1;
+  Mirror m(config);
+  const meta::DatasetId id = m.ingest("frame-1");
+  m.set_wan_up(false);
+  m.share(id);
+  m.run_for(1_h);
+  EXPECT_GE(m.fed->stats().failed, 1);
+  EXPECT_EQ(m.fed->in_flight(), 0);
+  EXPECT_FALSE(m.mirrored(id));
+  m.set_wan_up(true);
+  m.run_for(1_h);
+  EXPECT_TRUE(m.mirrored(id));
+  EXPECT_EQ(m.fed->stats().replicated, 1);
 }
 
 TEST(MirrorService, UnknownDatasetIsIgnored) {

@@ -547,7 +547,8 @@ TEST(FlightRecorder, ContractFailureDumpsTimeline) {
       lsdf::ContractViolation);
   recorder.enable(false);
   // The hook recorded the failure itself into the ring (the 42-char name
-  // keeps the site — file:line — and drops the tail of the message).
+  // keeps the site — basename:line, however long the checkout path — and
+  // drops the tail of the message).
   EXPECT_NE(recorder.dump().find("obs_test.cpp"), std::string::npos);
   recorder.set_postmortem_dir("");
   recorder.clear();
