@@ -132,9 +132,7 @@ CacheAblation run_cache_trace(bool cached, std::uint64_t seed) {
   hsm_config.scan_period = 5_min;
   hsm_config.eviction = EvictionPolicy::kLeastRecentlyUsed;
   if (cached) {
-    hsm_config.read_cache.name = "hsm-read";
     hsm_config.read_cache.capacity = 40_GB;  // the whole hot set fits
-    hsm_config.read_cache.policy = cache::Policy::kLru;
   }
   HsmStore hsm(sim, disk, tape, hsm_config);
   hsm.start();

@@ -79,9 +79,7 @@ int main(int argc, char** argv) {
     // the volume over and over. With the lsdf::cache block cache sized,
     // repeat fetches skip the replica pick, network leg and datanode disk.
     core::FacilityConfig config = core::small_facility_config();
-    config.dfs.block_cache.name = "dfs-block";
     config.dfs.block_cache.capacity = 8_GB;
-    config.dfs.block_cache.policy = cache::Policy::kS3Fifo;
     core::Facility facility(config);
     std::optional<storage::IoResult> loaded;
     facility.adal().write(facility.service_credentials(),

@@ -6,21 +6,8 @@
 
 namespace lsdf::cache {
 
-const char* to_string(Policy policy) {
-  switch (policy) {
-    case Policy::kLru:
-      return "lru";
-    case Policy::kS3Fifo:
-      return "s3fifo";
-    case Policy::kTtl:
-      return "ttl";
-  }
-  return "unknown";
-}
-
-BlockCache::BlockCache(sim::Simulator& simulator, CacheConfig config)
-    : simulator_(simulator),
-      config_(std::move(config)),
+BlockCache::BlockCache(CacheConfig config)
+    : config_(std::move(config)),
       hits_metric_(obs::MetricsRegistry::global().counter(
           "lsdf_cache_hits_total", {{"cache", config_.name}})),
       misses_metric_(obs::MetricsRegistry::global().counter(
@@ -35,50 +22,19 @@ BlockCache::BlockCache(sim::Simulator& simulator, CacheConfig config)
           "lsdf_cache_used_bytes", {{"cache", config_.name}})) {
   LSDF_REQUIRE(config_.capacity >= Bytes::zero(),
                "cache capacity must be non-negative");
-  LSDF_REQUIRE(config_.small_fraction > 0.0 && config_.small_fraction < 1.0,
-               "S3-FIFO small_fraction must be in (0, 1)");
-}
-
-bool BlockCache::expired(const Entry& entry) const {
-  return config_.policy == Policy::kTtl && config_.ttl > SimDuration::zero() &&
-         simulator_.now() - entry.admitted >= config_.ttl;
-}
-
-Bytes BlockCache::small_budget() const {
-  return Bytes(static_cast<std::int64_t>(config_.capacity.as_double() *
-                                         config_.small_fraction));
 }
 
 bool BlockCache::lookup(const std::string& key) {
   const auto it = entries_.find(key);
-  if (it == entries_.end() || expired(it->second)) {
-    if (it != entries_.end()) {
-      ++stats_.expirations;
-      drop(it);
-    }
+  if (it == entries_.end()) {
     ++stats_.misses;
     misses_metric_.add();
     return false;
   }
-  Entry& entry = it->second;
-  switch (config_.policy) {
-    case Policy::kLru:
-      main_.splice(main_.end(), main_, entry.pos);  // refresh recency
-      break;
-    case Policy::kS3Fifo:
-      entry.referenced = true;
-      break;
-    case Policy::kTtl:
-      break;  // expiry is admission-relative; hits do not extend it
-  }
+  recency_.splice(recency_.end(), recency_, it->second.pos);
   ++stats_.hits;
   hits_metric_.add();
   return true;
-}
-
-bool BlockCache::contains(const std::string& key) const {
-  const auto it = entries_.find(key);
-  return it != entries_.end() && !expired(it->second);
 }
 
 bool BlockCache::admit(const std::string& key, Bytes size) {
@@ -86,33 +42,18 @@ bool BlockCache::admit(const std::string& key, Bytes size) {
   if (!enabled() || size > config_.capacity) return false;
   const auto existing = entries_.find(key);
   if (existing != entries_.end()) {
-    if (!expired(existing->second) && existing->second.size == size) {
-      return true;  // already resident; objects are WORM, nothing to refresh
-    }
-    drop(existing);  // expired or resized: readmit below
+    // Objects are WORM: a same-size entry is already what we would admit.
+    if (existing->second.size == size) return true;
+    drop(existing);  // resized: readmit below
   }
-  make_room(size);
-
-  Queue queue = Queue::kMain;
-  if (config_.policy == Policy::kS3Fifo) {
-    const auto ghost = ghost_.find(key);
-    if (ghost != ghost_.end()) {
-      // Seen-before key: skip probation, admit straight to the main queue.
-      ghost_list_.erase(ghost->second);
-      ghost_.erase(ghost);
-    } else {
-      queue = Queue::kSmall;
-    }
+  while (used_ + size > config_.capacity && !entries_.empty()) {
+    drop(entries_.find(recency_.front()));
+    ++stats_.evictions;
+    evictions_metric_.add();
   }
-  std::list<std::string>& list = queue == Queue::kSmall ? small_ : main_;
-  list.push_back(key);
-  entries_.emplace(key, Entry{.size = size,
-                              .admitted = simulator_.now(),
-                              .referenced = false,
-                              .queue = queue,
-                              .pos = std::prev(list.end())});
+  recency_.push_back(key);
+  entries_.emplace(key, Entry{.size = size, .pos = std::prev(recency_.end())});
   used_ += size;
-  if (queue == Queue::kSmall) small_used_ += size;
   ++stats_.admissions;
   admissions_metric_.add();
   used_metric_.set(used_.as_double());
@@ -132,101 +73,22 @@ void BlockCache::invalidate_all() {
   stats_.invalidations += static_cast<std::int64_t>(entries_.size());
   invalidations_metric_.add(static_cast<std::int64_t>(entries_.size()));
   entries_.clear();
-  main_.clear();
-  small_.clear();
-  ghost_list_.clear();
-  ghost_.clear();
+  recency_.clear();
   used_ = Bytes::zero();
-  small_used_ = Bytes::zero();
   used_metric_.set(0.0);
 }
 
 Result<Bytes> BlockCache::size_of(const std::string& key) const {
   const auto it = entries_.find(key);
-  if (it == entries_.end() || expired(it->second)) {
-    return not_found("not cached: " + key);
-  }
+  if (it == entries_.end()) return not_found("not cached: " + key);
   return it->second.size;
 }
 
 void BlockCache::drop(EntryMap::iterator it) {
-  Entry& entry = it->second;
-  if (entry.queue == Queue::kSmall) {
-    small_used_ -= entry.size;
-    small_.erase(entry.pos);
-  } else {
-    main_.erase(entry.pos);
-  }
-  used_ -= entry.size;
+  recency_.erase(it->second.pos);
+  used_ -= it->second.size;
   entries_.erase(it);
   used_metric_.set(used_.as_double());
-}
-
-void BlockCache::evict(EntryMap::iterator it) {
-  drop(it);
-  ++stats_.evictions;
-  evictions_metric_.add();
-}
-
-void BlockCache::evict_one() {
-  if (entries_.empty()) return;
-  if (config_.policy != Policy::kS3Fifo) {
-    // kLru: main_ front is the coldest entry. kTtl: main_ front is the
-    // oldest admission, i.e. the one closest to (or past) expiry.
-    evict(entries_.find(main_.front()));
-    return;
-  }
-  // S3-FIFO: drain the probationary queue while it is over budget (or main
-  // is empty); a probation entry referenced since admission is promoted to
-  // main instead of evicted; unreferenced ones leave a ghost behind. Main
-  // evictions give referenced entries one second chance. Every pass either
-  // evicts, shrinks the small queue, or clears a referenced bit, so the
-  // loop terminates.
-  while (true) {
-    if (!small_.empty() && (small_used_ > small_budget() || main_.empty())) {
-      const auto it = entries_.find(small_.front());
-      LSDF_DCHECK(it != entries_.end(), "small-queue key must be resident");
-      Entry& entry = it->second;
-      if (entry.referenced) {
-        entry.referenced = false;
-        entry.queue = Queue::kMain;
-        small_used_ -= entry.size;
-        main_.splice(main_.end(), small_, entry.pos);
-        continue;
-      }
-      remember_ghost(it->first);
-      evict(it);
-      return;
-    }
-    if (main_.empty()) return;
-    const auto it = entries_.find(main_.front());
-    LSDF_DCHECK(it != entries_.end(), "main-queue key must be resident");
-    Entry& entry = it->second;
-    if (entry.referenced) {
-      entry.referenced = false;
-      main_.splice(main_.end(), main_, entry.pos);
-      continue;
-    }
-    evict(it);
-    return;
-  }
-}
-
-void BlockCache::make_room(Bytes incoming) {
-  while (used_ + incoming > config_.capacity && !entries_.empty()) {
-    evict_one();
-  }
-}
-
-void BlockCache::remember_ghost(const std::string& key) {
-  if (config_.ghost_entries == 0) return;
-  if (ghost_.contains(key)) return;
-  while (ghost_list_.size() >= config_.ghost_entries) {
-    ghost_.erase(ghost_list_.front());
-    ghost_list_.pop_front();
-  }
-  ghost_list_.push_back(key);
-  ghost_.emplace(key, std::prev(ghost_list_.end()));
 }
 
 }  // namespace lsdf::cache

@@ -1,13 +1,11 @@
-//! lsdf::cache — deterministic, sim-clock-aware read caching for the
-//! facility's hot paths. BlockCache is the bookkeeping core: a sized
-//! object/block cache with pluggable eviction (LRU recency, S3-FIFO-style
-//! probation + ghost re-admission, and admission-time TTL on the simulated
-//! clock). It holds no data and performs no I/O — timing lives in
-//! CachedStore, which services hits through the event kernel so that cached
-//! runs stay replay-deterministic (chk::replay_check). All containers are
-//! ordered (std::map / std::list / std::set); iteration order never depends
-//! on heap addresses or hashing, which is what keeps eviction decisions
-//! bit-identical across same-seed runs.
+//! lsdf::cache — deterministic read caching for the facility's hot paths.
+//! BlockCache is the bookkeeping core: a sized LRU directory of objects or
+//! blocks. It holds no data, performs no I/O and reads no clock — timing
+//! lives in CachedStore, which services hits through the event kernel so
+//! that cached runs stay replay-deterministic (chk::replay_check). Both
+//! containers are ordered (std::map / std::list); iteration order never
+//! depends on heap addresses or hashing, which is what keeps eviction
+//! decisions bit-identical across same-seed runs.
 #pragma once
 
 #include <cstdint>
@@ -18,32 +16,13 @@
 #include "common/status.h"
 #include "common/units.h"
 #include "obs/metrics.h"
-#include "sim/simulator.h"
 
 namespace lsdf::cache {
-
-enum class Policy {
-  kLru,     // classic recency order: evict the coldest entry
-  kS3Fifo,  // small probationary FIFO + main queue + ghost re-admission set
-  kTtl,     // entries expire a fixed time after admission (sim clock)
-};
 
 struct CacheConfig {
   std::string name = "cache";
   // Zero capacity disables the cache: lookups miss, admissions are refused.
   Bytes capacity = Bytes::zero();
-  Policy policy = Policy::kLru;
-  // kTtl only: entries lapse this long after admission.
-  SimDuration ttl = 10_min;
-  // kS3Fifo only: fraction of capacity given to the probationary queue, and
-  // how many once-evicted keys the ghost set remembers for re-admission.
-  double small_fraction = 0.1;
-  std::size_t ghost_entries = 1024;
-  // CachedStore hit-service model: fixed lookup latency plus a fair-shared
-  // channel, mirroring DiskArray (controller latency + streaming).
-  SimDuration hit_latency = 200_us;
-  Rate bandwidth = Rate::gigabits_per_second(16.0);
-  Rate per_read_cap = Rate::megabytes_per_second(800.0);
 };
 
 struct CacheStats {
@@ -51,8 +30,6 @@ struct CacheStats {
   std::int64_t misses = 0;
   std::int64_t admissions = 0;
   std::int64_t evictions = 0;
-  // kTtl entries found lapsed at lookup (counted as misses as well).
-  std::int64_t expirations = 0;
   // Entries dropped by erase()/invalidate_all() — fault injection, object
   // deletion, corruption revalidation.
   std::int64_t invalidations = 0;
@@ -62,24 +39,27 @@ struct CacheStats {
   }
 };
 
-// Sized cache directory with pluggable eviction. Decisions only — the
-// simulated cost of serving a hit belongs to CachedStore.
+// Sized cache directory that evicts the least recently used entry.
+// Decisions only — the simulated cost of serving a hit belongs to
+// CachedStore.
 class BlockCache {
  public:
-  BlockCache(sim::Simulator& simulator, CacheConfig config);
+  explicit BlockCache(CacheConfig config);
 
   [[nodiscard]] bool enabled() const {
     return config_.capacity > Bytes::zero();
   }
 
-  // True (and recency/reference state refreshed) when `key` is resident and
-  // unexpired. Counts one hit or miss.
+  // True (and the entry moved to the hot end) when `key` is resident.
+  // Counts one hit or miss.
   bool lookup(const std::string& key);
   // Presence probe without stats or recency side effects.
-  [[nodiscard]] bool contains(const std::string& key) const;
+  [[nodiscard]] bool contains(const std::string& key) const {
+    return entries_.contains(key);
+  }
 
-  // Admit (or refresh) an entry, evicting until it fits. Returns false when
-  // the cache is disabled or the object can never fit.
+  // Admit an entry, evicting from the cold end until it fits. Returns false
+  // when the cache is disabled or the object can never fit.
   bool admit(const std::string& key, Bytes size);
 
   // Drop one entry / everything. invalidate_all() is what fault injection
@@ -92,41 +72,22 @@ class BlockCache {
   [[nodiscard]] Bytes used() const { return used_; }
   [[nodiscard]] Bytes capacity() const { return config_.capacity; }
   [[nodiscard]] std::size_t entry_count() const { return entries_.size(); }
-  [[nodiscard]] std::size_t ghost_count() const { return ghost_.size(); }
   [[nodiscard]] const CacheStats& stats() const { return stats_; }
-  [[nodiscard]] const CacheConfig& config() const { return config_; }
   [[nodiscard]] const std::string& name() const { return config_.name; }
 
  private:
-  enum class Queue { kMain, kSmall };
   struct Entry {
     Bytes size;
-    SimTime admitted;
-    bool referenced = false;  // kS3Fifo second-chance bit
-    Queue queue = Queue::kMain;
-    std::list<std::string>::iterator pos;
+    std::list<std::string>::iterator pos;  // into recency_
   };
   using EntryMap = std::map<std::string, Entry>;
 
-  [[nodiscard]] bool expired(const Entry& entry) const;
-  [[nodiscard]] Bytes small_budget() const;
   void drop(EntryMap::iterator it);
-  void evict(EntryMap::iterator it);
-  void evict_one();
-  void make_room(Bytes incoming);
-  void remember_ghost(const std::string& key);
 
-  sim::Simulator& simulator_;
   CacheConfig config_;
   EntryMap entries_;
-  // kLru: recency order, LRU at front. kTtl / kS3Fifo main: admission FIFO.
-  std::list<std::string> main_;
-  std::list<std::string> small_;       // kS3Fifo probationary FIFO
-  std::list<std::string> ghost_list_;  // kS3Fifo ghost keys, FIFO-bounded
-  // Membership index over ghost_list_ (key -> its FIFO position).
-  std::map<std::string, std::list<std::string>::iterator> ghost_;
+  std::list<std::string> recency_;  // coldest at the front
   Bytes used_;
-  Bytes small_used_;
   CacheStats stats_;
 
   // Telemetry, labelled by cache name (hsm-read / dfs-block / ...).
@@ -137,7 +98,5 @@ class BlockCache {
   obs::Counter& invalidations_metric_;
   obs::Gauge& used_metric_;
 };
-
-[[nodiscard]] const char* to_string(Policy policy);
 
 }  // namespace lsdf::cache

@@ -7,13 +7,10 @@
 
 namespace lsdf::cache {
 
-CachedStore::CachedStore(sim::Simulator& simulator, CacheConfig config,
-                         BackingRead backing_read, BackingWrite backing_write)
+CachedStore::CachedStore(sim::Simulator& simulator, CacheConfig config)
     : simulator_(simulator),
-      cache_(simulator, config),
-      channel_(simulator, config.bandwidth, config.per_read_cap),
-      backing_read_(std::move(backing_read)),
-      backing_write_(std::move(backing_write)),
+      cache_(std::move(config)),
+      channel_(simulator, kBandwidth, kPerReadCap),
       served_bytes_metric_(obs::MetricsRegistry::global().counter(
           "lsdf_cache_served_bytes_total", {{"cache", cache_.name()}})),
       hit_latency_metric_(obs::MetricsRegistry::global().hdr_histogram(
@@ -22,10 +19,8 @@ CachedStore::CachedStore(sim::Simulator& simulator, CacheConfig config,
 void CachedStore::serve_hit(const std::string& key, Bytes size,
                             storage::IoCallback done) {
   const SimTime started = simulator_.now();
-  simulator_.schedule_after(cache_.config().hit_latency, [this, key, size,
-                                                          started,
-                                                          done = std::move(
-                                                              done)]() mutable {
+  simulator_.schedule_after(kHitLatency, [this, key, size, started,
+                                          done = std::move(done)]() mutable {
     channel_.submit(size, [this, key, size, started,
                            done = std::move(done)]() {
       const SimTime finished = simulator_.now();
@@ -50,12 +45,8 @@ void CachedStore::serve_hit(const std::string& key, Bytes size,
   });
 }
 
-void CachedStore::read(const std::string& key, storage::IoCallback done) {
-  read_with(key, backing_read_, std::move(done));
-}
-
-void CachedStore::read_with(const std::string& key, BackingRead backing,
-                            storage::IoCallback done) {
+void CachedStore::read(const std::string& key, const BackingRead& backing,
+                       storage::IoCallback done) {
   LSDF_REQUIRE(backing != nullptr, "CachedStore read needs a backing read");
   if (cache_.enabled() && cache_.lookup(key)) {
     const Result<Bytes> size = cache_.size_of(key);
@@ -75,22 +66,6 @@ void CachedStore::read_with(const std::string& key, BackingRead backing,
           {{"cache", cache_.name()},
            {"key", key},
            {"bytes", std::to_string(result.size.count())}});
-    }
-    if (done) done(result);
-  });
-}
-
-void CachedStore::write(const std::string& key, Bytes size,
-                        storage::IoCallback done) {
-  LSDF_REQUIRE(backing_write_ != nullptr,
-               "CachedStore write needs a backing write");
-  backing_write_(key, size, [this, key,
-                             done = std::move(done)](
-                                const storage::IoResult& result) {
-    if (result.status.is_ok()) {
-      cache_.admit(key, result.size);
-    } else {
-      cache_.erase(key);
     }
     if (done) done(result);
   });

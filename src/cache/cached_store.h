@@ -1,12 +1,14 @@
-//! CachedStore: a read-through / write-through timing wrapper around a
-//! BlockCache and an arbitrary backing store. Hits are serviced through the
-//! simulator — a fixed lookup latency followed by a fair-shared channel,
-//! exactly the DiskArray service idiom — so every cache decision turns into
-//! ordinary kernel events and same-seed runs keep bit-identical
-//! Simulator::fingerprint() values. Misses fall through to the backing read
-//! and admit the object on success. Served bytes are attributed to exactly
-//! one tier: a hit never touches the backing store's byte counters, a miss
-//! never touches the cache's (lsdf_cache_served_bytes_total).
+//! CachedStore: a read-through timing wrapper around a BlockCache. Each
+//! read names its backing read, so the caller routes a miss with call-site
+//! context (the HSM's tier walk, the DFS reader's replica choice). Hits are
+//! serviced through the simulator — a fixed lookup latency followed by a
+//! fair-shared channel, exactly the DiskArray service idiom — so every cache
+//! decision turns into ordinary kernel events and same-seed runs keep
+//! bit-identical Simulator::fingerprint() values. Misses fall through to the
+//! backing read and admit the object on success. Served bytes are attributed
+//! to exactly one tier: a hit never touches the backing store's byte
+//! counters, a miss never touches the cache's
+//! (lsdf_cache_served_bytes_total).
 #pragma once
 
 #include <cstdint>
@@ -24,28 +26,23 @@ namespace lsdf::cache {
 
 class CachedStore {
  public:
-  // Backing reads/writes complete with the usual storage IoResult; the key
-  // identifies the object so per-call closures can route it (HSM tiers, a
-  // DFS replica choice made at call time).
+  // A backing read completes with the usual storage IoResult; the key
+  // identifies the object.
   using BackingRead =
       std::function<void(const std::string& key, storage::IoCallback done)>;
-  using BackingWrite = std::function<void(
-      const std::string& key, Bytes size, storage::IoCallback done)>;
 
-  CachedStore(sim::Simulator& simulator, CacheConfig config,
-              BackingRead backing_read, BackingWrite backing_write = nullptr);
+  // Hit service: a fixed lookup latency plus a fair-shared channel,
+  // mirroring DiskArray (controller latency + streaming).
+  static constexpr SimDuration kHitLatency = 200_us;
+  static constexpr Rate kBandwidth = Rate::gigabits_per_second(16.0);
+  static constexpr Rate kPerReadCap = Rate::megabytes_per_second(800.0);
 
-  // Read `key`: cache hit served through the hit channel, miss forwarded to
-  // the default backing read (which must exist) and admitted on success.
-  void read(const std::string& key, storage::IoCallback done);
-  // Same, but with a per-call backing read — for stores where the miss path
-  // needs call-site context (e.g. which DFS node is reading).
-  void read_with(const std::string& key, BackingRead backing,
-                 storage::IoCallback done);
+  CachedStore(sim::Simulator& simulator, CacheConfig config);
 
-  // Write-through: forward to the backing write; admit on success so the
-  // next read hits, erase on failure so no phantom entry survives.
-  void write(const std::string& key, Bytes size, storage::IoCallback done);
+  // Read `key`: a hit is served through the hit channel; a miss runs
+  // `backing` and admits the object on success.
+  void read(const std::string& key, const BackingRead& backing,
+            storage::IoCallback done);
 
   [[nodiscard]] BlockCache& cache() { return cache_; }
   [[nodiscard]] const BlockCache& cache() const { return cache_; }
@@ -57,8 +54,6 @@ class CachedStore {
   sim::Simulator& simulator_;
   BlockCache cache_;
   storage::FairChannel channel_;
-  BackingRead backing_read_;
-  BackingWrite backing_write_;
   Bytes bytes_served_;
 
   obs::Counter& served_bytes_metric_;

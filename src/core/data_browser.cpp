@@ -13,19 +13,6 @@ std::vector<meta::DatasetId> DataBrowser::list(const std::string& project,
   return search(query);
 }
 
-std::vector<meta::DatasetId> DataBrowser::search(
-    const meta::Query& query) const {
-  if (store_.version() != cached_version_) {
-    query_cache_.clear();
-    cached_version_ = store_.version();
-  }
-  const std::string key = meta::cache_key(query);
-  if (const auto* cached = query_cache_.find(key)) return *cached;
-  std::vector<meta::DatasetId> results = store_.query(query);
-  query_cache_.put(key, results);
-  return results;
-}
-
 Result<std::string> DataBrowser::describe(meta::DatasetId id) const {
   LSDF_ASSIGN_OR_RETURN(const meta::DatasetRecord record, store_.get(id));
   std::ostringstream out;

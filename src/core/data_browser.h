@@ -3,15 +3,15 @@
 //! meta-data repository". The GUI itself is presentation; this facade is its
 //! complete behavioural core (browse, search, inspect, tag/untag — which can
 //! trigger workflows — and download), and examples/databrowser_cli.cpp puts
-//! an interactive shell on top of it.
+//! an interactive shell on top of it. Every search is answered by the
+//! catalogue itself, so results always reflect its current state.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <string>
 #include <vector>
 
 #include "adal/adal.h"
-#include "cache/lookup_cache.h"
 #include "common/stats.h"
 #include "meta/query.h"
 #include "meta/store.h"
@@ -34,12 +34,10 @@ class DataBrowser {
   }
   [[nodiscard]] std::vector<meta::DatasetId> list(
       const std::string& project, std::size_t limit = 100) const;
-  // Queries are memoised in a small LRU keyed by meta::cache_key(query);
-  // the whole cache is dropped whenever the catalogue's mutation version
-  // moves (ingest, tag, branch updates), so results are never stale.
-  // list(), facet() and numeric_summary() share the same cache.
   [[nodiscard]] std::vector<meta::DatasetId> search(
-      const meta::Query& query) const;
+      const meta::Query& query) const {
+    return store_.query(query);
+  }
   [[nodiscard]] Result<meta::DatasetRecord> show(meta::DatasetId id) const {
     return store_.get(id);
   }
@@ -68,29 +66,16 @@ class DataBrowser {
   }
 
   // -- Access (through ADAL, never a raw backend) -------------------------------
-  // Downloads record usage (note_access) but do NOT invalidate the query
-  // cache: access counters are not part of any query's result set.
+  // Downloads record usage (note_access); access counters are not part of
+  // any query's result set.
   void download(meta::DatasetId id, storage::IoCallback done);
   [[nodiscard]] bool data_available(meta::DatasetId id) const;
-
-  // Query-cache effectiveness (also exported as lsdf_cache_*_total with
-  // the "browser-query" label).
-  [[nodiscard]] std::int64_t query_cache_hits() const {
-    return query_cache_.hits();
-  }
-  [[nodiscard]] std::int64_t query_cache_misses() const {
-    return query_cache_.misses();
-  }
 
  private:
   sim::Simulator& simulator_;
   meta::MetadataStore& store_;
   adal::Adal& adal_;
   adal::Credentials credentials_;
-  // mutable: memoisation behind a logically-const read API.
-  mutable cache::LookupCache<std::vector<meta::DatasetId>> query_cache_{
-      128, "browser-query"};
-  mutable std::uint64_t cached_version_ = 0;
 };
 
 }  // namespace lsdf::core

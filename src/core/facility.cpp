@@ -207,6 +207,9 @@ Result<FacilityConfig> facility_config_from_properties(
   if (properties.contains("hsm.migrate_after_min")) {
     LSDF_ASSIGN_OR_RETURN(const std::int64_t minutes,
                           properties.get_int("hsm.migrate_after_min"));
+    if (minutes < 0) {
+      return invalid_argument("hsm.migrate_after_min must be >= 0");
+    }
     config.hsm.migrate_after = SimDuration(minutes * 60'000'000'000LL);
   }
   for (const auto& [key, target] :
@@ -218,6 +221,12 @@ Result<FacilityConfig> facility_config_from_properties(
       return invalid_argument(std::string(key) + " must be in (0, 1]");
     }
     *target = value;
+  }
+  // Checked after both are read, so a file that sets one watermark is
+  // checked against the other's default.
+  if (config.hsm.low_watermark > config.hsm.high_watermark) {
+    return invalid_argument(
+        "hsm.low_watermark must not exceed hsm.high_watermark");
   }
   for (const auto& [key, target] :
        {std::pair{"net.backbone_gbps", &config.backbone_rate},

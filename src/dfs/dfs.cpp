@@ -19,10 +19,8 @@ DfsCluster::DfsCluster(sim::Simulator& simulator,
                "block size must be positive");
   LSDF_REQUIRE(config_.replication >= 1, "replication must be >= 1");
   if (config_.block_cache.capacity > Bytes::zero()) {
-    // No default backing read: every miss routes through read_with, which
-    // carries the reader node the replica choice depends on.
-    block_cache_ = std::make_unique<cache::CachedStore>(
-        simulator_, config_.block_cache, nullptr);
+    block_cache_ =
+        std::make_unique<cache::CachedStore>(simulator_, config_.block_cache);
   }
 }
 
@@ -348,7 +346,7 @@ void DfsCluster::read_block(BlockId id, net::NodeId reader,
   // a side channel filled in by the miss path. Hits never reach a replica,
   // so they report node-local.
   auto locality = std::make_shared<Locality>(Locality::kNodeLocal);
-  block_cache_->read_with(
+  block_cache_->read(
       block_key(id),
       [this, id, reader, locality](const std::string&,
                                    storage::IoCallback fill) {

@@ -1,6 +1,6 @@
 //! Parallel algorithms over a ThreadPool: chunked parallel_for and a
-//! parallel reduction. These are the shared-memory building blocks the
-//! real-execution MapReduce runner and the examples use.
+//! parallel reduction. The real-execution MapReduce runner (LocalRunner)
+//! schedules its tasks with ThreadPool::async and does not use them.
 #pragma once
 
 #include <cstdint>

@@ -69,41 +69,4 @@ bool Query::matches_record(const DatasetRecord& record) const {
       [&](const Predicate& p) { return meta::matches(p, record.basic); });
 }
 
-namespace {
-const char* op_token(CompareOp op) {
-  switch (op) {
-    case CompareOp::kEq: return "==";
-    case CompareOp::kNe: return "!=";
-    case CompareOp::kLt: return "<";
-    case CompareOp::kLe: return "<=";
-    case CompareOp::kGt: return ">";
-    case CompareOp::kGe: return ">=";
-    case CompareOp::kContains: return "~";
-  }
-  return "?";
-}
-}  // namespace
-
-std::string cache_key(const Query& query) {
-  std::string key = "project=";
-  if (query.project()) key += *query.project();
-  std::vector<std::string> tags = query.tags();
-  std::sort(tags.begin(), tags.end());
-  for (const std::string& tag : tags) key += "|tag=" + tag;
-  std::vector<std::string> predicates;
-  predicates.reserve(query.predicates().size());
-  for (const Predicate& predicate : query.predicates()) {
-    // The variant index disambiguates values whose display forms collide
-    // (int64 1 vs bool true vs string "1").
-    predicates.push_back(predicate.attribute + op_token(predicate.op) +
-                         std::to_string(predicate.value.index()) + ":" +
-                         to_display_string(predicate.value));
-  }
-  std::sort(predicates.begin(), predicates.end());
-  for (const std::string& predicate : predicates) key += "|where=" + predicate;
-  key += "|limit=";
-  if (query.result_limit()) key += std::to_string(*query.result_limit());
-  return key;
-}
-
 }  // namespace lsdf::meta

@@ -63,10 +63,4 @@ class Query {
   std::optional<std::size_t> limit_;
 };
 
-// Canonical text form of a query, stable across equivalent builder orders
-// (tags and predicates are rendered sorted). Two queries with the same key
-// return the same result set against the same catalogue version — the
-// DataBrowser uses it as its lookup-cache key.
-[[nodiscard]] std::string cache_key(const Query& query);
-
 }  // namespace lsdf::meta

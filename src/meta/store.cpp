@@ -31,7 +31,6 @@ Status MetadataStore::create_project(const std::string& name, Schema schema) {
     return already_exists("project " + name);
   }
   projects_.emplace(name, Project{std::move(schema), {}});
-  touch();
   return Status::ok();
 }
 
@@ -95,7 +94,6 @@ Result<DatasetId> MetadataStore::register_dataset(Registration reg) {
   project_it->second.by_name.emplace(std::move(reg.name), id);
   total_bytes_ += record.size;
   records_.emplace(id, std::move(record));
-  touch();
   emit(MetaEvent{EventKind::kRegistered, id, {}});
   return id;
 }
@@ -183,7 +181,6 @@ Status MetadataStore::tag(DatasetId id, const std::string& tag) {
   }
   tags.push_back(tag);
   tag_index_[tag].insert(id);
-  touch();
   emit(MetaEvent{EventKind::kTagged, id, tag});
   return Status::ok();
 }
@@ -196,7 +193,6 @@ Status MetadataStore::untag(DatasetId id, const std::string& tag) {
   if (tag_it == tags.end()) return not_found("tag " + tag);
   tags.erase(tag_it);
   tag_index_[tag].erase(id);
-  touch();
   emit(MetaEvent{EventKind::kUntagged, id, tag});
   return Status::ok();
 }
@@ -223,7 +219,6 @@ Result<BranchId> MetadataStore::open_branch(DatasetId id, std::string name,
   branch.parameters = std::move(parameters);
   branch.created = now;
   it->second.branches.push_back(std::move(branch));
-  touch();
   emit(MetaEvent{EventKind::kBranchOpened, id, name});
   return it->second.branches.back().id;
 }
@@ -238,7 +233,6 @@ Status MetadataStore::append_result(DatasetId id, BranchId branch,
       return failed_precondition("branch " + candidate.name + " is closed");
     }
     candidate.results.push_back(result_uri);
-    touch();
     emit(MetaEvent{EventKind::kResultAppended, id, std::move(result_uri)});
     return Status::ok();
   }
@@ -254,7 +248,6 @@ Status MetadataStore::close_branch(DatasetId id, BranchId branch) {
       return failed_precondition("branch already closed");
     }
     candidate.closed = true;
-    touch();
     return Status::ok();
   }
   return not_found("branch #" + std::to_string(branch));

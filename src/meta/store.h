@@ -84,13 +84,6 @@ class MetadataStore {
   // Record a data access (keeps usage statistics, fires kAccessed).
   void note_access(DatasetId id);
 
-  // Monotonic catalogue mutation counter: bumped by every mutation that can
-  // change a query's result set (projects, registrations, tags, branches,
-  // results) — but NOT by note_access, which only records usage, so query
-  // caches survive downloads. Pull-based invalidation: cache owners compare
-  // the version they captured against the current one.
-  [[nodiscard]] std::uint64_t version() const { return version_; }
-
   // -- Observation ------------------------------------------------------------
   void subscribe(Observer observer) {
     observers_.push_back(std::move(observer));
@@ -113,7 +106,6 @@ class MetadataStore {
   };
 
   void emit(const MetaEvent& event) const;
-  void touch() { ++version_; }
   [[nodiscard]] Status validate_against_schema(const Schema& schema,
                                                const AttrMap& attrs) const;
 
@@ -126,7 +118,6 @@ class MetadataStore {
   std::vector<Observer> observers_;
   DatasetId next_id_ = 1;
   BranchId next_branch_id_ = 1;
-  std::uint64_t version_ = 0;
   Bytes total_bytes_;
 };
 

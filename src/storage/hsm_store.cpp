@@ -32,11 +32,8 @@ HsmStore::HsmStore(sim::Simulator& simulator, DiskArray& cache,
                "low watermark above high watermark");
   LSDF_REQUIRE(config_.high_watermark <= 1.0, "watermark above 1.0");
   if (config_.read_cache.capacity > Bytes::zero()) {
-    read_cache_ = std::make_unique<cache::CachedStore>(
-        simulator_, config_.read_cache,
-        [this](const std::string& object, IoCallback done) {
-          get_from_tiers(object, std::move(done));
-        });
+    read_cache_ =
+        std::make_unique<cache::CachedStore>(simulator_, config_.read_cache);
   }
 }
 
@@ -89,7 +86,12 @@ void HsmStore::get(const std::string& object, IoCallback done) {
     // Hit: served from the read-cache channel; the disk/tape tiers (and
     // their byte counters) are never touched. Miss: get_from_tiers runs
     // and the object is admitted on completion.
-    read_cache_->read(object, std::move(done));
+    read_cache_->read(
+        object,
+        [this](const std::string& key, IoCallback fill) {
+          get_from_tiers(key, std::move(fill));
+        },
+        std::move(done));
     return;
   }
   get_from_tiers(object, std::move(done));

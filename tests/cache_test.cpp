@@ -1,6 +1,6 @@
-// Tests for lsdf::cache: eviction policies (LRU, S3-FIFO, TTL), the
-// CachedStore read-/write-through wrapper, HSM and DFS integration,
-// fault-injected invalidation, the DataBrowser query cache, and the
+// Tests for lsdf::cache: LRU eviction and re-admission in BlockCache, the
+// CachedStore read-through wrapper, HSM and DFS integration, fault-injected
+// invalidation, the DataBrowser's catalogue searches, and the
 // tier-exclusive byte-attribution contract (a hit never touches the
 // backing store's counters).
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 
 #include "cache/cache.h"
 #include "cache/cached_store.h"
-#include "cache/lookup_cache.h"
 #include "core/data_browser.h"
 #include "core/facility.h"
 #include "dfs/cluster_builder.h"
@@ -27,19 +26,17 @@
 namespace lsdf::cache {
 namespace {
 
-CacheConfig small_config(Policy policy = Policy::kLru) {
+CacheConfig small_config() {
   CacheConfig config;
   config.name = "test";
   config.capacity = 100_MB;
-  config.policy = policy;
   return config;
 }
 
-// --- BlockCache: eviction policies --------------------------------------------
+// --- BlockCache: LRU eviction -------------------------------------------------
 
 TEST(BlockCache, LruEvictsTheColdestEntry) {
-  sim::Simulator sim;
-  BlockCache cache(sim, small_config());
+  BlockCache cache(small_config());
   EXPECT_TRUE(cache.admit("a", 40_MB));
   EXPECT_TRUE(cache.admit("b", 40_MB));
   // "a" is now the LRU entry; admitting "c" must evict it.
@@ -52,8 +49,7 @@ TEST(BlockCache, LruEvictsTheColdestEntry) {
 }
 
 TEST(BlockCache, LruHitRefreshesRecency) {
-  sim::Simulator sim;
-  BlockCache cache(sim, small_config());
+  BlockCache cache(small_config());
   EXPECT_TRUE(cache.admit("a", 40_MB));
   EXPECT_TRUE(cache.admit("b", 40_MB));
   EXPECT_TRUE(cache.lookup("a"));  // "b" becomes the coldest
@@ -62,11 +58,28 @@ TEST(BlockCache, LruHitRefreshesRecency) {
   EXPECT_FALSE(cache.contains("b"));
 }
 
+TEST(BlockCache, EvictsLeastRecentlyUsedAtCapacity) {
+  BlockCache cache(small_config());
+  for (const char* key : {"a", "b", "c", "d"}) {
+    EXPECT_TRUE(cache.admit(key, 25_MB));
+  }
+  EXPECT_TRUE(cache.lookup("a"));  // order, coldest first: b c d a
+  // A full cache evicts from the cold end until the new entry fits:
+  // 100 MB used + 60 MB needs three 25 MB entries gone.
+  EXPECT_TRUE(cache.admit("big", 60_MB));
+  EXPECT_FALSE(cache.contains("b"));
+  EXPECT_FALSE(cache.contains("c"));
+  EXPECT_FALSE(cache.contains("d"));
+  EXPECT_TRUE(cache.contains("a"));
+  EXPECT_EQ(cache.stats().evictions, 3);
+  EXPECT_EQ(cache.used(), 85_MB);
+  EXPECT_EQ(cache.entry_count(), 2u);
+}
+
 TEST(BlockCache, ZeroCapacityDisablesTheCache) {
-  sim::Simulator sim;
   CacheConfig config;
   config.capacity = Bytes::zero();
-  BlockCache cache(sim, config);
+  BlockCache cache(config);
   EXPECT_FALSE(cache.enabled());
   EXPECT_FALSE(cache.admit("a", 1_MB));
   EXPECT_FALSE(cache.lookup("a"));
@@ -74,8 +87,7 @@ TEST(BlockCache, ZeroCapacityDisablesTheCache) {
 }
 
 TEST(BlockCache, OversizeObjectsAreRefusedWithoutThrashing) {
-  sim::Simulator sim;
-  BlockCache cache(sim, small_config());
+  BlockCache cache(small_config());
   EXPECT_TRUE(cache.admit("resident", 60_MB));
   // Larger than total capacity: refused outright, nothing evicted for it.
   EXPECT_FALSE(cache.admit("whale", 200_MB));
@@ -83,67 +95,58 @@ TEST(BlockCache, OversizeObjectsAreRefusedWithoutThrashing) {
   EXPECT_EQ(cache.stats().evictions, 0);
 }
 
-TEST(BlockCache, TtlEntriesLapseOnTheSimClock) {
-  sim::Simulator sim;
-  CacheConfig config = small_config(Policy::kTtl);
-  config.ttl = 5_min;
-  BlockCache cache(sim, config);
-  EXPECT_TRUE(cache.admit("a", 10_MB));
-  sim.run_until(SimTime::zero() + 2_min);
-  EXPECT_TRUE(cache.lookup("a"));  // still fresh
-  sim.run_until(SimTime::zero() + 6_min);
-  EXPECT_FALSE(cache.lookup("a"));  // lapsed: counted as expiry + miss
-  EXPECT_EQ(cache.stats().expirations, 1);
-  EXPECT_EQ(cache.stats().misses, 1);
-  EXPECT_EQ(cache.used(), Bytes::zero());
-}
-
 TEST(BlockCache, S3FifoEvictsOneHitWondersFromProbation) {
-  sim::Simulator sim;
-  CacheConfig config = small_config(Policy::kS3Fifo);
-  config.small_fraction = 0.2;  // 20 MB probationary budget
-  BlockCache cache(sim, config);
-  // A stream of never-reused keys must churn through the small queue and
-  // never displace the referenced entries in main.
-  EXPECT_TRUE(cache.admit("scan-0", 10_MB));
-  EXPECT_TRUE(cache.lookup("scan-0"));  // referenced: survives to main
+  // A scan of never-reused keys streams through in admission order, while
+  // a key read between admissions stays at the hot end and survives it.
+  BlockCache cache(small_config());
+  EXPECT_TRUE(cache.admit("hot", 10_MB));
   for (int i = 1; i <= 12; ++i) {
     EXPECT_TRUE(cache.admit("scan-" + std::to_string(i), 10_MB));
+    EXPECT_TRUE(cache.lookup("hot"));
   }
-  EXPECT_TRUE(cache.contains("scan-0"));
-  EXPECT_GT(cache.stats().evictions, 0);
-  EXPECT_GT(cache.ghost_count(), 0u);  // evicted probation keys are ghosts
+  EXPECT_TRUE(cache.contains("hot"));
+  for (int i = 1; i <= 3; ++i) {
+    EXPECT_FALSE(cache.contains("scan-" + std::to_string(i)));
+  }
+  for (int i = 4; i <= 12; ++i) {
+    EXPECT_TRUE(cache.contains("scan-" + std::to_string(i)));
+  }
+  EXPECT_EQ(cache.stats().evictions, 3);
+  EXPECT_EQ(cache.stats().hits, 12);
 }
 
 TEST(BlockCache, S3FifoGhostHitReadmitsStraightToMain) {
-  sim::Simulator sim;
-  CacheConfig config = small_config(Policy::kS3Fifo);
-  config.small_fraction = 0.2;
-  BlockCache cache(sim, config);
-  EXPECT_TRUE(cache.admit("victim", 10_MB));
-  // Fill to capacity, then one more admission forces an eviction from the
-  // probation queue: "victim" (unreferenced, at the FIFO head) goes first.
-  for (int i = 1; i <= 9; ++i) {
+  // Re-admission: an evicted key comes back as a new entry at the hot end;
+  // a resident key of the same size is left alone (objects are WORM, so it
+  // is already what would be admitted) without refreshing its recency; a
+  // resized one is dropped and admitted again at its new size.
+  BlockCache cache(small_config());
+  for (int i = 0; i < 10; ++i) {
     EXPECT_TRUE(cache.admit("fill-" + std::to_string(i), 10_MB));
   }
   EXPECT_TRUE(cache.admit("trigger", 10_MB));
-  EXPECT_FALSE(cache.contains("victim"));
-  EXPECT_EQ(cache.ghost_count(), 1u);  // evicted probation key is a ghost
-  // Re-admission finds the ghost: "victim" lands in the main queue, where
-  // a continuing one-hit-wonder stream can no longer push it out (while
-  // the probation queue is over budget, evictions come from probation).
-  EXPECT_TRUE(cache.admit("victim", 10_MB));
-  EXPECT_TRUE(cache.contains("victim"));
-  for (int i = 10; i <= 15; ++i) {
-    EXPECT_TRUE(cache.admit("fill-" + std::to_string(i), 10_MB));
-  }
-  EXPECT_TRUE(cache.contains("victim"));
-  EXPECT_GE(cache.stats().evictions, 7);
+  EXPECT_FALSE(cache.contains("fill-0"));
+  EXPECT_TRUE(cache.admit("fill-0", 10_MB));  // evicts fill-1
+  EXPECT_TRUE(cache.contains("fill-0"));
+  EXPECT_FALSE(cache.contains("fill-1"));
+  EXPECT_EQ(cache.stats().evictions, 2);
+  EXPECT_EQ(cache.stats().admissions, 12);
+
+  EXPECT_TRUE(cache.admit("fill-2", 10_MB));  // resident, same size
+  EXPECT_EQ(cache.stats().admissions, 12);
+  EXPECT_TRUE(cache.admit("next", 10_MB));  // fill-2 is still the coldest
+  EXPECT_FALSE(cache.contains("fill-2"));
+
+  EXPECT_TRUE(cache.admit("fill-3", 20_MB));  // resized: evicts fill-4
+  EXPECT_EQ(cache.size_of("fill-3").value(), 20_MB);
+  EXPECT_FALSE(cache.contains("fill-4"));
+  EXPECT_EQ(cache.used(), 100_MB);
+  EXPECT_EQ(cache.stats().evictions, 4);
+  EXPECT_EQ(cache.stats().invalidations, 0);
 }
 
 TEST(BlockCache, EraseAndInvalidateAllCountAsInvalidations) {
-  sim::Simulator sim;
-  BlockCache cache(sim, small_config());
+  BlockCache cache(small_config());
   EXPECT_TRUE(cache.admit("a", 10_MB));
   EXPECT_TRUE(cache.admit("b", 10_MB));
   EXPECT_TRUE(cache.erase("a"));
@@ -155,33 +158,27 @@ TEST(BlockCache, EraseAndInvalidateAllCountAsInvalidations) {
   EXPECT_EQ(cache.stats().evictions, 0);  // invalidation is not eviction
 }
 
-// --- CachedStore: read-through / write-through timing -------------------------
+// --- CachedStore: read-through timing ------------------------------------------
 
 struct StoreFixture {
   sim::Simulator sim;
   int backing_reads = 0;
-  int backing_writes = 0;
   SimDuration backing_latency = 2_min;
 
-  CachedStore make(CacheConfig config = small_config()) {
-    return CachedStore(
-        sim, config,
-        [this](const std::string&, storage::IoCallback done) {
-          ++backing_reads;
-          const SimTime started = sim.now();
-          sim.schedule_after(backing_latency, [this, started, done] {
-            done(storage::IoResult{Status::ok(), started, sim.now(), 30_MB});
-          });
-        },
-        [this](const std::string&, Bytes size, storage::IoCallback done) {
-          ++backing_writes;
-          done(storage::IoResult{Status::ok(), sim.now(), sim.now(), size});
-        });
+  CachedStore::BackingRead backing() {
+    return [this](const std::string&, storage::IoCallback done) {
+      ++backing_reads;
+      const SimTime started = sim.now();
+      sim.schedule_after(backing_latency, [this, started, done] {
+        done(storage::IoResult{Status::ok(), started, sim.now(), 30_MB});
+      });
+    };
   }
 
   storage::IoResult read(CachedStore& store, const std::string& key) {
     std::optional<storage::IoResult> result;
-    store.read(key, [&](const storage::IoResult& r) { result = r; });
+    store.read(key, backing(),
+               [&](const storage::IoResult& r) { result = r; });
     sim.run_while_pending([&] { return result.has_value(); });
     EXPECT_TRUE(result.has_value());
     return *result;
@@ -190,7 +187,7 @@ struct StoreFixture {
 
 TEST(CachedStore, MissReadsThroughAndAdmitsThenHitsSkipTheBacking) {
   StoreFixture f;
-  CachedStore store = f.make();
+  CachedStore store(f.sim, small_config());
   const storage::IoResult cold = f.read(store, "obj");
   EXPECT_TRUE(cold.status.is_ok());
   EXPECT_EQ(f.backing_reads, 1);
@@ -210,41 +207,72 @@ TEST(CachedStore, HitsCostSimulatedTimeNotZero) {
   // The determinism contract: hits are serviced through the event kernel
   // (latency + channel), never delivered synchronously at time zero.
   StoreFixture f;
-  CachedStore store = f.make();
+  CachedStore store(f.sim, small_config());
   (void)f.read(store, "obj");
   const storage::IoResult warm = f.read(store, "obj");
   EXPECT_GT(warm.duration(), SimDuration::zero());
-  EXPECT_GE(warm.duration(), store.cache().config().hit_latency);
+  EXPECT_GE(warm.duration(), CachedStore::kHitLatency);
 }
 
 TEST(CachedStore, WriteThroughAdmitsSoTheNextReadHits) {
+  // Each read names its backing: a miss runs the one passed with that
+  // read and admits what it returns, so the next read of the key hits
+  // whichever backing it names.
   StoreFixture f;
-  CachedStore store = f.make();
-  std::optional<storage::IoResult> written;
-  store.write("obj", 30_MB, [&](const storage::IoResult& r) { written = r; });
-  f.sim.run_while_pending([&] { return written.has_value(); });
-  ASSERT_TRUE(written.has_value());
-  EXPECT_TRUE(written->status.is_ok());
-  EXPECT_EQ(f.backing_writes, 1);
+  CachedStore store(f.sim, small_config());
+  int other_reads = 0;
+  const CachedStore::BackingRead other =
+      [&](const std::string&, storage::IoCallback done) {
+        ++other_reads;
+        done(storage::IoResult{Status::ok(), f.sim.now(), f.sim.now(),
+                               10_MB});
+      };
+  std::optional<storage::IoResult> result;
+  store.read("b", other, [&](const storage::IoResult& r) { result = r; });
+  f.sim.run_while_pending([&] { return result.has_value(); });
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(other_reads, 1);
+  EXPECT_EQ(f.backing_reads, 0);
+  EXPECT_EQ(store.cache().size_of("b").value(), 10_MB);
 
-  (void)f.read(store, "obj");
-  EXPECT_EQ(f.backing_reads, 0);  // the write primed the cache
+  (void)f.read(store, "a");
+  EXPECT_EQ(f.backing_reads, 1);
+  EXPECT_EQ(other_reads, 1);
+
+  const storage::IoResult warm = f.read(store, "b");
+  EXPECT_EQ(warm.size, 10_MB);
+  EXPECT_EQ(f.backing_reads, 1);  // a hit runs no backing
+  EXPECT_EQ(store.cache().stats().hits, 1);
 }
 
 TEST(CachedStore, FailedBackingReadsAreNotAdmitted) {
   sim::Simulator sim;
-  CachedStore store(
-      sim, small_config(),
+  CachedStore store(sim, small_config());
+  std::optional<storage::IoResult> result;
+  store.read(
+      "obj",
       [&](const std::string&, storage::IoCallback done) {
         done(storage::IoResult{unavailable("backing down"), sim.now(),
                                sim.now(), Bytes::zero()});
-      });
-  std::optional<storage::IoResult> result;
-  store.read("obj", [&](const storage::IoResult& r) { result = r; });
+      },
+      [&](const storage::IoResult& r) { result = r; });
   sim.run_while_pending([&] { return result.has_value(); });
   ASSERT_TRUE(result.has_value());
   EXPECT_FALSE(result->status.is_ok());
   EXPECT_FALSE(store.cache().contains("obj"));
+}
+
+TEST(BlockCache, TtlEntriesLapseOnTheSimClock) {
+  // Entries never lapse with simulated time: only eviction and
+  // invalidation remove them, so a read a day later still hits.
+  StoreFixture f;
+  CachedStore store(f.sim, small_config());
+  (void)f.read(store, "obj");
+  f.sim.run_until(f.sim.now() + 1_days);
+  (void)f.read(store, "obj");
+  EXPECT_EQ(f.backing_reads, 1);
+  EXPECT_EQ(store.cache().stats().hits, 1);
+  EXPECT_EQ(store.cache().used(), 30_MB);
 }
 
 // --- HSM integration ----------------------------------------------------------
@@ -469,7 +497,7 @@ TEST(DfsBlockCache, RemoveAndDatanodeFailureInvalidateCachedBlocks) {
   EXPECT_EQ(cache.entry_count(), 0u);
 }
 
-// --- DataBrowser query cache --------------------------------------------------
+// --- DataBrowser searches -----------------------------------------------------
 
 struct BrowserFixture {
   core::Facility facility{core::small_facility_config()};
@@ -506,26 +534,24 @@ TEST(BrowserQueryCache, RepeatSearchesHitUntilTheCatalogueMutates) {
   const meta::Query query = meta::Query().in_project("htm");
   const auto first = f.browser.search(query);
   EXPECT_EQ(first.size(), 2u);
-  const std::int64_t misses = f.browser.query_cache_misses();
-  const auto second = f.browser.search(query);
-  EXPECT_EQ(second, first);
-  EXPECT_EQ(f.browser.query_cache_hits(), 1);
-  EXPECT_EQ(f.browser.query_cache_misses(), misses);  // no recompute
+  EXPECT_EQ(f.browser.search(query), first);
 
-  // Ingest mutates the catalogue: the next search recomputes and sees the
-  // new dataset (never a stale hit).
-  f.ingest_one("frame-3");
-  const auto third = f.browser.search(query);
-  EXPECT_EQ(third.size(), 3u);
-  EXPECT_EQ(f.browser.query_cache_misses(), misses + 1);
+  // Ingest mutates the catalogue: the next search sees the new dataset.
+  const meta::DatasetId third = f.ingest_one("frame-3");
+  const auto after = f.browser.search(query);
+  EXPECT_EQ(after.size(), 3u);
+  EXPECT_EQ(after.back(), third);
 }
 
 TEST(BrowserQueryCache, DownloadsDoNotInvalidate) {
   BrowserFixture f;
   const meta::DatasetId id = f.ingest_one("frame-1");
   const meta::Query query = meta::Query().in_project("htm");
-  (void)f.browser.search(query);
-  const std::int64_t misses = f.browser.query_cache_misses();
+  const auto before = f.browser.search(query);
+  int accessed = 0;
+  f.facility.metadata().subscribe([&](const meta::MetaEvent& event) {
+    if (event.kind == meta::EventKind::kAccessed) ++accessed;
+  });
 
   std::optional<storage::IoResult> downloaded;
   f.browser.download(id, [&](const storage::IoResult& r) {
@@ -535,40 +561,46 @@ TEST(BrowserQueryCache, DownloadsDoNotInvalidate) {
       [&] { return downloaded.has_value(); });
   ASSERT_TRUE(downloaded && downloaded->status.is_ok());
 
-  // note_access() recorded usage but did not bump the catalogue version.
-  (void)f.browser.search(query);
-  EXPECT_EQ(f.browser.query_cache_misses(), misses);
-  EXPECT_GE(f.browser.query_cache_hits(), 1);
+  // note_access() recorded usage, which no query's result set depends on.
+  EXPECT_EQ(f.browser.search(query), before);
+  EXPECT_EQ(accessed, 1);
 }
 
 TEST(QueryCacheKey, StableAcrossBuilderOrderAndTypeAware) {
-  const std::string ab = meta::cache_key(
-      meta::Query().in_project("p").with_tag("a").with_tag("b"));
-  const std::string ba = meta::cache_key(
-      meta::Query().in_project("p").with_tag("b").with_tag("a"));
-  EXPECT_EQ(ab, ba);
+  // A search gives the same ids however its builder calls are ordered, and
+  // a typed predicate keeps the integer 1 apart from the string "1".
+  BrowserFixture f;
+  auto register_one = [&](const std::string& name, meta::AttrValue n) {
+    meta::MetadataStore::Registration reg;
+    reg.project = "htm";
+    reg.name = name;
+    reg.data_uri = "lsdf://ddn/htm/" + name;
+    reg.size = 1_MB;
+    reg.basic["n"] = std::move(n);
+    return f.facility.metadata().register_dataset(std::move(reg)).value();
+  };
+  const meta::DatasetId as_int = register_one("as-int", std::int64_t{1});
+  const meta::DatasetId as_text = register_one("as-text", std::string{"1"});
+  ASSERT_TRUE(f.browser.tag(as_int, "a").is_ok());
+  ASSERT_TRUE(f.browser.tag(as_int, "b").is_ok());
+  ASSERT_TRUE(f.browser.tag(as_text, "a").is_ok());
 
-  // Same display text, different value types: distinct keys.
-  const std::string as_int = meta::cache_key(meta::Query().where(
-      "n", meta::CompareOp::kEq, meta::AttrValue{std::int64_t{1}}));
-  const std::string as_text = meta::cache_key(meta::Query().where(
-      "n", meta::CompareOp::kEq, meta::AttrValue{std::string{"1"}}));
-  EXPECT_NE(as_int, as_text);
-
-  EXPECT_NE(meta::cache_key(meta::Query().in_project("p").limit(5)),
-            meta::cache_key(meta::Query().in_project("p").limit(6)));
-}
-
-TEST(LookupCache, EvictsLeastRecentlyUsedAtCapacity) {
-  LookupCache<int> cache(2, "unit");
-  cache.put("a", 1);
-  cache.put("b", 2);
-  ASSERT_NE(cache.find("a"), nullptr);  // refresh "a"
-  cache.put("c", 3);
-  EXPECT_EQ(cache.find("b"), nullptr);
-  ASSERT_NE(cache.find("a"), nullptr);
-  EXPECT_EQ(*cache.find("c"), 3);
-  EXPECT_EQ(cache.size(), 2u);
+  const std::vector<meta::DatasetId> only_int{as_int};
+  const std::vector<meta::DatasetId> only_text{as_text};
+  EXPECT_EQ(f.browser.search(meta::Query().with_tag("a").with_tag("b")),
+            only_int);
+  EXPECT_EQ(f.browser.search(meta::Query().with_tag("b").with_tag("a")),
+            only_int);
+  EXPECT_EQ(f.browser.search(meta::Query().where(
+                "n", meta::CompareOp::kEq, meta::AttrValue{std::int64_t{1}})),
+            only_int);
+  EXPECT_EQ(f.browser.search(meta::Query().where(
+                "n", meta::CompareOp::kEq, meta::AttrValue{std::string{"1"}})),
+            only_text);
+  EXPECT_EQ(f.browser.search(meta::Query().in_project("htm").limit(1)).size(),
+            1u);
+  EXPECT_EQ(f.browser.search(meta::Query().in_project("htm").limit(2)).size(),
+            2u);
 }
 
 }  // namespace

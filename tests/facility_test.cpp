@@ -360,6 +360,13 @@ TEST(FacilityConfig, FromPropertiesRejectsBadInput) {
   EXPECT_EQ(parse("hsm.high_watermark = 1.5"),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(parse("net.wan_gbps = -1"), StatusCode::kInvalidArgument);
+  // Each watermark is in range, but the pair (with the default low
+  // watermark, 0.70) is not; HsmStore would abort on it.
+  EXPECT_EQ(parse("hsm.high_watermark = 0.5"), StatusCode::kInvalidArgument);
+  EXPECT_EQ(parse("hsm.low_watermark = 0.6\nhsm.high_watermark = 0.5"),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(parse("hsm.migrate_after_min = -5"),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(Facility, WorkflowsCanRunMapReduceJobs) {

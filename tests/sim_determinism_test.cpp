@@ -14,8 +14,11 @@
 #include <string>
 #include <vector>
 
+#include "cache/cache.h"
 #include "chk/replay.h"
 #include "common/rng.h"
+#include "dfs/cluster_builder.h"
+#include "dfs/dfs.h"
 #include "net/topology.h"
 #include "net/transfer_engine.h"
 #include "obs/context.h"
@@ -151,8 +154,10 @@ TEST(Determinism, SharedBottleneckTransfersReplay) {
 // read cache in front. With the cache enabled, every hit/miss/eviction
 // decision feeds the event stream (hit service events, skipped stage-ins),
 // so any unordered iteration or address-derived state inside lsdf::cache
-// would surface here as a fingerprint divergence.
-ReplayOutcome hsm_scenario(std::uint64_t seed, bool cached) {
+// would surface here as a fingerprint divergence. `cache_stats`, when
+// given, receives the read cache's counters at the end of the run.
+ReplayOutcome hsm_scenario(std::uint64_t seed, bool cached,
+                           cache::CacheStats* cache_stats = nullptr) {
   sim::Simulator sim;
   storage::DiskArrayConfig disk_config;
   disk_config.capacity = 1_GB;
@@ -183,6 +188,9 @@ ReplayOutcome hsm_scenario(std::uint64_t seed, bool cached) {
   }
   sim.run_while_pending([&] { return pending == 0; });
   hsm.stop();
+  if (cache_stats != nullptr && hsm.read_cache() != nullptr) {
+    *cache_stats = hsm.read_cache()->cache().stats();
+  }
   return chk::outcome_of(sim);
 }
 
@@ -203,6 +211,74 @@ TEST(Determinism, HsmWithReadCacheReplays) {
   // And caching must actually change the execution, not be a no-op.
   EXPECT_NE(hsm_scenario(1, true).fingerprint,
             hsm_scenario(1, false).fingerprint);
+}
+
+// Replay only checks that two runs agree, so a change to which entry the
+// read cache evicts would pass HsmWithReadCacheReplays as long as it is
+// consistent. These goldens pin the evicting runs themselves.
+TEST(Determinism, CachedHsmFingerprintPinned) {
+  cache::CacheStats stats;
+  const ReplayOutcome outcome = hsm_scenario(1, true, &stats);
+  EXPECT_EQ(outcome.fingerprint, 0x789470c19b08b01eULL);
+  EXPECT_EQ(outcome.events, 74u);
+  EXPECT_EQ(stats.hits, 9);
+  EXPECT_EQ(stats.misses, 11);
+  EXPECT_EQ(stats.evictions, 3);
+}
+
+// Four 64 MB blocks read through a two-block (128 MB) DFS block cache:
+// block 0 is re-read between each of the others, three rounds over, from a
+// different worker each time. Hits skip the replica path; misses read a
+// replica and admit the block, evicting the coldest one.
+ReplayOutcome dfs_cached_scenario(cache::CacheStats* cache_stats) {
+  sim::Simulator sim;
+  dfs::ClusterLayoutConfig layout_config;
+  layout_config.racks = 2;
+  layout_config.nodes_per_rack = 3;
+  const dfs::ClusterLayout layout = dfs::build_cluster_layout(layout_config);
+  net::TransferEngine net(sim, layout.topology);
+  dfs::DfsConfig config;
+  config.block_size = 64_MB;
+  config.datanode_capacity = 10_GB;
+  config.block_cache.capacity = 128_MB;
+  dfs::DfsCluster cluster(sim, layout.topology, net, config);
+  (void)dfs::register_datanodes(cluster, layout);
+  bool written = false;
+  cluster.write_file("/data/scan", 256_MB, layout.headnode,
+                     [&written](const dfs::DfsIoResult& result) {
+                       written = result.status.is_ok();
+                     });
+  sim.run();
+  EXPECT_TRUE(written);
+  const std::vector<dfs::BlockId> blocks =
+      cluster.stat("/data/scan").value().blocks;
+  EXPECT_EQ(blocks.size(), 4u);
+  std::size_t step = 0;
+  for (int round = 0; round < 3; ++round) {
+    for (const std::size_t index : {0, 1, 0, 2, 0, 3}) {
+      bool done = false;
+      const net::NodeId reader =
+          layout.workers[step++ % layout.workers.size()];
+      cluster.read_block(blocks.at(index), reader,
+                         [&done](const dfs::DfsIoResult& result) {
+                           EXPECT_TRUE(result.status.is_ok());
+                           done = true;
+                         });
+      sim.run_while_pending([&done] { return done; });
+    }
+  }
+  *cache_stats = cluster.block_cache()->cache().stats();
+  return chk::outcome_of(sim);
+}
+
+TEST(Determinism, CachedDfsFingerprintPinned) {
+  cache::CacheStats stats;
+  const ReplayOutcome outcome = dfs_cached_scenario(&stats);
+  EXPECT_EQ(outcome.fingerprint, 0xd91488a0dd0c25b5ULL);
+  EXPECT_EQ(outcome.events, 59u);
+  EXPECT_EQ(stats.hits, 8);
+  EXPECT_EQ(stats.misses, 10);
+  EXPECT_EQ(stats.evictions, 8);
 }
 
 // Observability must be a pure observer (DESIGN.md §4g hard constraint):
