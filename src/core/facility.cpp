@@ -1,6 +1,8 @@
 #include "core/facility.h"
 
+#include <limits>
 #include <set>
+#include <utility>
 
 namespace lsdf::core {
 
@@ -145,12 +147,20 @@ Result<FacilityConfig> facility_config_from_properties(
   }
 
   FacilityConfig config;
+  constexpr std::int64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
+  auto out_of_range = [](const char* key) {
+    return invalid_argument(std::string(key) + " is out of range");
+  };
   auto read_int = [&](const char* key, auto& target) -> Status {
+    using Target = std::remove_reference_t<decltype(target)>;
     if (!properties.contains(key)) return Status::ok();
     LSDF_ASSIGN_OR_RETURN(const std::int64_t value,
                           properties.get_int(key));
     if (value <= 0) return invalid_argument(std::string(key) + " must be > 0");
-    target = static_cast<std::remove_reference_t<decltype(target)>>(value);
+    if (std::cmp_greater(value, std::numeric_limits<Target>::max())) {
+      return out_of_range(key);
+    }
+    target = static_cast<Target>(value);
     return Status::ok();
   };
   auto read_bytes = [&](const char* key, Bytes& target,
@@ -159,6 +169,7 @@ Result<FacilityConfig> facility_config_from_properties(
     LSDF_ASSIGN_OR_RETURN(const std::int64_t value,
                           properties.get_int(key));
     if (value <= 0) return invalid_argument(std::string(key) + " must be > 0");
+    if (value > kInt64Max / unit) return out_of_range(key);
     target = Bytes(value * unit);
     return Status::ok();
   };
@@ -178,6 +189,12 @@ Result<FacilityConfig> facility_config_from_properties(
       read_int("tape.cartridges", config.tape.cartridge_count));
   LSDF_RETURN_IF_ERROR(
       read_bytes("tape.cartridge_tb", config.tape.cartridge_capacity, kTB));
+  // The library's capacity, cartridges x cartridge size, is a byte count.
+  if (config.tape.cartridge_count >
+      kInt64Max / config.tape.cartridge_capacity.count()) {
+    return invalid_argument(
+        "tape.cartridges x tape.cartridge_tb is out of range");
+  }
   LSDF_RETURN_IF_ERROR(read_bytes("dfs.block_mb", config.dfs.block_size, kMB));
   LSDF_RETURN_IF_ERROR(read_int("dfs.replication", config.dfs.replication));
   LSDF_RETURN_IF_ERROR(
@@ -210,7 +227,11 @@ Result<FacilityConfig> facility_config_from_properties(
     if (minutes < 0) {
       return invalid_argument("hsm.migrate_after_min must be >= 0");
     }
-    config.hsm.migrate_after = SimDuration(minutes * 60'000'000'000LL);
+    constexpr std::int64_t kNanosPerMinute = 60'000'000'000;
+    if (minutes > kInt64Max / kNanosPerMinute) {
+      return out_of_range("hsm.migrate_after_min");
+    }
+    config.hsm.migrate_after = SimDuration(minutes * kNanosPerMinute);
   }
   for (const auto& [key, target] :
        {std::pair{"hsm.high_watermark", &config.hsm.high_watermark},

@@ -257,6 +257,11 @@ Result<SimDuration> FaultInjector::parse_duration(std::string_view text) {
     return invalid_argument("duration '" + std::string(text) +
                             "' must be non-negative");
   }
+  // 2^63 ns and up do not fit the int64 count.
+  if (value * scale >= 0x1p63) {
+    return invalid_argument("duration '" + std::string(text) +
+                            "' is out of range");
+  }
   return SimDuration(static_cast<std::int64_t>(value * scale));
 }
 

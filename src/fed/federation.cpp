@@ -60,6 +60,11 @@ Result<Bytes> parse_bytes(std::string_view text) {
     return invalid_argument("byte count '" + std::string(text) +
                             "' must be non-negative");
   }
+  // 2^63 bytes and up do not fit the int64 count.
+  if (value * scale >= 0x1p63) {
+    return invalid_argument("byte count '" + std::string(text) +
+                            "' is out of range");
+  }
   return Bytes(static_cast<std::int64_t>(value * scale));
 }
 
@@ -108,9 +113,9 @@ SiteId FederationService::add_site(SiteConfig site) {
   LSDF_REQUIRE(!site.name.empty(), "site needs a name");
   LSDF_REQUIRE(!site_by_name_.contains(site.name),
                "site '" + site.name + "' already registered");
-  const SiteId id = next_site_++;
+  const auto id = static_cast<SiteId>(sites_.size() + 1);
   site_by_name_.emplace(site.name, id);
-  sites_.emplace(id, Site{std::move(site), true, 0});
+  sites_.push_back(Site{std::move(site), true, 0});
   sites_metric_.set(static_cast<double>(sites_.size()));
   return id;
 }
@@ -253,12 +258,12 @@ void FederationService::attach_faults(fault::FaultInjector& injector) {
 }
 
 void FederationService::on_fault(const fault::FaultRecord& record) {
-  for (auto& [id, site] : sites_) {
-    if (site.config.fault_component != record.component) continue;
+  for (SiteId id = 1; id <= sites_.size(); ++id) {
+    if (site_at(id).config.fault_component != record.component) continue;
     if (record.failed) {
       fail_site(id);
     } else {
-      site.online = true;
+      site_at(id).online = true;
       resolve_all();
     }
   }
@@ -271,16 +276,22 @@ void FederationService::resolve_all() {
 }
 
 void FederationService::resolve_dataset(meta::DatasetId dataset) {
-  const auto record = store_.get(dataset);
-  if (!record.is_ok()) return;
+  const meta::DatasetRecord* record = store_.find(dataset);
+  if (record == nullptr) return;
   obs::Span span(obs::Tracer::global(), "fed.resolve", "fed");
   span.annotate("dataset", std::to_string(dataset));
   ++stats_.resolutions;
   resolutions_metric_.add(1);
+  // One replica lookup for every rule of the pass. Until pump() nothing
+  // here drops a replica or re-enters the resolver, so the list's key
+  // stays and `placed` stays valid; a call added here that can drop one
+  // (drop_entry erases an emptied list) must look the list up again.
+  const auto found = replicas_.find(dataset);
+  ReplicaList* placed = found != replicas_.end() ? &found->second : nullptr;
   for (const auto& [id, entry] : rules_) {
     if (!entry.active) continue;
-    if (!matches(entry.rule, record.value())) continue;
-    resolve_rule(record.value(), entry);
+    if (!matches(entry.rule, *record)) continue;
+    resolve_rule(*record, entry, placed);
   }
   pump();
 }
@@ -297,11 +308,12 @@ bool FederationService::matches(const ReplicaRule& rule,
 }
 
 void FederationService::resolve_rule(const meta::DatasetRecord& record,
-                                     const RuleEntry& entry) {
+                                     const RuleEntry& entry,
+                                     ReplicaList*& placed) {
   const ReplicaRule& rule = entry.rule;
-  int deficit = rule.copies - placed_count(record.id, rule.storage);
+  int deficit = rule.copies - placed_count(placed, rule.storage);
   while (deficit-- > 0) {
-    const SiteId site = pick_site(record.id, rule.storage);
+    const SiteId site = pick_site(record.id, placed, rule.storage);
     if (site == kNoSite) return;  // every candidate down or taken: wait
     const auto quota = quotas_.find(record.project);
     if (quota != quotas_.end() &&
@@ -311,31 +323,59 @@ void FederationService::resolve_rule(const meta::DatasetRecord& record,
       quota_blocked_.insert(record.id);
       return;
     }
-    enqueue(record, entry, site);
+    if (placed == nullptr) placed = &replicas_[record.id];
+    enqueue(record, entry, site, *placed);
   }
 }
 
-int FederationService::placed_count(meta::DatasetId dataset,
+namespace {
+// Where `site` is, or would go, in a site-sorted replica list.
+template <typename List>
+auto site_position(List& list, SiteId site) {
+  return std::lower_bound(
+      list.begin(), list.end(), site,
+      [](const auto& entry, SiteId id) { return entry.site < id; });
+}
+
+// The list's entry for `site`, or nullptr.
+template <typename List>
+auto* entry_at(List& list, SiteId site) {
+  const auto it = site_position(list, site);
+  return it != list.end() && it->site == site ? &*it : nullptr;
+}
+}  // namespace
+
+const FederationService::ReplicaList* FederationService::find_replicas(
+    meta::DatasetId dataset) const {
+  const auto it = replicas_.find(dataset);
+  return it != replicas_.end() ? &it->second : nullptr;
+}
+
+FederationService::ReplicaEntry* FederationService::find_replica(
+    meta::DatasetId dataset, SiteId site) {
+  const auto it = replicas_.find(dataset);
+  return it != replicas_.end() ? entry_at(it->second, site) : nullptr;
+}
+
+int FederationService::placed_count(const ReplicaList* placed,
                                     StorageClass storage) const {
+  if (placed == nullptr) return 0;
   int count = 0;
-  for (auto it = replicas_.lower_bound({dataset, 0});
-       it != replicas_.end() && it->first.first == dataset; ++it) {
-    if (sites_.at(it->first.second).config.storage == storage) ++count;
+  for (const ReplicaEntry& replica : *placed) {
+    if (site_at(replica.site).config.storage == storage) ++count;
   }
   return count;
 }
 
-bool FederationService::placed_at(meta::DatasetId dataset, SiteId site) const {
-  return replicas_.contains({dataset, site});
-}
-
 SiteId FederationService::pick_site(meta::DatasetId dataset,
+                                    const ReplicaList* placed,
                                     StorageClass storage) const {
   SiteId best = kNoSite;
   int best_hosted = 0;
-  for (const auto& [id, site] : sites_) {
+  for (SiteId id = 1; id <= sites_.size(); ++id) {
+    const Site& site = site_at(id);
     if (!site.online || site.config.storage != storage) continue;
-    if (placed_at(dataset, id)) continue;
+    if (placed != nullptr && entry_at(*placed, id) != nullptr) continue;
     if (exhausted_.contains({dataset, id})) continue;
     if (best == kNoSite || site.hosted < best_hosted) {
       best = id;
@@ -346,9 +386,11 @@ SiteId FederationService::pick_site(meta::DatasetId dataset,
 }
 
 void FederationService::enqueue(const meta::DatasetRecord& record,
-                                const RuleEntry& entry, SiteId site) {
+                                const RuleEntry& entry, SiteId site,
+                                ReplicaList& placed) {
   const ReplicaRule& rule = entry.rule;
   ReplicaEntry replica;
+  replica.site = site;
   replica.state = ReplicaState::kInFlight;
   replica.size = record.size;
   replica.token = 0;  // queued: no WAN slot yet
@@ -356,8 +398,8 @@ void FederationService::enqueue(const meta::DatasetRecord& record,
   replica.project = record.project;
   replica.rule = rule.id;
   replica.priority = rule.priority;
-  replicas_.emplace(std::make_pair(record.id, site), std::move(replica));
-  ++sites_.at(site).hosted;
+  placed.insert(site_position(placed, site), std::move(replica));
+  ++site_at(site).hosted;
   committed_[record.project] += record.size;
   pending_.emplace(PendingKey{rule.priority, record.id, rule.id, site},
                    std::make_pair(record.size, simulator_.now()));
@@ -380,16 +422,17 @@ void FederationService::pump() {
 }
 
 void FederationService::submit(PendingKey key, Bytes size, SimTime resolved) {
-  const auto replica = replicas_.find({key.dataset, key.site});
-  LSDF_REQUIRE(replica != replicas_.end(),
-               "pending transfer without a replica entry");
+  ReplicaEntry* replica = find_replica(key.dataset, key.site);
+  LSDF_REQUIRE(replica != nullptr, "pending transfer without a replica entry");
   const std::uint64_t token = next_token_++;
-  replica->second.token = token;
+  replica->token = token;
   queue_wait_metric_.record((simulator_.now() - resolved).seconds());
   net::TransferOptions options;
   options.efficiency = config_.wan_efficiency;
+  // The report may arrive synchronously and drop the replica: `replica`
+  // is not read past this point.
   wan_.submit(
-      config_.origin_gateway, sites_.at(key.site).config.gateway, size,
+      config_.origin_gateway, site_at(key.site).config.gateway, size,
       options, config_.retry,
       [this, key, token, size,
        resolved](const net::ReliableTransferReport& report) {
@@ -404,8 +447,8 @@ void FederationService::transfer_done(meta::DatasetId dataset, SiteId site,
                                       Bytes size, SimTime resolved,
                                       bool delivered) {
   --in_flight_;
-  const auto it = replicas_.find({dataset, site});
-  if (it == replicas_.end() || it->second.token != token) {
+  ReplicaEntry* replica = find_replica(dataset, site);
+  if (replica == nullptr || replica->token != token) {
     // The replica was dropped mid-transfer (site fault or rule expiry): the
     // bookkeeping was reclaimed at drop time, so just recheck the rules.
     resolve_dataset(dataset);
@@ -434,7 +477,8 @@ void FederationService::transfer_done(meta::DatasetId dataset, SiteId site,
     pump();
     return;
   }
-  it->second.state = ReplicaState::kComplete;
+  // The last use of `replica`: store_.tag below re-enters the resolver.
+  replica->state = ReplicaState::kComplete;
   ++stats_.replicated;
   stats_.bytes_replicated += size;
   transfers_metric_.add(1);
@@ -452,7 +496,7 @@ void FederationService::transfer_done(meta::DatasetId dataset, SiteId site,
         "fed.replicate", "fed", start_us, end_us - start_us,
         {{"rule", rule_name},
          {"dataset", std::to_string(dataset)},
-         {"site", sites_.at(site).config.name}});
+         {"site", site_at(site).config.name}});
   }
   const auto rule_it = rules_.find(rule);
   if (rule_it != rules_.end() && !rule_it->second.rule.done_tag.empty() &&
@@ -466,11 +510,12 @@ void FederationService::transfer_done(meta::DatasetId dataset, SiteId site,
 bool FederationService::satisfied(meta::DatasetId dataset, RuleId rule) const {
   const auto it = rules_.find(rule);
   if (it == rules_.end()) return false;
+  const ReplicaList* placed = find_replicas(dataset);
+  if (placed == nullptr) return false;
   int complete = 0;
-  for (auto r = replicas_.lower_bound({dataset, 0});
-       r != replicas_.end() && r->first.first == dataset; ++r) {
-    if (r->second.state == ReplicaState::kComplete &&
-        sites_.at(r->first.second).config.storage == it->second.rule.storage) {
+  for (const ReplicaEntry& replica : *placed) {
+    if (replica.state == ReplicaState::kComplete &&
+        site_at(replica.site).config.storage == it->second.rule.storage) {
       ++complete;
     }
   }
@@ -485,26 +530,22 @@ void FederationService::expire_rule(RuleId rule) {
   // class) the demand is the largest copy count among active matching
   // rules; replicas beyond it are dropped in ascending site order.
   std::vector<std::pair<meta::DatasetId, SiteId>> drop;
-  meta::DatasetId current = 0;
-  std::map<StorageClass, int> kept;
-  for (const auto& [key, replica] : replicas_) {
-    (void)replica;
-    if (key.first != current) {
-      current = key.first;
-      kept.clear();
-    }
-    const StorageClass storage = sites_.at(key.second).config.storage;
-    int demand = 0;
-    const auto record = store_.get(key.first);
-    if (record.is_ok()) {
-      for (const auto& [id, entry] : rules_) {
-        (void)id;
-        if (!entry.active || entry.rule.storage != storage) continue;
-        if (!matches(entry.rule, record.value())) continue;
-        demand = std::max(demand, entry.rule.copies);
+  for (const auto& [dataset, placed] : replicas_) {
+    const meta::DatasetRecord* record = store_.find(dataset);
+    std::map<StorageClass, int> kept;
+    for (const ReplicaEntry& replica : placed) {
+      const StorageClass storage = site_at(replica.site).config.storage;
+      int demand = 0;
+      if (record != nullptr) {
+        for (const auto& [id, entry] : rules_) {
+          (void)id;
+          if (!entry.active || entry.rule.storage != storage) continue;
+          if (!matches(entry.rule, *record)) continue;
+          demand = std::max(demand, entry.rule.copies);
+        }
       }
+      if (++kept[storage] > demand) drop.emplace_back(dataset, replica.site);
     }
-    if (++kept[storage] > demand) drop.emplace_back(key);
   }
   for (const auto& [dataset, site] : drop) {
     drop_entry(dataset, site, /*lost=*/false);
@@ -515,11 +556,10 @@ void FederationService::expire_rule(RuleId rule) {
 }
 
 void FederationService::fail_site(SiteId site) {
-  sites_.at(site).online = false;
+  site_at(site).online = false;
   std::vector<meta::DatasetId> affected;
-  for (const auto& [key, replica] : replicas_) {
-    (void)replica;
-    if (key.second == site) affected.push_back(key.first);
+  for (const auto& [dataset, placed] : replicas_) {
+    if (entry_at(placed, site) != nullptr) affected.push_back(dataset);
   }
   for (const meta::DatasetId dataset : affected) {
     drop_entry(dataset, site, /*lost=*/true);
@@ -533,21 +573,21 @@ void FederationService::fail_site(SiteId site) {
 void FederationService::set_site_online(const std::string& name, bool online) {
   const auto id = find_site(name);
   LSDF_REQUIRE(id.is_ok(), "unknown site '" + name + "'");
-  sites_.at(id.value()).online = online;
+  site_at(id.value()).online = online;
   if (online) resolve_all();
 }
 
 bool FederationService::site_online(const std::string& name) const {
   const auto id = find_site(name);
   LSDF_REQUIRE(id.is_ok(), "unknown site '" + name + "'");
-  return sites_.at(id.value()).online;
+  return site_at(id.value()).online;
 }
 
 void FederationService::drop_replica(meta::DatasetId dataset,
                                      const std::string& site_name) {
   const auto id = find_site(site_name);
   LSDF_REQUIRE(id.is_ok(), "unknown site '" + site_name + "'");
-  if (!placed_at(dataset, id.value())) return;
+  if (find_replica(dataset, id.value()) == nullptr) return;
   drop_entry(dataset, id.value(), /*lost=*/true);
   resolve_dataset(dataset);
   reresolve_quota_blocked();
@@ -555,11 +595,15 @@ void FederationService::drop_replica(meta::DatasetId dataset,
 
 void FederationService::drop_entry(meta::DatasetId dataset, SiteId site,
                                    bool lost) {
-  const auto it = replicas_.find({dataset, site});
-  if (it == replicas_.end()) return;
-  const ReplicaEntry entry = it->second;
-  replicas_.erase(it);
-  --sites_.at(site).hosted;
+  const auto list = replicas_.find(dataset);
+  if (list == replicas_.end()) return;
+  ReplicaList& placed = list->second;
+  const auto it = site_position(placed, site);
+  if (it == placed.end() || it->site != site) return;
+  const ReplicaEntry entry = *it;
+  placed.erase(it);
+  if (placed.empty()) replicas_.erase(list);
+  --site_at(site).hosted;
   committed_[entry.project] -= entry.size;
   if (entry.state == ReplicaState::kInFlight && entry.token == 0) {
     // Still queued: remove the pending transfer too.
@@ -588,10 +632,10 @@ void FederationService::reresolve_quota_blocked() {
 std::vector<Replica> FederationService::replicas(
     meta::DatasetId dataset) const {
   std::vector<Replica> out;
-  for (auto it = replicas_.lower_bound({dataset, 0});
-       it != replicas_.end() && it->first.first == dataset; ++it) {
-    out.push_back(Replica{dataset, it->first.second, it->second.state,
-                          it->second.size});
+  const ReplicaList* placed = find_replicas(dataset);
+  if (placed == nullptr) return out;
+  for (const ReplicaEntry& replica : *placed) {
+    out.push_back(Replica{dataset, replica.site, replica.state, replica.size});
   }
   return out;
 }
@@ -600,9 +644,10 @@ bool FederationService::has_replica(meta::DatasetId dataset,
                                     const std::string& site_name) const {
   const auto id = find_site(site_name);
   if (!id.is_ok()) return false;
-  const auto it = replicas_.find({dataset, id.value()});
-  return it != replicas_.end() &&
-         it->second.state == ReplicaState::kComplete;
+  const ReplicaList* placed = find_replicas(dataset);
+  const ReplicaEntry* replica =
+      placed != nullptr ? entry_at(*placed, id.value()) : nullptr;
+  return replica != nullptr && replica->state == ReplicaState::kComplete;
 }
 
 void FederationService::update_backlog_metrics() {

@@ -146,6 +146,7 @@ class FederationService {
   };
 
   struct ReplicaEntry {
+    SiteId site = 0;
     ReplicaState state = ReplicaState::kInFlight;
     Bytes size;
     // 0 while queued; otherwise matches the token captured by the WAN
@@ -173,20 +174,37 @@ class FederationService {
     }
   };
 
-  void resolve_rule(const meta::DatasetRecord& record, const RuleEntry& entry);
+  // One dataset's replicas in any state, ascending site id. The vector
+  // moves when it grows: hold no entry pointer across a call that can
+  // enqueue into the dataset (store_.tag re-enters the resolver).
+  using ReplicaList = std::vector<ReplicaEntry>;
+
+  [[nodiscard]] Site& site_at(SiteId id) { return sites_[id - 1]; }
+  [[nodiscard]] const Site& site_at(SiteId id) const {
+    return sites_[id - 1];
+  }
+  // The dataset's replica list, or nullptr when it has none.
+  [[nodiscard]] const ReplicaList* find_replicas(meta::DatasetId dataset) const;
+  [[nodiscard]] ReplicaEntry* find_replica(meta::DatasetId dataset,
+                                           SiteId site);
+
+  // `placed` is the dataset's list (nullptr while it has none); enqueue
+  // creates it.
+  void resolve_rule(const meta::DatasetRecord& record, const RuleEntry& entry,
+                    ReplicaList*& placed);
   [[nodiscard]] bool matches(const ReplicaRule& rule,
                              const meta::DatasetRecord& record) const;
-  // Replicas + queued transfers of `dataset` on sites of `storage` class.
-  [[nodiscard]] int placed_count(meta::DatasetId dataset,
+  // Replicas + queued transfers on sites of `storage` class.
+  [[nodiscard]] int placed_count(const ReplicaList* placed,
                                  StorageClass storage) const;
-  [[nodiscard]] bool placed_at(meta::DatasetId dataset, SiteId site) const;
   // Least-loaded online site of the class without a replica of `dataset`
   // and not sitting out an exhausted copy of it; kNoSite when every
   // candidate is down or taken.
   [[nodiscard]] SiteId pick_site(meta::DatasetId dataset,
+                                 const ReplicaList* placed,
                                  StorageClass storage) const;
   void enqueue(const meta::DatasetRecord& record, const RuleEntry& entry,
-               SiteId site);
+               SiteId site, ReplicaList& placed);
   void pump();
   void submit(PendingKey key, Bytes size, SimTime resolved);
   void transfer_done(meta::DatasetId dataset, SiteId site, RuleId rule,
@@ -208,12 +226,16 @@ class FederationService {
   FederationConfig config_;
   net::ReliableTransfer wan_;
 
-  std::map<SiteId, Site> sites_;
+  // Indexed by SiteId - 1: add_site assigns ids densely from 1.
+  std::vector<Site> sites_;
   std::map<std::string, SiteId> site_by_name_;
   std::map<RuleId, RuleEntry> rules_;
   std::map<std::string, Bytes> quotas_;
-  // Actual replica state, the resolver's "actual" side of the diff.
-  std::map<std::pair<meta::DatasetId, SiteId>, ReplicaEntry> replicas_;
+  // Actual replica state, the resolver's "actual" side of the diff. Keyed
+  // by dataset, not indexed by it: catalogue ids are arbitrary 64-bit
+  // values (MetadataStore::from_text keeps them). A dataset whose last
+  // replica is dropped loses its key.
+  std::map<meta::DatasetId, ReplicaList> replicas_;
   // Desired-minus-actual, waiting for a WAN slot.
   std::map<PendingKey, std::pair<Bytes, SimTime>> pending_;
   // Per-project committed replica bytes (pending + in flight + complete).
@@ -227,7 +249,6 @@ class FederationService {
   // re-resolve config_.retry.max_backoff later (transfer_done).
   std::set<std::pair<meta::DatasetId, SiteId>> exhausted_;
 
-  SiteId next_site_ = 1;
   RuleId next_rule_ = 1;
   std::uint64_t next_token_ = 1;
   int in_flight_ = 0;

@@ -98,14 +98,17 @@ Result<DatasetId> MetadataStore::register_dataset(Registration reg) {
   return id;
 }
 
-Result<DatasetRecord> MetadataStore::get(DatasetId id) const {
+const DatasetRecord* MetadataStore::find(DatasetId id) const {
   static obs::Counter& lookups = lookup_counter("get");
   lookups.add(1);
   const auto it = records_.find(id);
-  if (it == records_.end()) {
-    return not_found("dataset #" + std::to_string(id));
-  }
-  return it->second;
+  return it != records_.end() ? &it->second : nullptr;
+}
+
+Result<DatasetRecord> MetadataStore::get(DatasetId id) const {
+  const DatasetRecord* record = find(id);
+  if (record == nullptr) return not_found("dataset #" + std::to_string(id));
+  return *record;
 }
 
 Result<DatasetId> MetadataStore::find_by_name(const std::string& project,

@@ -51,6 +51,12 @@ class MetadataStore {
   [[nodiscard]] Result<DatasetId> register_dataset(Registration reg);
 
   // -- Lookup / query --------------------------------------------------------
+  // The stored record, read in place, or nullptr when `id` is unknown.
+  // Records are never erased and map nodes do not move, so the pointer
+  // stays valid for the store's life, and later tags and branches show
+  // through it. Counts as one `get` lookup.
+  [[nodiscard]] const DatasetRecord* find(DatasetId id) const;
+  // A copy of the record (one find).
   [[nodiscard]] Result<DatasetRecord> get(DatasetId id) const;
   [[nodiscard]] Result<DatasetId> find_by_name(const std::string& project,
                                                const std::string& name) const;

@@ -367,6 +367,21 @@ TEST(FacilityConfig, FromPropertiesRejectsBadInput) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(parse("hsm.migrate_after_min = -5"),
             StatusCode::kInvalidArgument);
+  // Values whose product with their unit, or whose narrowing to the
+  // target type, would not fit.
+  EXPECT_EQ(parse("storage.ddn_tb = 10000000"), StatusCode::kInvalidArgument);
+  EXPECT_EQ(parse("hsm.migrate_after_min = 200000000"),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(parse("cluster.racks = 4294967298"),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(parse("tape.cartridges = 3000000000"),
+            StatusCode::kInvalidArgument);
+  // 9e6 TB fits int64 bytes, but not times the default 1000 cartridges;
+  // the error names both keys.
+  const Status library = facility_config_from_properties(
+      Properties::parse("tape.cartridge_tb = 9000000").value()).status();
+  EXPECT_EQ(library.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(library.message().find("tape.cartridge_tb"), std::string::npos);
 }
 
 TEST(Facility, WorkflowsCanRunMapReduceJobs) {

@@ -224,6 +224,10 @@ TEST(FaultInjector, ParseDurationAcceptsAllUnits) {
   EXPECT_EQ(FaultInjector::parse_duration("5min").value(), 5_min);
   EXPECT_EQ(FaultInjector::parse_duration("2h").value(), 2_h);
   EXPECT_EQ(FaultInjector::parse_duration("1d").value(), 24_h);
+  // 2^63 ns is about 106,751 days: the largest count an int64 holds.
+  EXPECT_EQ(FaultInjector::parse_duration("100000d").value(),
+            SimDuration(8'640'000'000'000'000'000));
+  EXPECT_FALSE(FaultInjector::parse_duration("200000d").is_ok());
   EXPECT_FALSE(FaultInjector::parse_duration("").is_ok());
   EXPECT_FALSE(FaultInjector::parse_duration("fast").is_ok());
   EXPECT_FALSE(FaultInjector::parse_duration("10 parsecs").is_ok());

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -368,6 +369,15 @@ TEST(Federation, LoadRejectsBadKeysAndValues) {
       Properties::parse("fed.rule.x = copies=1 class=floppy");
   ASSERT_TRUE(bad_class.is_ok());
   EXPECT_FALSE(w.fed->load(bad_class.value()).is_ok());
+  // Past int64: a wrapped quota would be negative and defer every copy,
+  // a wrapped lifetime would never expire.
+  const auto huge_quota = Properties::parse("fed.quota.htm = 100000PB");
+  ASSERT_TRUE(huge_quota.is_ok());
+  EXPECT_FALSE(w.fed->load(huge_quota.value()).is_ok());
+  const auto huge_lifetime =
+      Properties::parse("fed.rule.x = copies=1 lifetime=200000d");
+  ASSERT_TRUE(huge_lifetime.is_ok());
+  EXPECT_FALSE(w.fed->load(huge_lifetime.value()).is_ok());
 }
 
 TEST(Federation, ParseBytesAcceptsDecimalUnits) {
@@ -375,37 +385,160 @@ TEST(Federation, ParseBytesAcceptsDecimalUnits) {
   EXPECT_EQ(parse_bytes("500GB").value(), 500_GB);
   EXPECT_EQ(parse_bytes("2TB").value(), 2_TB);
   EXPECT_EQ(parse_bytes(" 3 MB ").value(), 3_MB);
+  // 2^63 bytes is about 9223 PB: the largest count an int64 holds.
+  EXPECT_EQ(parse_bytes("9000PB").value(),
+            Bytes(9'000'000'000'000'000'000));
+  EXPECT_FALSE(parse_bytes("100000PB").is_ok());
   EXPECT_FALSE(parse_bytes("GB").is_ok());
   EXPECT_FALSE(parse_bytes("5 parsecs").is_ok());
 }
 
+// Twenty 5 GB datasets under a disk pair and a tape copy while site-a's
+// uplink fails stochastically: every fault loses site-a's replicas and
+// re-replicates them elsewhere.
+chk::ReplayOutcome outage_scenario(std::uint64_t seed,
+                                   FederationStats* stats = nullptr,
+                                   std::int64_t* faults = nullptr) {
+  World w;
+  w.add_disk_sites();
+  w.add_tape_site();
+  fault::FaultInjector injector(w.sim, seed);
+  injector.register_link("link-a", w.topology, w.link_a);
+  injector.on_topology_change([&w] { w.net.resync(); });
+  w.fed->attach_faults(injector);
+  w.fed->add_rule({.name = "disk-pair", .copies = 2,
+                   .storage = StorageClass::kDisk});
+  w.fed->add_rule({.name = "tape-copy", .copies = 1,
+                   .storage = StorageClass::kTape});
+  w.fed->start();
+  EXPECT_TRUE(
+      injector.arm_stochastic("link-a", 2_h, 20_min, SimTime::zero() + 12_h)
+          .is_ok());
+  for (int i = 0; i < 20; ++i) {
+    w.sim.schedule_at(SimTime::zero() + 10_min * i, [&w, i] {
+      (void)w.ingest("frame-" + std::to_string(i), 5_GB);
+    });
+  }
+  w.sim.run_until(SimTime::zero() + 24_h);
+  if (stats != nullptr) *stats = w.fed->stats();
+  if (faults != nullptr) *faults = injector.injected();
+  return chk::outcome_of(w.sim);
+}
+
+constexpr std::uint64_t kReplaySeed = 0x6665645F5245504CULL;
+
 TEST(Federation, SameSeedReplaysIdentically) {
-  const chk::Scenario scenario = [](std::uint64_t seed) {
-    World w;
-    w.add_disk_sites();
-    w.add_tape_site();
-    fault::FaultInjector injector(w.sim, seed);
-    injector.register_link("link-a", w.topology, w.link_a);
-    injector.on_topology_change([&w] { w.net.resync(); });
-    w.fed->attach_faults(injector);
-    w.fed->add_rule({.name = "disk-pair", .copies = 2,
-                     .storage = StorageClass::kDisk});
-    w.fed->add_rule({.name = "tape-copy", .copies = 1,
-                     .storage = StorageClass::kTape});
-    w.fed->start();
-    EXPECT_TRUE(
-        injector.arm_stochastic("link-a", 2_h, 20_min, SimTime::zero() + 12_h)
-            .is_ok());
-    for (int i = 0; i < 20; ++i) {
-      w.sim.schedule_at(SimTime::zero() + 10_min * i, [&w, i] {
-        (void)w.ingest("frame-" + std::to_string(i), 5_GB);
-      });
-    }
-    w.sim.run_until(SimTime::zero() + 24_h);
-    return chk::outcome_of(w.sim);
-  };
-  chk::require_replay_deterministic(scenario, 0x6665645F5245504CULL,
-                                    "federation scenario");
+  chk::require_replay_deterministic(
+      [](std::uint64_t seed) { return outage_scenario(seed); }, kReplaySeed,
+      "federation scenario");
+}
+
+// Replay only checks that two runs agree, so a resolver that consistently
+// picks other sites, or schedules in another order, would still pass it.
+// These goldens pin the schedules themselves.
+TEST(Federation, OutageScenarioFingerprintPinned) {
+  FederationStats stats;
+  std::int64_t faults = 0;
+  const chk::ReplayOutcome outcome =
+      outage_scenario(kReplaySeed, &stats, &faults);
+  EXPECT_EQ(outcome.fingerprint, 0x0933eddebade8957ULL);
+  EXPECT_EQ(outcome.events, 137u);
+  EXPECT_EQ(stats.scheduled, 76);
+  EXPECT_EQ(stats.replicated, 76);
+  EXPECT_EQ(stats.lost, 16);
+  EXPECT_EQ(stats.resolutions, 149);
+  EXPECT_EQ(faults, 7);
+}
+
+// Eight 5 GB datasets drive every path that edits the replica table:
+//  * site-a's route is down for the first hour with no fault marking the
+//    site offline, and each copy gets one attempt, so copies to it exhaust
+//    at once and sit out while the resolver moves them elsewhere;
+//  * a 100 GB quota defers the later datasets until bytes come back;
+//  * faults on site-b's and site-c's uplinks drop every replica they host;
+//  * the two-copy "burst" rule expires at 6 h while "keeper" still
+//    demands one disk copy, so expiry drops the surplus in site order.
+struct ChurnOutcome {
+  chk::ReplayOutcome outcome;
+  FederationStats stats;
+  std::map<meta::DatasetId, std::vector<Replica>> replicas;
+};
+
+ChurnOutcome churn_scenario() {
+  FederationConfig config = World::base_config();
+  config.retry.max_attempts = 1;
+  World w(config);
+  w.fed->add_site({"site-a", w.node_a, StorageClass::kDisk, ""});
+  w.fed->add_site({"site-b", w.node_b, StorageClass::kDisk, "link-b"});
+  w.fed->add_site({"site-c", w.node_c, StorageClass::kDisk, "link-c"});
+  w.add_tape_site();
+  fault::FaultInjector injector(w.sim, 0xC4u);
+  injector.register_link("link-b", w.topology, w.link_b);
+  injector.register_link("link-c", w.topology, w.link_c);
+  injector.on_topology_change([&w] { w.net.resync(); });
+  w.fed->attach_faults(injector);
+  w.fed->set_quota("htm", 100_GB);
+  w.fed->add_rule({.name = "burst", .copies = 2,
+                   .storage = StorageClass::kDisk, .priority = 1,
+                   .lifetime = 6_h});
+  w.fed->add_rule({.name = "keeper", .done_tag = "kept", .copies = 1,
+                   .storage = StorageClass::kDisk});
+  w.fed->add_rule({.name = "tape-copy", .copies = 1,
+                   .storage = StorageClass::kTape});
+  w.fed->start();
+  w.topology.set_duplex_up(w.link_a, false);
+  w.net.resync();
+  w.sim.schedule_at(SimTime::zero() + 1_h, [&w] {
+    w.topology.set_duplex_up(w.link_a, true);
+    w.net.resync();
+  });
+  EXPECT_TRUE(injector.schedule_fault("link-b", SimTime::zero() + 2_h, 30_min)
+                  .is_ok());
+  EXPECT_TRUE(injector.schedule_fault("link-c", SimTime::zero() + 3_h, 30_min)
+                  .is_ok());
+  std::vector<meta::DatasetId> ids;
+  for (int i = 0; i < 8; ++i) {
+    w.sim.schedule_at(SimTime::zero() + 10_min * i, [&w, &ids, i] {
+      ids.push_back(w.ingest("frame-" + std::to_string(i), 5_GB));
+    });
+  }
+  w.sim.run_until(SimTime::zero() + 12_h);
+  ChurnOutcome out{chk::outcome_of(w.sim), w.fed->stats(), {}};
+  for (const meta::DatasetId id : ids) out.replicas[id] = w.fed->replicas(id);
+  return out;
+}
+
+// "<site><c|f> ..." for one dataset's replicas: c complete, f in flight.
+std::string placement(const std::vector<Replica>& replicas) {
+  std::string out;
+  for (const Replica& r : replicas) {
+    if (!out.empty()) out += ' ';
+    out += std::to_string(r.site);
+    out += r.state == ReplicaState::kComplete ? 'c' : 'f';
+  }
+  return out;
+}
+
+TEST(Federation, ChurnScenarioFingerprintPinned) {
+  const ChurnOutcome churn = churn_scenario();
+  EXPECT_EQ(churn.outcome.fingerprint, 0xfa1a487208d0e430ULL);
+  EXPECT_EQ(churn.outcome.events, 71u);
+  const FederationStats& stats = churn.stats;
+  EXPECT_EQ(stats.resolutions, 57);
+  EXPECT_EQ(stats.scheduled, 43);
+  EXPECT_EQ(stats.replicated, 37);
+  EXPECT_EQ(stats.failed, 6);
+  EXPECT_EQ(stats.retries, 0);
+  EXPECT_EQ(stats.lost, 14);
+  EXPECT_EQ(stats.expired, 7);
+  EXPECT_EQ(stats.quota_deferred, 22);
+  EXPECT_EQ(stats.bytes_replicated, 185_GB);
+  // Site ids: 1-3 are site-a..site-c, 4 is tape-1. Expiry keeps the
+  // lowest-id disk copy; the last dataset waited out the quota.
+  ASSERT_EQ(churn.replicas.size(), 8u);
+  EXPECT_EQ(placement(churn.replicas.at(1)), "1c 4c");
+  EXPECT_EQ(placement(churn.replicas.at(7)), "1c 4c");
+  EXPECT_EQ(placement(churn.replicas.at(8)), "2c 4c");
 }
 
 // The Heidelberg mirror as one tag-triggered rule to one site, which is

@@ -6,6 +6,7 @@
 #include "meta/query.h"
 #include "meta/rules.h"
 #include "meta/store.h"
+#include "obs/metrics.h"
 
 namespace lsdf::meta {
 namespace {
@@ -129,6 +130,25 @@ TEST(MetadataStore, RecordsAreWormSnapshotsNotLiveReferences) {
   EXPECT_EQ(std::get<std::string>(fresh.basic.at("instrument")),
             "htm-microscope");
   EXPECT_EQ(fresh.name, "x");
+}
+
+TEST(MetadataStore, FindReadsTheStoredRecordInPlace) {
+  MetadataStore store;
+  ASSERT_TRUE(store.create_project("p", {}).is_ok());
+  const DatasetId id = store.register_dataset(make_reg("p", "x")).value();
+  const obs::Counter& lookups = obs::MetricsRegistry::global().counter(
+      "lsdf_meta_lookups_total", {{"op", "get"}});
+  const std::int64_t before = lookups.value();
+  EXPECT_EQ(store.find(id + 1), nullptr);
+  const DatasetRecord* record = store.find(id);
+  ASSERT_NE(record, nullptr);
+  EXPECT_EQ(record->name, "x");
+  EXPECT_EQ(store.find(id), record);  // the same stored record, no copy
+  EXPECT_EQ(lookups.value(), before + 3);  // one `get` lookup per call
+  // Later mutations show through the pointer.
+  ASSERT_TRUE(store.tag(id, "calibrated").is_ok());
+  ASSERT_EQ(record->tags.size(), 1u);
+  EXPECT_EQ(record->tags.front(), "calibrated");
 }
 
 // --- Tags -------------------------------------------------------------------------
