@@ -7,12 +7,11 @@
 // driven by the deterministic FaultInjector, so the same seed replays the
 // identical timeline — asserted by running the mirror scenario twice.
 //
-// The fault plan ships in configs/failover_scenario.conf; an embedded
-// copy keeps the binary self-contained when run from another directory.
-#include <fstream>
+// The fault plan is configs/failover_scenario.conf, read from the source
+// tree the binary was built from; a missing or malformed file fails the
+// run.
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -84,33 +83,6 @@ double run_outage(bool redundant) {
 
 // --- Scripted fault scenarios -------------------------------------------------
 
-constexpr const char* kEmbeddedPlan = R"(
-fault.seed = 424242
-fault.horizon = 48h
-fault.schedule.wan = 2h for 10min repeat 8 every 2h
-fault.schedule.tape = 45min for 20min
-fault.mtbf.tape = 4h
-fault.mttr.tape = 30min
-)";
-
-Properties load_scenario() {
-  for (const char* path : {"configs/failover_scenario.conf",
-                           "../configs/failover_scenario.conf",
-                           "../../configs/failover_scenario.conf"}) {
-    std::ifstream in(path);
-    if (!in.good()) continue;
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    auto parsed = Properties::parse(buffer.str());
-    if (parsed.is_ok()) {
-      bench::row("fault plan: %s", path);
-      return parsed.value();
-    }
-  }
-  bench::row("fault plan: embedded copy of configs/failover_scenario.conf");
-  return Properties::parse(kEmbeddedPlan).value();
-}
-
 // The injector rejects plan entries naming unregistered components, so a
 // shared scenario file is narrowed to the components a scenario registers.
 Properties select_components(const Properties& all,
@@ -164,10 +136,7 @@ MirrorScenarioResult run_mirror_scenario(const Properties& plan,
   injector.register_link("wan", topo, wan);
   injector.on_topology_change([&] { engine.resync(); });
   const Status loaded = injector.load_plan(select_components(plan, {"wan"}));
-  if (!loaded.is_ok()) {
-    bench::row("FAILED to load fault plan: %s", loaded.message().c_str());
-    return result;
-  }
+  bench::exit_on_error(loaded, "fault plan");
 
   ReliableTransfer mirror(sim, engine, "mirror-bench", seed ^ 0x5752);
   fault::RetryPolicy policy;
@@ -219,10 +188,7 @@ void run_tape_scenario(const Properties& plan, std::uint64_t seed) {
   fault::FaultInjector injector(sim, seed);
   injector.register_tape("tape", tape);
   const Status loaded = injector.load_plan(select_components(plan, {"tape"}));
-  if (!loaded.is_ok()) {
-    bench::row("FAILED to load fault plan: %s", loaded.message().c_str());
-    return;
-  }
+  bench::exit_on_error(loaded, "fault plan");
 
   const int objects = 100;
   for (int i = 0; i < objects; ++i) {
@@ -297,9 +263,14 @@ int main(int argc, char** argv) {
                    static_cast<double>(completed), "flows");
   }
 
-  const Properties plan = load_scenario();
-  const auto seed = static_cast<std::uint64_t>(
-      plan.get_int_or("fault.seed", 424242));
+  const auto loaded = Properties::load(LSDF_CONFIG_DIR
+                                       "/failover_scenario.conf");
+  bench::exit_on_error(loaded.status(), "fault plan");
+  const Properties& plan = loaded.value();
+  const auto seed_value = plan.get_int_or("fault.seed", 424242);
+  bench::exit_on_error(seed_value.status(), "fault plan");
+  const auto seed = static_cast<std::uint64_t>(seed_value.value());
+  bench::row("fault plan: configs/failover_scenario.conf");
 
   bench::section("scripted WAN flaps during a 1 PB mirror (50 x 20 TB)");
   const MirrorScenarioResult mirror = run_mirror_scenario(plan, seed);

@@ -10,12 +10,12 @@
 // the replication backlog and its post-acquisition drain time, and the
 // automatic re-replication of lost replicas — then replays the whole
 // scenario with chk::replay_check to prove the schedule is deterministic.
+// The scenario file is read from the source tree the binary was built
+// from; a missing or malformed file fails the run.
 //
 // Usage: bench_e12_federation [--smoke] [--trace f] [--metrics f]
 //        [--metrics-csv f] [--flight dir]
 #include <chrono>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "bench_util.h"
@@ -31,41 +31,6 @@
 using namespace lsdf;
 
 namespace {
-
-// Embedded copy of configs/federation_scenario.conf so the binary stays
-// self-contained when run outside the source tree.
-constexpr const char* kEmbeddedScenario = R"(
-fed.site.heidelberg  = gateway=hd-gw   class=disk component=wan-hd
-fed.site.dkfz        = gateway=dkfz-gw class=disk component=wan-dkfz
-fed.site.eml         = gateway=eml-gw  class=disk component=wan-eml
-fed.site.gridka-tape = gateway=tape-gw class=tape component=wan-tape
-fed.rule.disk-pair    = copies=2 class=disk priority=1
-fed.rule.tape-archive = copies=1 class=tape
-fed.quota.zebrafish-htm = 100TB
-fault.seed = 20110831
-fault.horizon = 36h
-fault.schedule.wan-hd   = 8h for 30min repeat 3 every 3h
-fault.schedule.wan-dkfz = 20h for 1h
-fault.schedule.wan-eml  = 23h for 90min
-)";
-
-Properties load_scenario() {
-  for (const char* path : {"configs/federation_scenario.conf",
-                           "../configs/federation_scenario.conf",
-                           "../../configs/federation_scenario.conf"}) {
-    std::ifstream in(path);
-    if (!in.good()) continue;
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    auto parsed = Properties::parse(buffer.str());
-    if (parsed.is_ok()) {
-      bench::row("scenario: %s", path);
-      return parsed.value();
-    }
-  }
-  bench::row("scenario: embedded copy of configs/federation_scenario.conf");
-  return Properties::parse(kEmbeddedScenario).value();
-}
 
 struct ScenarioScale {
   int datasets = 300;           // acquisition bundles over the day
@@ -118,10 +83,7 @@ ScenarioResult run_scenario(const Properties& scenario, std::uint64_t seed,
   injector.register_link("wan-tape", topo, tape);
   injector.on_topology_change([&] { engine.resync(); });
   const Status plan = injector.load_plan(scenario);
-  if (!plan.is_ok()) {
-    bench::row("FAILED to load fault plan: %s", plan.message().c_str());
-    return result;
-  }
+  bench::exit_on_error(plan, "fault plan");
 
   meta::MetadataStore store;
   if (!store.create_project("zebrafish-htm", {}).is_ok()) return result;
@@ -134,11 +96,7 @@ ScenarioResult run_scenario(const Properties& scenario, std::uint64_t seed,
   config.retry.max_backoff = 15_min;
   fed::FederationService fed(sim, engine, store, config);
   const Status loaded = fed.load(scenario);
-  if (!loaded.is_ok()) {
-    bench::row("FAILED to load federation config: %s",
-               loaded.message().c_str());
-    return result;
-  }
+  bench::exit_on_error(loaded, "federation config");
   fed.start();
   fed.attach_faults(injector);
 
@@ -217,9 +175,14 @@ int main(int argc, char** argv) {
       "the mirror and tape-copy policies as declarative rules — 2 disk "
       "copies + 1 tape copy per bundle, self-healing across WAN flaps");
 
-  const Properties scenario = load_scenario();
-  const auto seed =
-      static_cast<std::uint64_t>(scenario.get_int_or("fault.seed", 20110831));
+  const auto loaded = Properties::load(LSDF_CONFIG_DIR
+                                       "/federation_scenario.conf");
+  bench::exit_on_error(loaded.status(), "scenario");
+  const Properties& scenario = loaded.value();
+  const auto seed_value = scenario.get_int_or("fault.seed", 20110831);
+  bench::exit_on_error(seed_value.status(), "scenario");
+  const auto seed = static_cast<std::uint64_t>(seed_value.value());
+  bench::row("scenario: configs/federation_scenario.conf");
 
   ScenarioScale scale;
   if (smoke) {

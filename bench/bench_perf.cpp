@@ -23,13 +23,12 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <functional>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
+#include "common/config.h"
 #include "exec/thread_pool.h"
 #include "net/topology.h"
 #include "net/transfer_engine.h"
@@ -338,18 +337,15 @@ void run_sharded_worlds(std::uint64_t dispatch_events_per_shard,
       json_path, "perf_partitioned_sites" + suffix);
 }
 
-double parse_floor(const std::string& path) {
-  std::ifstream in(path);
-  std::string line;
-  while (std::getline(in, line)) {
-    std::istringstream parts(line);
-    std::string key, eq;
-    double value = 0.0;
-    if (parts >> key >> eq >> value && key == "dispatch_min_meps") {
-      return value * 1e6;
-    }
+// The --floor file's dispatch_min_meps, in events/s.
+Result<double> dispatch_floor(const std::string& path) {
+  LSDF_ASSIGN_OR_RETURN(const Properties floor, Properties::load(path));
+  LSDF_ASSIGN_OR_RETURN(const double meps,
+                        floor.get_double("dispatch_min_meps"));
+  if (meps <= 0.0) {
+    return invalid_argument(path + ": dispatch_min_meps must be > 0");
   }
-  return -1.0;
+  return meps * 1e6;
 }
 
 }  // namespace
@@ -433,11 +429,12 @@ int main(int argc, char** argv) {
   lsdf::bench::obs_dump(obs);
 
   if (!floor_path.empty()) {
-    const double floor = parse_floor(floor_path);
-    if (floor <= 0.0) {
-      lsdf::bench::row("floor: no dispatch_min_meps in %s", floor_path.c_str());
+    const auto floor_rate = dispatch_floor(floor_path);
+    if (!floor_rate.is_ok()) {
+      lsdf::bench::row("floor: %s", floor_rate.status().to_string().c_str());
       return 2;
     }
+    const double floor = floor_rate.value();
     // Non-gating smoke: only a >30% regression below the checked-in floor
     // fails, so shared-runner noise does not.
     if (dispatch.events_per_sec() < 0.7 * floor) {

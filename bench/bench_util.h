@@ -10,6 +10,7 @@
 #include <cstdarg>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <future>
 #include <sstream>
@@ -58,6 +59,14 @@ inline void compare(const std::string& metric, double paper,
               metric.c_str(), paper, measured, unit.c_str(), ratio);
 }
 
+// Ends the run with exit 1 when a scenario input failed to load: a bench
+// never reports figures for a scenario other than the one it was given.
+inline void exit_on_error(const Status& status, const char* what) {
+  if (status.is_ok()) return;
+  std::fprintf(stderr, "%s: %s\n", what, status.to_string().c_str());
+  std::exit(1);
+}
+
 // --- Host description --------------------------------------------------------
 //
 // A speedup only means something next to the parallelism the host offered
@@ -98,6 +107,10 @@ inline double host_parallelism() {
   const std::chrono::duration<double> all = Clock::now() - start;
   return all.count() > 0.0 ? hw * one.count() / all.count() : 0.0;
 }
+
+// Set by every requested export (--json, --metrics, --metrics-csv, --flight,
+// --trace) that could not be written; obs_dump then fails the run.
+inline bool export_failed = false;
 
 // --- Machine-readable reports (BENCH_*.json) ---------------------------------
 //
@@ -201,6 +214,7 @@ inline void write_json_section(
   } else {
     row("report: FAILED to write %s: %s", path.c_str(),
         written.message().c_str());
+    export_failed = true;
   }
 }
 
@@ -215,8 +229,9 @@ inline void write_json_section(
 //   --json <file>          the bench's BENCH_*.json report sections; without
 //                          it a run writes no report
 // Call obs_init(argc, argv) at the top of main and obs_dump(options) at the
-// bottom; obs_dump also fails the run on a lock-order cycle. The tracer
-// stays fully disabled unless --trace is given.
+// bottom; obs_dump also fails the run on a lock-order cycle, and exits 1
+// when any requested export, a --json report included, was not written.
+// The tracer stays fully disabled unless --trace is given.
 
 struct ObsOptions {
   std::string trace_path;
@@ -352,6 +367,7 @@ inline void obs_dump(const ObsOptions& options) {
     } else {
       row("metrics: FAILED to write %s: %s", options.metrics_path.c_str(),
           written.message().c_str());
+      export_failed = true;
     }
   }
   if (!options.metrics_csv_path.empty()) {
@@ -362,6 +378,7 @@ inline void obs_dump(const ObsOptions& options) {
     } else {
       row("metrics: FAILED to write %s: %s",
           options.metrics_csv_path.c_str(), written.message().c_str());
+      export_failed = true;
     }
   }
   if (options.flight()) {
@@ -374,6 +391,7 @@ inline void obs_dump(const ObsOptions& options) {
     } else {
       row("flight: FAILED to write %s: %s", path.c_str(),
           written.message().c_str());
+      export_failed = true;
     }
     recorder.enable(false);
   }
@@ -387,6 +405,7 @@ inline void obs_dump(const ObsOptions& options) {
     } else {
       row("trace: FAILED to write %s: %s", options.trace_path.c_str(),
           written.message().c_str());
+      export_failed = true;
     }
     tracer.enable(false);
     tracer.use_steady_clock();  // drop any sim-clock closure before exit
@@ -395,6 +414,7 @@ inline void obs_dump(const ObsOptions& options) {
   // a potential deadlock, so the bench fails with the registry's report.
   const chk::LockRegistry& locks = chk::LockRegistry::global();
   LSDF_REQUIRE(locks.cycles().empty(), locks.report());
+  if (export_failed) std::exit(1);
 }
 
 }  // namespace lsdf::bench

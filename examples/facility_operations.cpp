@@ -10,9 +10,7 @@
 // With a config argument (e.g. configs/paper_facility.conf) the facility is
 // built from the deployment file instead of the built-in small profile.
 #include <cstdio>
-#include <fstream>
 #include <optional>
-#include <sstream>
 
 #include "core/facility.h"
 #include "core/monitor.h"
@@ -24,14 +22,7 @@ int main(int argc, char** argv) {
   core::FacilityConfig config = core::small_facility_config();
   config.ingest.parallel_slots = 16;
   if (argc > 1) {
-    std::ifstream file(argv[1]);
-    if (!file) {
-      std::fprintf(stderr, "cannot open config %s\n", argv[1]);
-      return 1;
-    }
-    std::ostringstream text;
-    text << file.rdbuf();
-    const auto properties = Properties::parse(text.str());
+    const auto properties = Properties::load(argv[1]);
     if (!properties.is_ok()) {
       std::fprintf(stderr, "bad config: %s\n",
                     properties.status().to_string().c_str());

@@ -1,8 +1,6 @@
 #include "fault/injector.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cmath>
 #include <string>
 #include <utility>
 
@@ -221,50 +219,6 @@ Status FaultInjector::arm_stochastic(const std::string& component,
   return Status::ok();
 }
 
-Result<SimDuration> FaultInjector::parse_duration(std::string_view text) {
-  text = trim(text);
-  std::size_t split = 0;
-  while (split < text.size() &&
-         (std::isdigit(static_cast<unsigned char>(text[split])) != 0 ||
-          text[split] == '.' || text[split] == '+')) {
-    ++split;
-  }
-  if (split == 0) {
-    return invalid_argument("duration '" + std::string(text) +
-                            "' has no numeric part");
-  }
-  double value = 0.0;
-  try {
-    value = std::stod(std::string(text.substr(0, split)));
-  } catch (const std::exception&) {
-    return invalid_argument("bad duration number in '" + std::string(text) +
-                            "'");
-  }
-  const std::string_view unit = trim(text.substr(split));
-  double scale = 0.0;
-  if (unit == "ns") scale = 1.0;
-  else if (unit == "us") scale = 1e3;
-  else if (unit == "ms") scale = 1e6;
-  else if (unit == "s") scale = 1e9;
-  else if (unit == "min") scale = 60e9;
-  else if (unit == "h") scale = 3600e9;
-  else if (unit == "d" || unit == "days") scale = 86400e9;
-  else {
-    return invalid_argument("duration '" + std::string(text) +
-                            "' needs a unit (ns/us/ms/s/min/h/d)");
-  }
-  if (!std::isfinite(value) || value < 0.0) {
-    return invalid_argument("duration '" + std::string(text) +
-                            "' must be non-negative");
-  }
-  // 2^63 ns and up do not fit the int64 count.
-  if (value * scale >= 0x1p63) {
-    return invalid_argument("duration '" + std::string(text) +
-                            "' is out of range");
-  }
-  return SimDuration(static_cast<std::int64_t>(value * scale));
-}
-
 Status FaultInjector::load_plan(const Properties& properties) {
   // Pass 1: the stochastic arming window.
   SimDuration horizon = 24_h;
@@ -316,10 +270,8 @@ Status FaultInjector::load_plan(const Properties& properties) {
       if (tokens[3] != "repeat" || tokens[5] != "every") {
         return invalid_argument(key + ": expected 'repeat <n> every <dur>'");
       }
-      int cycles = 0;
-      try {
-        cycles = std::stoi(tokens[4]);
-      } catch (const std::exception&) {
+      const Result<std::int64_t> cycles = parse_int(tokens[4]);
+      if (!cycles.is_ok() || !std::in_range<int>(cycles.value())) {
         return invalid_argument(key + ": bad repeat count '" + tokens[4] +
                                 "'");
       }
@@ -330,7 +282,8 @@ Status FaultInjector::load_plan(const Properties& properties) {
                                       " outage duration");
       }
       LSDF_RETURN_IF_ERROR(schedule_flap(component, SimTime::zero() + start,
-                                         down, period - down, cycles));
+                                         down, period - down,
+                                         static_cast<int>(cycles.value())));
       continue;
     }
     return invalid_argument("unknown fault plan key '" + key + "'");

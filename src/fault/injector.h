@@ -107,7 +107,8 @@ class FaultInjector {
   //                                          (default 24h)
   //   fault.schedule.<component> = <start> for <dur> [repeat <n> every <dur>]
   //   fault.mtbf.<component> = <dur>         with matching fault.mttr.<c>
-  // Durations accept ns/us/ms/s/min/h/d suffixes ("90s", "5min", "2h").
+  // Durations and the repeat count go through common/config.h's parsers
+  // ("90s", "5min", "2h"; a whole-text integer).
   // Unknown fault.* keys and unregistered components are rejected; keys
   // without the fault. prefix are ignored (shared deployment files).
   Status load_plan(const Properties& properties);
@@ -122,10 +123,6 @@ class FaultInjector {
   [[nodiscard]] std::size_t component_count() const {
     return components_.size();
   }
-
-  // Parse "250ms" / "90s" / "5min" / "2h" / "1d" into a SimDuration.
-  [[nodiscard]] static Result<SimDuration> parse_duration(
-      std::string_view text);
 
  private:
   struct Component {

@@ -1,7 +1,7 @@
 #include "fed/federation.h"
 
 #include <algorithm>
-#include <cmath>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -12,7 +12,37 @@
 namespace lsdf::fed {
 
 namespace {
+
 constexpr std::string_view kFedPrefix = "fed.";
+
+// Hands each `k=v` token of a site or rule value to `apply`. A token
+// without '=' and an attribute given twice are errors, and every error
+// names `key`.
+template <typename Apply>
+Status for_each_attribute(const std::string& key, const std::string& value,
+                          Apply apply) {
+  std::set<std::string> seen;
+  for (const auto& token : split(value, ' ')) {
+    const std::string_view item = trim(token);
+    if (item.empty()) continue;
+    const std::size_t eq = item.find('=');
+    if (eq == std::string_view::npos) {
+      return invalid_argument(key + ": expected k=v tokens, got '" +
+                              std::string(item) + "'");
+    }
+    const std::string_view k = item.substr(0, eq);
+    if (!seen.emplace(k).second) {
+      return invalid_argument(key + ": attribute '" + std::string(k) +
+                              "' given twice");
+    }
+    const Status applied = apply(k, std::string(item.substr(eq + 1)));
+    if (!applied.is_ok()) {
+      return Status(applied.code(), key + ": " + applied.message());
+    }
+  }
+  return Status::ok();
+}
+
 }  // namespace
 
 Result<StorageClass> parse_storage_class(std::string_view text) {
@@ -24,48 +54,6 @@ Result<StorageClass> parse_storage_class(std::string_view text) {
 
 std::string_view to_string(StorageClass storage) {
   return storage == StorageClass::kDisk ? "disk" : "tape";
-}
-
-Result<Bytes> parse_bytes(std::string_view text) {
-  text = trim(text);
-  std::size_t split = 0;
-  while (split < text.size() &&
-         (std::isdigit(static_cast<unsigned char>(text[split])) != 0 ||
-          text[split] == '.' || text[split] == '+')) {
-    ++split;
-  }
-  if (split == 0) {
-    return invalid_argument("byte count '" + std::string(text) +
-                            "' has no numeric part");
-  }
-  double value = 0.0;
-  try {
-    value = std::stod(std::string(text.substr(0, split)));
-  } catch (const std::exception&) {
-    return invalid_argument("bad byte count in '" + std::string(text) + "'");
-  }
-  const std::string_view unit = trim(text.substr(split));
-  double scale = 0.0;
-  if (unit.empty() || unit == "B") scale = 1.0;
-  else if (unit == "KB") scale = 1e3;
-  else if (unit == "MB") scale = 1e6;
-  else if (unit == "GB") scale = 1e9;
-  else if (unit == "TB") scale = 1e12;
-  else if (unit == "PB") scale = 1e15;
-  else {
-    return invalid_argument("byte count '" + std::string(text) +
-                            "' needs a decimal unit (B/KB/MB/GB/TB/PB)");
-  }
-  if (!std::isfinite(value) || value < 0.0) {
-    return invalid_argument("byte count '" + std::string(text) +
-                            "' must be non-negative");
-  }
-  // 2^63 bytes and up do not fit the int64 count.
-  if (value * scale >= 0x1p63) {
-    return invalid_argument("byte count '" + std::string(text) +
-                            "' is out of range");
-  }
-  return Bytes(static_cast<std::int64_t>(value * scale));
 }
 
 FederationService::FederationService(sim::Simulator& simulator,
@@ -153,29 +141,22 @@ Status FederationService::load(const Properties& properties) {
       SiteConfig site;
       site.name = std::string(rest.substr(5));
       bool have_gateway = false;
-      for (const auto& token : split(value, ' ')) {
-        const std::string_view item = trim(token);
-        if (item.empty()) continue;
-        const std::size_t eq = item.find('=');
-        if (eq == std::string_view::npos) {
-          return invalid_argument(key + ": expected k=v tokens, got '" +
-                                  std::string(item) + "'");
-        }
-        const std::string_view k = item.substr(0, eq);
-        const std::string v(item.substr(eq + 1));
-        if (k == "gateway") {
-          LSDF_ASSIGN_OR_RETURN(site.gateway,
-                                net_.topology().find_node(v));
-          have_gateway = true;
-        } else if (k == "class") {
-          LSDF_ASSIGN_OR_RETURN(site.storage, parse_storage_class(v));
-        } else if (k == "component") {
-          site.fault_component = v;
-        } else {
-          return invalid_argument(key + ": unknown site attribute '" +
-                                  std::string(k) + "'");
-        }
-      }
+      LSDF_RETURN_IF_ERROR(for_each_attribute(
+          key, value, [&](std::string_view k, const std::string& v) {
+            if (k == "gateway") {
+              LSDF_ASSIGN_OR_RETURN(site.gateway,
+                                    net_.topology().find_node(v));
+              have_gateway = true;
+            } else if (k == "class") {
+              LSDF_ASSIGN_OR_RETURN(site.storage, parse_storage_class(v));
+            } else if (k == "component") {
+              site.fault_component = v;
+            } else {
+              return invalid_argument("unknown site attribute '" +
+                                      std::string(k) + "'");
+            }
+            return Status::ok();
+          }));
       if (!have_gateway) {
         return invalid_argument(key + ": site needs gateway=<node-name>");
       }
@@ -186,45 +167,36 @@ Status FederationService::load(const Properties& properties) {
       ReplicaRule rule;
       rule.name = std::string(rest.substr(5));
       bool have_copies = false;
-      for (const auto& token : split(value, ' ')) {
-        const std::string_view item = trim(token);
-        if (item.empty()) continue;
-        const std::size_t eq = item.find('=');
-        if (eq == std::string_view::npos) {
-          return invalid_argument(key + ": expected k=v tokens, got '" +
-                                  std::string(item) + "'");
-        }
-        const std::string_view k = item.substr(0, eq);
-        const std::string v(item.substr(eq + 1));
-        if (k == "copies") {
-          try {
-            rule.copies = std::stoi(v);
-          } catch (const std::exception&) {
-            return invalid_argument(key + ": bad copies '" + v + "'");
-          }
-          have_copies = true;
-        } else if (k == "class") {
-          LSDF_ASSIGN_OR_RETURN(rule.storage, parse_storage_class(v));
-        } else if (k == "project") {
-          rule.project = v;
-        } else if (k == "tag") {
-          rule.trigger_tag = v;
-        } else if (k == "done_tag") {
-          rule.done_tag = v;
-        } else if (k == "priority") {
-          try {
-            rule.priority = std::stoi(v);
-          } catch (const std::exception&) {
-            return invalid_argument(key + ": bad priority '" + v + "'");
-          }
-        } else if (k == "lifetime") {
-          LSDF_ASSIGN_OR_RETURN(rule.lifetime,
-                                fault::FaultInjector::parse_duration(v));
-        } else {
-          return invalid_argument(key + ": unknown rule attribute '" +
-                                  std::string(k) + "'");
-        }
-      }
+      LSDF_RETURN_IF_ERROR(for_each_attribute(
+          key, value, [&](std::string_view k, const std::string& v) {
+            if (k == "copies" || k == "priority") {
+              LSDF_ASSIGN_OR_RETURN(const std::int64_t n, parse_int(v));
+              if (!std::in_range<int>(n)) {
+                return invalid_argument(std::string(k) + " '" + v +
+                                        "' is out of range");
+              }
+              if (k == "copies") {
+                rule.copies = static_cast<int>(n);
+                have_copies = true;
+              } else {
+                rule.priority = static_cast<int>(n);
+              }
+            } else if (k == "class") {
+              LSDF_ASSIGN_OR_RETURN(rule.storage, parse_storage_class(v));
+            } else if (k == "project") {
+              rule.project = v;
+            } else if (k == "tag") {
+              rule.trigger_tag = v;
+            } else if (k == "done_tag") {
+              rule.done_tag = v;
+            } else if (k == "lifetime") {
+              LSDF_ASSIGN_OR_RETURN(rule.lifetime, parse_duration(v));
+            } else {
+              return invalid_argument("unknown rule attribute '" +
+                                      std::string(k) + "'");
+            }
+            return Status::ok();
+          }));
       if (!have_copies || rule.copies < 1) {
         return invalid_argument(key + ": rule needs copies=<n> (n >= 1)");
       }

@@ -84,7 +84,8 @@ class FederationService {
   //                      [tag=<trigger>] [done_tag=<tag>] [priority=<n>]
   //                      [lifetime=<dur>]
   //   fed.quota.<project> = <bytes, e.g. 500GB>
-  // Durations use the fault-plan suffixes (s/min/h/d); gateway node names
+  // Numbers, byte counts and durations go through common/config.h's
+  // parsers; an attribute given twice is rejected. Gateway node names
   // resolve against the transfer engine's topology. Unknown fed.* keys are
   // rejected; keys without the fed. prefix are ignored (shared deployment
   // files, e.g. configs/federation_scenario.conf also carries fault.*).

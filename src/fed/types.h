@@ -88,8 +88,4 @@ struct FederationStats {
   Bytes bytes_replicated;
 };
 
-// Parse "500GB" / "2TB" / "1048576" into a byte count (decimal units, the
-// paper's convention). Used for fed.quota.<project> values.
-[[nodiscard]] Result<Bytes> parse_bytes(std::string_view text);
-
 }  // namespace lsdf::fed

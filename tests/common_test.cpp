@@ -509,23 +509,78 @@ name = lsdf
 TEST(Config, RejectsMalformedLines) {
   EXPECT_FALSE(Properties::parse("just a line without equals").is_ok());
   EXPECT_FALSE(Properties::parse("= value").is_ok());
+  // A repeated key is an error naming both lines, not a silent last-wins.
+  const auto repeated = Properties::parse(
+      "fed.rule.disk-pair = copies=2\n# note\nfed.rule.disk-pair = copies=3");
+  ASSERT_FALSE(repeated.is_ok());
+  EXPECT_EQ(repeated.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(repeated.status().message().find("line 3"), std::string::npos);
+  EXPECT_NE(repeated.status().message().find("line 1"), std::string::npos);
 }
 
 TEST(Config, TypedGetterErrors) {
-  const Properties p = Properties::parse("x = hello\ny = 1.5z").value();
+  const Properties p = Properties::parse(
+      "x = hello\ny = 1.5z\nnan = nan\ninf = inf\nninf = -inf").value();
   EXPECT_EQ(p.get_int("x").status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(p.get_double("y").status().code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(p.get("missing").status().code(), StatusCode::kNotFound);
   EXPECT_EQ(p.get_bool("x").status().code(), StatusCode::kInvalidArgument);
+  // A real must be finite.
+  for (const char* key : {"nan", "inf", "ninf"}) {
+    EXPECT_EQ(p.get_double(key).status().code(),
+              StatusCode::kInvalidArgument)
+        << key;
+  }
 }
 
 TEST(Config, Fallbacks) {
-  const Properties p = Properties::parse("a = 5").value();
-  EXPECT_EQ(p.get_int_or("a", 1), 5);
-  EXPECT_EQ(p.get_int_or("b", 1), 1);
-  EXPECT_EQ(p.get_or("c", "fallback"), "fallback");
-  EXPECT_DOUBLE_EQ(p.get_double_or("d", 2.5), 2.5);
+  const Properties p = Properties::parse("a = 5\nfault.seed = 42x").value();
+  EXPECT_EQ(p.get_int_or("a", 1).value(), 5);
+  EXPECT_EQ(p.get_int_or("b", 1).value(), 1);
+  // Only an absent key falls back; a present one must parse.
+  EXPECT_EQ(p.get_int_or("fault.seed", 424242).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(Config, NumberGrammar) {
+  EXPECT_EQ(parse_int("42").value(), 42);
+  EXPECT_EQ(parse_int("-7").value(), -7);
+  for (const char* junk : {"", " 1", "+1", "1.0", "9223372036854775808"}) {
+    EXPECT_EQ(parse_int(junk).status().code(), StatusCode::kInvalidArgument)
+        << junk;
+  }
+  EXPECT_DOUBLE_EQ(parse_real("0.65").value(), 0.65);
+  EXPECT_DOUBLE_EQ(parse_real("-1").value(), -1.0);
+  for (const char* junk : {"", "1.2.3", "2+3", "nan", "-inf", "1e999"}) {
+    EXPECT_EQ(parse_real(junk).status().code(), StatusCode::kInvalidArgument)
+        << junk;
+  }
+  // Scaled quantities end just below 2^63 of their base unit; the first
+  // value past it is rejected before the cast to int64.
+  EXPECT_EQ(parse_bytes("9223PB").value(),
+            Bytes(9'223'000'000'000'000'000));
+  EXPECT_EQ(parse_bytes("9224PB").status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(parse_duration("106751d").value(),
+            SimDuration(9'223'286'400'000'000'000));
+  EXPECT_EQ(parse_duration("106752d").status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(parse_duration("-5s").status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(Config, PerfFloorConfLoads) {
+  const auto floor = Properties::load(LSDF_CONFIG_DIR "/perf_floor.conf");
+  ASSERT_TRUE(floor.is_ok()) << floor.status().to_string();
+  const auto meps = floor.value().get_double("dispatch_min_meps");
+  ASSERT_TRUE(meps.is_ok()) << meps.status().to_string();
+  EXPECT_GT(meps.value(), 0.0);
+  // A missing file is an error naming the path.
+  const auto missing = Properties::load(LSDF_CONFIG_DIR "/no_such.conf");
+  EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
+  EXPECT_NE(missing.status().message().find("no_such.conf"),
+            std::string::npos);
 }
 
 TEST(StringUtil, TrimAndSplit) {

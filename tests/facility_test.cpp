@@ -339,6 +339,17 @@ ingest.max_queue = 1000
   EXPECT_EQ(facility.pool().capacity(), 1900_TB);
 }
 
+TEST(FacilityConfig, PaperFacilityConfBuildsAFacility) {
+  const auto props = Properties::load(LSDF_CONFIG_DIR "/paper_facility.conf");
+  ASSERT_TRUE(props.is_ok()) << props.status().to_string();
+  const auto config = facility_config_from_properties(props.value());
+  ASSERT_TRUE(config.is_ok()) << config.status().to_string();
+  Facility facility(config.value());
+  // Slide 11's 60-node cluster and slide 7's 2 PB in two storage systems.
+  EXPECT_EQ(facility.cluster_layout().workers.size(), 60u);
+  EXPECT_EQ(facility.pool().capacity(), 1900_TB);
+}
+
 TEST(FacilityConfig, FromPropertiesDefaultsWhenOmitted) {
   const auto config =
       facility_config_from_properties(Properties::parse("").value());
@@ -360,6 +371,12 @@ TEST(FacilityConfig, FromPropertiesRejectsBadInput) {
   EXPECT_EQ(parse("hsm.high_watermark = 1.5"),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(parse("net.wan_gbps = -1"), StatusCode::kInvalidArgument);
+  // NaN passes every range comparison and inf builds an infinite-rate
+  // link; a real must be finite.
+  EXPECT_EQ(parse("hsm.high_watermark = nan"), StatusCode::kInvalidArgument);
+  EXPECT_EQ(parse("hsm.low_watermark = nan"), StatusCode::kInvalidArgument);
+  EXPECT_EQ(parse("net.wan_gbps = nan"), StatusCode::kInvalidArgument);
+  EXPECT_EQ(parse("net.wan_gbps = inf"), StatusCode::kInvalidArgument);
   // Each watermark is in range, but the pair (with the default low
   // watermark, 0.70) is not; HsmStore would abort on it.
   EXPECT_EQ(parse("hsm.high_watermark = 0.5"), StatusCode::kInvalidArgument);

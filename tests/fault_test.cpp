@@ -219,18 +219,23 @@ TEST(FaultInjector, DifferentSeedsDiverge) {
 // --- parse_duration / load_plan ------------------------------------------------
 
 TEST(FaultInjector, ParseDurationAcceptsAllUnits) {
-  EXPECT_EQ(FaultInjector::parse_duration("250ms").value(), 250_ms);
-  EXPECT_EQ(FaultInjector::parse_duration("90s").value(), 90_s);
-  EXPECT_EQ(FaultInjector::parse_duration("5min").value(), 5_min);
-  EXPECT_EQ(FaultInjector::parse_duration("2h").value(), 2_h);
-  EXPECT_EQ(FaultInjector::parse_duration("1d").value(), 24_h);
+  EXPECT_EQ(parse_duration("250ms").value(), 250_ms);
+  EXPECT_EQ(parse_duration("90s").value(), 90_s);
+  EXPECT_EQ(parse_duration("5min").value(), 5_min);
+  EXPECT_EQ(parse_duration("2h").value(), 2_h);
+  EXPECT_EQ(parse_duration("1d").value(), 24_h);
   // 2^63 ns is about 106,751 days: the largest count an int64 holds.
-  EXPECT_EQ(FaultInjector::parse_duration("100000d").value(),
+  EXPECT_EQ(parse_duration("100000d").value(),
             SimDuration(8'640'000'000'000'000'000));
-  EXPECT_FALSE(FaultInjector::parse_duration("200000d").is_ok());
-  EXPECT_FALSE(FaultInjector::parse_duration("").is_ok());
-  EXPECT_FALSE(FaultInjector::parse_duration("fast").is_ok());
-  EXPECT_FALSE(FaultInjector::parse_duration("10 parsecs").is_ok());
+  EXPECT_FALSE(parse_duration("200000d").is_ok());
+  EXPECT_FALSE(parse_duration("").is_ok());
+  EXPECT_FALSE(parse_duration("fast").is_ok());
+  EXPECT_FALSE(parse_duration("10 parsecs").is_ok());
+  // The numeric part parses in full: no second dot, no sum.
+  EXPECT_EQ(parse_duration("1.5.5h").status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(parse_duration("2+3min").status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(FaultInjector, LoadPlanSchedulesFaultsAndFlaps) {
@@ -280,6 +285,36 @@ TEST(FaultInjector, LoadPlanRejectsMalformedAndUnknownKeys) {
     plan.set("fault.mtbf.d", "1h");  // mttr missing
     EXPECT_FALSE(injector.load_plan(plan).is_ok());
   }
+  // The repeat count is a whole-text integer.
+  for (const char* schedule : {"1h for 10min repeat 3x every 2h",
+                               "1h for 10min repeat 2.9 every 2h"}) {
+    FaultInjector injector(sim, 7);
+    injector.register_disk("d", disk);
+    Properties plan;
+    plan.set("fault.schedule.d", schedule);
+    EXPECT_EQ(injector.load_plan(plan).code(), StatusCode::kInvalidArgument)
+        << schedule;
+  }
+}
+
+TEST(FaultInjector, FailoverScenarioConfLoads) {
+  // configs/failover_scenario.conf with the WAN link and tape library
+  // bench_a5_failover registers.
+  const auto plan =
+      Properties::load(LSDF_CONFIG_DIR "/failover_scenario.conf");
+  ASSERT_TRUE(plan.is_ok()) << plan.status().to_string();
+  sim::Simulator sim;
+  Topology topo;
+  const LinkId wan = topo.add_duplex_link(
+      topo.add_node("a"), topo.add_node("b"),
+      Rate::gigabits_per_second(10.0), SimDuration::zero());
+  storage::TapeLibrary tape(sim, storage::TapeConfig{});
+  FaultInjector injector(sim, 424242);
+  injector.register_link("wan", topo, wan);
+  injector.register_tape("tape", tape);
+  const Status loaded = injector.load_plan(plan.value());
+  ASSERT_TRUE(loaded.is_ok()) << loaded.to_string();
+  EXPECT_EQ(plan.value().get_int_or("fault.seed", 0).value(), 424242);
 }
 
 // --- ReliableTransfer ----------------------------------------------------------

@@ -378,6 +378,50 @@ TEST(Federation, LoadRejectsBadKeysAndValues) {
       Properties::parse("fed.rule.x = copies=1 lifetime=200000d");
   ASSERT_TRUE(huge_lifetime.is_ok());
   EXPECT_FALSE(w.fed->load(huge_lifetime.value()).is_ok());
+  // Numbers are whole-text: no trailing junk, no truncated fraction, no
+  // second dot, and an attribute is given once.
+  for (const char* text : {"fed.rule.x = copies=2x class=disk",
+                           "fed.rule.x = copies=1 priority=1.9",
+                           "fed.rule.x = copies=1 lifetime=1.5.5h",
+                           "fed.quota.p = 1.2.3TB",
+                           "fed.rule.x = copies=1 copies=2"}) {
+    World fresh;
+    const auto junk = Properties::parse(text);
+    ASSERT_TRUE(junk.is_ok()) << text;
+    EXPECT_EQ(fresh.fed->load(junk.value()).code(),
+              StatusCode::kInvalidArgument)
+        << text;
+    EXPECT_EQ(fresh.fed->rule_count(), 0u) << text;
+  }
+}
+
+TEST(Federation, ScenarioConfLoads) {
+  // configs/federation_scenario.conf on a topology carrying its four
+  // gateway names and an injector carrying its four components.
+  const auto scenario =
+      Properties::load(LSDF_CONFIG_DIR "/federation_scenario.conf");
+  ASSERT_TRUE(scenario.is_ok()) << scenario.status().to_string();
+  sim::Simulator sim;
+  net::Topology topology;
+  const net::NodeId origin = topology.add_node("lsdf-gateway");
+  fault::FaultInjector injector(sim, 1);
+  for (const char* site : {"hd", "dkfz", "eml", "tape"}) {
+    const net::LinkId uplink = topology.add_duplex_link(
+        origin, topology.add_node(std::string(site) + "-gw"),
+        Rate::gigabits_per_second(10.0), 5_ms);
+    injector.register_link(std::string("wan-") + site, topology, uplink);
+  }
+  net::TransferEngine engine(sim, topology);
+  meta::MetadataStore store;
+  FederationConfig config;
+  config.origin_gateway = origin;
+  FederationService fed(sim, engine, store, config);
+  const Status loaded = fed.load(scenario.value());
+  ASSERT_TRUE(loaded.is_ok()) << loaded.to_string();
+  EXPECT_EQ(fed.site_count(), 4u);
+  EXPECT_EQ(fed.rule_count(), 2u);
+  const Status plan = injector.load_plan(scenario.value());
+  EXPECT_TRUE(plan.is_ok()) << plan.to_string();
 }
 
 TEST(Federation, ParseBytesAcceptsDecimalUnits) {
@@ -391,6 +435,11 @@ TEST(Federation, ParseBytesAcceptsDecimalUnits) {
   EXPECT_FALSE(parse_bytes("100000PB").is_ok());
   EXPECT_FALSE(parse_bytes("GB").is_ok());
   EXPECT_FALSE(parse_bytes("5 parsecs").is_ok());
+  // The numeric part parses in full: no second dot, no sum.
+  EXPECT_EQ(parse_bytes("1.2.3GB").status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(parse_bytes("5+5GB").status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 // Twenty 5 GB datasets under a disk pair and a tape copy while site-a's
