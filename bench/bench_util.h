@@ -120,48 +120,102 @@ inline bool export_failed = false;
 // write_json_section() replaces (or appends) exactly one section and
 // preserves every other byte-for-byte, so several bench binaries can share
 // one report file (bench_a2 and bench_e8 both feed BENCH_cache.json). An
-// empty path — no `--json` on the command line — writes nothing.
+// empty path — no `--json` on the command line — writes nothing. A file
+// that is not an object of object-valued sections is left untouched, and
+// the run fails.
+
+// Splits a report into (name as written, object text) pairs. An empty text
+// is an empty report.
+inline Result<std::vector<std::pair<std::string, std::string>>>
+split_json_sections(const std::string& text) {
+  std::vector<std::pair<std::string, std::string>> sections;
+  std::size_t at = 0;
+  auto skip_ws = [&] {
+    while (at < text.size() && (text[at] == ' ' || text[at] == '\n' ||
+                                text[at] == '\t' || text[at] == '\r')) {
+      ++at;
+    }
+  };
+  auto bad = [&](const std::string& what) {
+    return invalid_argument("not an object of object-valued sections: " +
+                            what + " at byte " + std::to_string(at));
+  };
+  // Moves `at` past the string that opens at `at`; false if unterminated.
+  auto skip_string = [&] {
+    for (++at; at < text.size(); ++at) {
+      if (text[at] == '\\') {
+        ++at;
+      } else if (text[at] == '"') {
+        ++at;
+        return true;
+      }
+    }
+    return false;
+  };
+  // Skips whitespace, then consumes `c` if it comes next.
+  auto eat = [&](char c) {
+    skip_ws();
+    if (at == text.size() || text[at] != c) return false;
+    ++at;
+    return true;
+  };
+  skip_ws();
+  if (at == text.size()) return sections;
+  if (!eat('{')) return bad("expected `{`");
+  if (!eat('}')) {
+    do {
+      skip_ws();
+      if (at == text.size() || text[at] != '"') {
+        return bad("expected a section name");
+      }
+      const std::size_t name_start = at + 1;
+      if (!skip_string()) return bad("unterminated section name");
+      std::string name = text.substr(name_start, at - 1 - name_start);
+      if (!eat(':')) return bad("expected `:`");
+      skip_ws();
+      const std::size_t open = at;
+      if (at == text.size() || text[at] != '{') {
+        return bad("section `" + name + "` is not an object");
+      }
+      int depth = 0;
+      while (at < text.size()) {
+        if (text[at] == '"') {
+          if (!skip_string()) return bad("unterminated string");
+          continue;
+        }
+        if (text[at] == '{') ++depth;
+        if (text[at++] == '}' && --depth == 0) break;
+      }
+      if (depth != 0) return bad("unterminated section `" + name + "`");
+      sections.emplace_back(std::move(name), text.substr(open, at - open));
+    } while (eat(','));
+    if (!eat('}')) return bad("expected `,` or `}`");
+  }
+  skip_ws();
+  if (at != text.size()) return bad("trailing text");
+  return sections;
+}
 
 inline void write_json_section(
     const std::string& path, const std::string& section_name,
     const std::vector<std::pair<std::string, double>>& values) {
   if (path.empty()) return;
-  // Parse the existing file just enough to split it into (name, body) at
-  // the top level: sections never nest further than one object deep.
-  std::vector<std::pair<std::string, std::string>> sections;
+  std::string existing_text;
   {
     std::ifstream in(path);
     std::stringstream buffer;
     buffer << in.rdbuf();
-    const std::string text = buffer.str();
-    std::size_t at = 0;
-    auto skip_ws = [&] {
-      while (at < text.size() &&
-             (text[at] == ' ' || text[at] == '\n' || text[at] == '\t' ||
-              text[at] == '\r' || text[at] == ',' || text[at] == '{' ||
-              text[at] == '}')) {
-        ++at;
-      }
-    };
-    while (true) {
-      skip_ws();
-      if (at >= text.size() || text[at] != '"') break;
-      const std::size_t name_end = text.find('"', at + 1);
-      if (name_end == std::string::npos) break;
-      const std::string name = text.substr(at + 1, name_end - at - 1);
-      const std::size_t open = text.find('{', name_end);
-      if (open == std::string::npos) break;
-      std::size_t close = open;
-      int depth = 0;
-      do {
-        if (text[close] == '{') ++depth;
-        if (text[close] == '}') --depth;
-        ++close;
-      } while (depth > 0 && close < text.size());
-      sections.emplace_back(name, text.substr(open, close - open));
-      at = close;
-    }
+    existing_text = buffer.str();
   }
+  auto split = split_json_sections(existing_text);
+  if (!split.is_ok()) {
+    row("report: NOT writing section `%s` to %s, left unchanged: %s",
+        section_name.c_str(), path.c_str(),
+        split.status().message().c_str());
+    export_failed = true;
+    return;
+  }
+  auto sections = std::move(split).take();
   // Section names and metric keys come from callers that may embed quotes
   // or backslashes (e.g. labels pasted into a key); escape them so the
   // report stays parseable JSON.
@@ -189,19 +243,20 @@ inline void write_json_section(
     separator = ",\n    ";
   }
   body += "\n  }";
+  // Names are kept as written in the file, so compare escaped.
+  const std::string escaped_name = json_escape(section_name);
   bool replaced = false;
   for (auto& [name, existing] : sections) {
-    if (name == section_name) {
+    if (name == escaped_name) {
       existing = body;
       replaced = true;
     }
   }
-  if (!replaced) sections.emplace_back(section_name, body);
+  if (!replaced) sections.emplace_back(escaped_name, body);
 
   std::string text = "{\n";
   for (std::size_t i = 0; i < sections.size(); ++i) {
-    text += "  \"" + json_escape(sections[i].first) +
-            "\": " + sections[i].second +
+    text += "  \"" + sections[i].first + "\": " + sections[i].second +
             (i + 1 < sections.size() ? ",\n" : "\n");
   }
   text += "}\n";

@@ -24,35 +24,44 @@ BlockCache::BlockCache(CacheConfig config)
                "cache capacity must be non-negative");
 }
 
-bool BlockCache::lookup(const std::string& key) {
+std::optional<Bytes> BlockCache::lookup(const std::string& key) {
   const auto it = entries_.find(key);
   if (it == entries_.end()) {
     ++stats_.misses;
     misses_metric_.add();
-    return false;
+    return std::nullopt;
   }
-  recency_.splice(recency_.end(), recency_, it->second.pos);
+  recency_.splice(recency_.end(), recency_, it->second);
   ++stats_.hits;
   hits_metric_.add();
-  return true;
+  return it->second->size;
 }
 
 bool BlockCache::admit(const std::string& key, Bytes size) {
   LSDF_REQUIRE(size >= Bytes::zero(), "cache entry size must be non-negative");
   if (!enabled() || size > config_.capacity) return false;
-  const auto existing = entries_.find(key);
-  if (existing != entries_.end()) {
+  // Place the entry at the hot end first, so one probe both finds an
+  // existing entry and inserts a new one.
+  recency_.push_back(Entry{.key = key, .size = size});
+  const auto [it, inserted] =
+      entries_.try_emplace(recency_.back().key, std::prev(recency_.end()));
+  if (!inserted) {
+    recency_.pop_back();
+    const Recency::iterator existing = it->second;
     // Objects are WORM: a same-size entry is already what we would admit.
-    if (existing->second.size == size) return true;
-    drop(existing);  // resized: readmit below
+    if (existing->size == size) return true;
+    // Resized: readmit at the hot end.
+    used_ -= existing->size;
+    existing->size = size;
+    recency_.splice(recency_.end(), recency_, existing);
   }
-  while (used_ + size > config_.capacity && !entries_.empty()) {
-    drop(entries_.find(recency_.front()));
+  // The entry is the hottest and fits alone, so evicting from the cold end
+  // stops before it.
+  while (used_ + size > config_.capacity) {
+    drop(recency_.begin());
     ++stats_.evictions;
     evictions_metric_.add();
   }
-  recency_.push_back(key);
-  entries_.emplace(key, Entry{.size = size, .pos = std::prev(recency_.end())});
   used_ += size;
   ++stats_.admissions;
   admissions_metric_.add();
@@ -63,7 +72,7 @@ bool BlockCache::admit(const std::string& key, Bytes size) {
 bool BlockCache::erase(const std::string& key) {
   const auto it = entries_.find(key);
   if (it == entries_.end()) return false;
-  drop(it);
+  drop(it->second);
   ++stats_.invalidations;
   invalidations_metric_.add();
   return true;
@@ -78,16 +87,10 @@ void BlockCache::invalidate_all() {
   used_metric_.set(0.0);
 }
 
-Result<Bytes> BlockCache::size_of(const std::string& key) const {
-  const auto it = entries_.find(key);
-  if (it == entries_.end()) return not_found("not cached: " + key);
-  return it->second.size;
-}
-
-void BlockCache::drop(EntryMap::iterator it) {
-  recency_.erase(it->second.pos);
-  used_ -= it->second.size;
-  entries_.erase(it);
+void BlockCache::drop(Recency::iterator pos) {
+  used_ -= pos->size;
+  entries_.erase(pos->key);  // while the key it views is still alive
+  recency_.erase(pos);
   used_metric_.set(used_.as_double());
 }
 

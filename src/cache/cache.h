@@ -2,18 +2,20 @@
 //! BlockCache is the bookkeeping core: a sized LRU directory of objects or
 //! blocks. It holds no data, performs no I/O and reads no clock — timing
 //! lives in CachedStore, which services hits through the event kernel so
-//! that cached runs stay replay-deterministic (chk::replay_check). Both
-//! containers are ordered (std::map / std::list); iteration order never
-//! depends on heap addresses or hashing, which is what keeps eviction
-//! decisions bit-identical across same-seed runs.
+//! that cached runs stay replay-deterministic (chk::replay_check). The
+//! recency list alone orders eviction; the directory is a hash map used
+//! only to find a key's list node, and nothing iterates it (lsdf_lint's
+//! LL010 holds src/cache/ to that), so hash order never reaches a decision
+//! and same-seed runs evict bit-identically. A hit is one directory probe.
 #pragma once
 
 #include <cstdint>
 #include <list>
-#include <map>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 
-#include "common/status.h"
 #include "common/units.h"
 #include "obs/metrics.h"
 
@@ -50,16 +52,17 @@ class BlockCache {
     return config_.capacity > Bytes::zero();
   }
 
-  // True (and the entry moved to the hot end) when `key` is resident.
-  // Counts one hit or miss.
-  bool lookup(const std::string& key);
+  // The entry's size (and the entry moved to the hot end) when `key` is
+  // resident, else nullopt. Counts one hit or miss.
+  std::optional<Bytes> lookup(const std::string& key);
   // Presence probe without stats or recency side effects.
   [[nodiscard]] bool contains(const std::string& key) const {
     return entries_.contains(key);
   }
 
   // Admit an entry, evicting from the cold end until it fits. Returns false
-  // when the cache is disabled or the object can never fit.
+  // when the cache is disabled or the object can never fit. One directory
+  // probe, plus one erase per eviction.
   bool admit(const std::string& key, Bytes size);
 
   // Drop one entry / everything. invalidate_all() is what fault injection
@@ -68,7 +71,6 @@ class BlockCache {
   bool erase(const std::string& key);
   void invalidate_all();
 
-  [[nodiscard]] Result<Bytes> size_of(const std::string& key) const;
   [[nodiscard]] Bytes used() const { return used_; }
   [[nodiscard]] Bytes capacity() const { return config_.capacity; }
   [[nodiscard]] std::size_t entry_count() const { return entries_.size(); }
@@ -77,16 +79,18 @@ class BlockCache {
 
  private:
   struct Entry {
+    std::string key;
     Bytes size;
-    std::list<std::string>::iterator pos;  // into recency_
   };
-  using EntryMap = std::map<std::string, Entry>;
+  using Recency = std::list<Entry>;
+  // Keys view their recency-list node, which never moves.
+  using Directory = std::unordered_map<std::string_view, Recency::iterator>;
 
-  void drop(EntryMap::iterator it);
+  void drop(Recency::iterator pos);
 
   CacheConfig config_;
-  EntryMap entries_;
-  std::list<std::string> recency_;  // coldest at the front
+  Recency recency_;  // coldest at the front
+  Directory entries_;
   Bytes used_;
   CacheStats stats_;
 

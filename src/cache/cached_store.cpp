@@ -1,5 +1,6 @@
 #include "cache/cached_store.h"
 
+#include <optional>
 #include <utility>
 
 #include "common/require.h"
@@ -48,11 +49,11 @@ void CachedStore::serve_hit(const std::string& key, Bytes size,
 void CachedStore::read(const std::string& key, const BackingRead& backing,
                        storage::IoCallback done) {
   LSDF_REQUIRE(backing != nullptr, "CachedStore read needs a backing read");
-  if (cache_.enabled() && cache_.lookup(key)) {
-    const Result<Bytes> size = cache_.size_of(key);
-    LSDF_DCHECK(size.is_ok(), "cache hit must have a sized entry");
-    serve_hit(key, size.value(), std::move(done));
-    return;
+  if (cache_.enabled()) {
+    if (const std::optional<Bytes> size = cache_.lookup(key)) {
+      serve_hit(key, *size, std::move(done));
+      return;
+    }
   }
   const SimTime started = simulator_.now();
   backing(key, [this, key, started,

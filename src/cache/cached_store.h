@@ -40,7 +40,7 @@ class CachedStore {
   CachedStore(sim::Simulator& simulator, CacheConfig config);
 
   // Read `key`: a hit is served through the hit channel; a miss runs
-  // `backing` and admits the object on success.
+  // `backing` before read() returns and admits the object on success.
   void read(const std::string& key, const BackingRead& backing,
             storage::IoCallback done);
 

@@ -163,12 +163,16 @@ Result<FacilityConfig> facility_config_from_properties(
     target = static_cast<Target>(value);
     return Status::ok();
   };
-  auto read_bytes = [&](const char* key, Bytes& target,
-                        std::int64_t unit) -> Status {
+  // `zero_allowed` is for the cache sizes, where 0 means "no cache".
+  auto read_bytes = [&](const char* key, Bytes& target, std::int64_t unit,
+                        bool zero_allowed = false) -> Status {
     if (!properties.contains(key)) return Status::ok();
     LSDF_ASSIGN_OR_RETURN(const std::int64_t value,
                           properties.get_int(key));
-    if (value <= 0) return invalid_argument(std::string(key) + " must be > 0");
+    if (value < 0 || (value == 0 && !zero_allowed)) {
+      return invalid_argument(std::string(key) +
+                              (zero_allowed ? " must be >= 0" : " must be > 0"));
+    }
     if (value > kInt64Max / unit) return out_of_range(key);
     target = Bytes(value * unit);
     return Status::ok();
@@ -215,11 +219,12 @@ Result<FacilityConfig> facility_config_from_properties(
     config.ingest.max_queue_depth = static_cast<std::size_t>(depth);
   }
 
-  // Read caches (lsdf::cache); both default to disabled (zero capacity).
-  LSDF_RETURN_IF_ERROR(
-      read_bytes("hsm.read_cache_gb", config.hsm.read_cache.capacity, kGB));
+  // Read caches (lsdf::cache); both default to disabled (zero capacity),
+  // and a file may say so.
+  LSDF_RETURN_IF_ERROR(read_bytes("hsm.read_cache_gb",
+                                  config.hsm.read_cache.capacity, kGB, true));
   LSDF_RETURN_IF_ERROR(read_bytes("dfs.block_cache_gb",
-                                  config.dfs.block_cache.capacity, kGB));
+                                  config.dfs.block_cache.capacity, kGB, true));
 
   if (properties.contains("hsm.migrate_after_min")) {
     LSDF_ASSIGN_OR_RETURN(const std::int64_t minutes,

@@ -187,7 +187,7 @@ class Facility {
 //       (roundrobin | mostfree | firstfit)
 //   archive.cache_tb, tape.drives, tape.cartridges, tape.cartridge_tb
 //   hsm.migrate_after_min, hsm.high_watermark, hsm.low_watermark
-//   hsm.read_cache_gb, dfs.block_cache_gb
+//   hsm.read_cache_gb, dfs.block_cache_gb (0, the default, means no cache)
 //   dfs.block_mb, dfs.replication, dfs.datanode_gb
 //   tracker.map_slots, tracker.reduce_slots, tracker.fair_share (bool)
 //   cloud.host_cores, cloud.host_memory_gb

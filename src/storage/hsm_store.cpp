@@ -71,7 +71,7 @@ void HsmStore::put(const std::string& object, Bytes size, IoCallback done) {
   entry.size = size;
   entry.disk_resident = true;
   entry.last_access = simulator_.now();
-  objects_.emplace(object, entry);
+  awaiting_tape_.insert(objects_.emplace(object, entry).first);
   cache_.write(size, std::move(done));
 }
 
@@ -81,34 +81,32 @@ void HsmStore::get(const std::string& object, IoCallback done) {
     fail(std::move(done), not_found(object), Bytes::zero());
     return;
   }
-  it->second.last_access = simulator_.now();
+  Entry& entry = it->second;
+  entry.last_access = simulator_.now();
   if (read_cache_) {
     // Hit: served from the read-cache channel; the disk/tape tiers (and
     // their byte counters) are never touched. Miss: get_from_tiers runs
-    // and the object is admitted on completion.
+    // and the object is admitted on completion. The backing read runs
+    // inside read(), so `entry` is still this object's.
     read_cache_->read(
         object,
-        [this](const std::string& key, IoCallback fill) {
-          get_from_tiers(key, std::move(fill));
+        [this, &entry](const std::string& key, IoCallback fill) {
+          get_from_tiers(key, entry, std::move(fill));
         },
         std::move(done));
     return;
   }
-  get_from_tiers(object, std::move(done));
+  get_from_tiers(object, entry, std::move(done));
 }
 
-void HsmStore::get_from_tiers(const std::string& object, IoCallback done) {
-  const auto it = objects_.find(object);
-  if (it == objects_.end()) {
-    fail(std::move(done), not_found(object), Bytes::zero());
-    return;
-  }
-  if (it->second.disk_resident) {
+void HsmStore::get_from_tiers(const std::string& object, Entry& entry,
+                              IoCallback done) {
+  if (entry.disk_resident) {
     ++stats_.disk_hits;
-    cache_.read(it->second.size, std::move(done));
+    cache_.read(entry.size, std::move(done));
     return;
   }
-  stage_then_read(object, std::move(done));
+  stage_then_read(object, entry, std::move(done));
 }
 
 Status HsmStore::forget(const std::string& object) {
@@ -124,6 +122,7 @@ Status HsmStore::forget(const std::string& object) {
     // Tape space becomes dead; TapeLibrary::compact() reclaims it later.
     (void)tape_.forget(object);
   }
+  awaiting_tape_.erase(it);
   objects_.erase(it);
   return Status::ok();
 }
@@ -152,14 +151,19 @@ bool HsmStore::on_tape(const std::string& object) const {
 }
 
 void HsmStore::scan() {
-  // Phase 1: copy cold disk-only objects to tape.
+  // Phase 1: copy cold disk-only objects to tape, in name order. Only the
+  // index can hold them; the due ones are collected first, so no index
+  // iterator is held across a migrate() call.
   const SimTime now = simulator_.now();
-  for (auto& [name, entry] : objects_) {
+  std::vector<ObjectMap::iterator> due;
+  for (const ObjectMap::iterator it : awaiting_tape_) {
+    const Entry& entry = it->second;
     if (entry.disk_resident && !entry.tape_resident && !entry.migrating &&
         now - entry.last_access >= config_.migrate_after) {
-      migrate(name, entry);
+      due.push_back(it);
     }
   }
+  for (const ObjectMap::iterator it : due) migrate(it->first, it->second);
   // Phase 2: relieve cache pressure.
   if (cache_.fill_fraction() > config_.high_watermark) {
     evict_until_low_watermark();
@@ -176,6 +180,7 @@ void HsmStore::migrate(const std::string& object, Entry& entry) {
     it->second.migrating = false;
     if (result.status.is_ok()) {
       it->second.tape_resident = true;
+      awaiting_tape_.erase(it);
       ++stats_.migrations;
       stats_.bytes_migrated += result.size;
       migrations_metric_.add(1);
@@ -220,7 +225,8 @@ void HsmStore::evict_until_low_watermark() {
   }
 }
 
-void HsmStore::stage_then_read(const std::string& object, IoCallback done) {
+void HsmStore::stage_then_read(const std::string& object, Entry& entry,
+                               IoCallback done) {
   // The caller's latency spans staging + the final disk read; rebase the
   // reported start time accordingly.
   const SimTime request_start = simulator_.now();
@@ -228,7 +234,6 @@ void HsmStore::stage_then_read(const std::string& object, IoCallback done) {
     result.started = request_start;
     if (done) done(result);
   };
-  Entry& entry = objects_.at(object);
   LSDF_REQUIRE(entry.tape_resident, object + " resides nowhere");
   if ((cache_.used() + entry.size).as_double() >
       config_.high_watermark * cache_.capacity().as_double()) {

@@ -3,12 +3,19 @@
 //! to tape; watermark-driven eviction drops disk copies of migrated objects;
 //! reads of tape-only objects are staged back to disk. This is the archive
 //! behaviour the facility provides under ADAL (paper slides 7/9).
+//!
+//! The periodic scan walks only an index of the objects still awaiting tape,
+//! in name order, so its cost follows the disk-only objects, not what the
+//! archive holds. A read resolves its object once and hands the
+//! entry down the tier walk; completions re-find it by name, because the
+//! object may have been forgotten meanwhile.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -108,13 +115,22 @@ class HsmStore {
     int direct_reads = 0;
     SimTime last_access;
   };
+  using ObjectMap = std::map<std::string, Entry>;
+  struct ByName {
+    bool operator()(ObjectMap::iterator a, ObjectMap::iterator b) const {
+      return a->first < b->first;
+    }
+  };
 
   void migrate(const std::string& object, Entry& entry);
   void evict_until_low_watermark();
-  // The uncached tier walk (disk hit, else tape stage): the read cache's
-  // backing read, and the whole of get() when the cache is disabled.
-  void get_from_tiers(const std::string& object, IoCallback done);
-  void stage_then_read(const std::string& object, IoCallback done);
+  // The uncached tier walk (disk hit, else tape stage) over the entry get()
+  // resolved: the read cache's backing read, and the whole of get() when the
+  // cache is disabled.
+  void get_from_tiers(const std::string& object, Entry& entry,
+                      IoCallback done);
+  void stage_then_read(const std::string& object, Entry& entry,
+                       IoCallback done);
   void fail(IoCallback done, Status status, Bytes size);
 
   sim::Simulator& simulator_;
@@ -123,7 +139,11 @@ class HsmStore {
   HsmConfig config_;
   std::unique_ptr<cache::CachedStore> read_cache_;
   sim::PeriodicTask scanner_;
-  std::map<std::string, Entry> objects_;
+  ObjectMap objects_;
+  // The objects on disk with no tape copy, in name order: the only ones
+  // scan() can migrate. put() adds; a successful migration and forget()
+  // remove.
+  std::set<ObjectMap::iterator, ByName> awaiting_tape_;
   HsmStats stats_;
 
   // Telemetry (mirrors HsmStats, plus a recall-latency distribution).

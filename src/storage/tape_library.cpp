@@ -249,35 +249,30 @@ void TapeLibrary::repair_drive() {
 }
 
 void TapeLibrary::pump() {
+  const auto idle = [](const Drive& drive) {
+    return !drive.busy && !drive.failed;
+  };
   while (!queue_.empty()) {
+    // With every healthy drive busy there is nothing to dispatch: a drive
+    // freed by a completion, an abort or a repair pumps again.
+    const auto first_idle = std::find_if(drives_.begin(), drives_.end(), idle);
+    if (first_idle == drives_.end()) return;
     // Prefer a request whose cartridge is already mounted on an idle drive
-    // (mount-cache hit); otherwise serve the queue head FIFO.
-    std::size_t drive_index = drives_.size();
+    // (mount-cache hit); otherwise serve the queue head FIFO on the first
+    // idle drive.
+    auto drive_index = static_cast<std::size_t>(first_idle - drives_.begin());
     std::size_t request_index = 0;
-    bool found = false;
-    for (std::size_t qi = 0; qi < queue_.size() && !found; ++qi) {
+    bool hit = false;
+    for (std::size_t qi = 0; qi < queue_.size() && !hit; ++qi) {
       for (std::size_t di = 0; di < drives_.size(); ++di) {
-        const Drive& drive = drives_[di];
-        if (!drive.busy && !drive.failed &&
-            drive.mounted == queue_[qi].cartridge) {
+        if (idle(drives_[di]) && drives_[di].mounted == queue_[qi].cartridge) {
           drive_index = di;
           request_index = qi;
-          found = true;
+          hit = true;
           break;
         }
       }
     }
-    if (!found) {
-      for (std::size_t di = 0; di < drives_.size(); ++di) {
-        if (!drives_[di].busy && !drives_[di].failed) {
-          drive_index = di;
-          request_index = 0;
-          found = true;
-          break;
-        }
-      }
-    }
-    if (!found) return;  // all drives busy or failed
 
     Request request = std::move(queue_[request_index]);
     queue_.erase(queue_.begin() +

@@ -357,6 +357,20 @@ TEST(FacilityConfig, FromPropertiesDefaultsWhenOmitted) {
   EXPECT_EQ(config.value().ddn_capacity, FacilityConfig{}.ddn_capacity);
 }
 
+TEST(FacilityConfig, ZeroCacheSizesLoadAsNoCache) {
+  // Zero is both caches' default and means "no cache"; a deployment file
+  // may state it.
+  const auto config = facility_config_from_properties(
+      Properties::parse("hsm.read_cache_gb = 0\ndfs.block_cache_gb = 0")
+          .value());
+  ASSERT_TRUE(config.is_ok()) << config.status().to_string();
+  EXPECT_EQ(config.value().hsm.read_cache.capacity, Bytes::zero());
+  EXPECT_EQ(config.value().dfs.block_cache.capacity, Bytes::zero());
+  Facility facility(config.value());
+  EXPECT_EQ(facility.hsm().read_cache(), nullptr);
+  EXPECT_EQ(facility.dfs().block_cache(), nullptr);
+}
+
 TEST(FacilityConfig, FromPropertiesRejectsBadInput) {
   auto parse = [](const char* text) {
     return facility_config_from_properties(Properties::parse(text).value())
@@ -384,6 +398,10 @@ TEST(FacilityConfig, FromPropertiesRejectsBadInput) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(parse("hsm.migrate_after_min = -5"),
             StatusCode::kInvalidArgument);
+  // A cache may be sized 0 (none), but never below.
+  EXPECT_EQ(parse("hsm.read_cache_gb = -1"), StatusCode::kInvalidArgument);
+  EXPECT_EQ(parse("dfs.block_cache_gb = -1"), StatusCode::kInvalidArgument);
+  EXPECT_EQ(parse("storage.ddn_tb = 0"), StatusCode::kInvalidArgument);
   // Values whose product with their unit, or whose narrowing to the
   // target type, would not fit.
   EXPECT_EQ(parse("storage.ddn_tb = 10000000"), StatusCode::kInvalidArgument);
@@ -392,6 +410,8 @@ TEST(FacilityConfig, FromPropertiesRejectsBadInput) {
   EXPECT_EQ(parse("cluster.racks = 4294967298"),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(parse("tape.cartridges = 3000000000"),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(parse("hsm.read_cache_gb = 10000000000"),
             StatusCode::kInvalidArgument);
   // 9e6 TB fits int64 bytes, but not times the default 1000 cartridges;
   // the error names both keys.

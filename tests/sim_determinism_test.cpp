@@ -226,6 +226,92 @@ TEST(Determinism, CachedHsmFingerprintPinned) {
   EXPECT_EQ(stats.evictions, 3);
 }
 
+// An archive run in which the order of every HSM, tape and cache decision
+// shows in the schedule. Fifteen objects of distinct sizes are put in
+// batches whose order is unlike name order (obj-10 before obj-9), one batch
+// per scan period, so each scan migrates several objects and their name
+// order decides tape placement. Two drives take fourteen migrations, so
+// archive requests queue. One object is forgotten while it still awaits
+// tape. Each batch shares one last_access, so watermark eviction breaks
+// ties. Bursts of reads then run through an evicting read cache, and their
+// recalls queue for cartridges a drive may already hold. A scan in put
+// order, a tape pump that ignores mounted cartridges and a cache that
+// evicts its most recently used entry each change the fingerprint.
+struct ArchiveRun {
+  ReplayOutcome outcome;
+  storage::HsmStats hsm;
+  std::int64_t mounts = 0;
+  std::int64_t mount_hits = 0;
+  cache::CacheStats cache;
+};
+
+ArchiveRun archive_scenario() {
+  sim::Simulator sim;
+  storage::DiskArrayConfig disk_config;
+  disk_config.capacity = 1300_MB;
+  storage::DiskArray disk(sim, disk_config);
+  storage::TapeConfig tape_config;
+  tape_config.drive_count = 2;
+  tape_config.cartridge_count = 20;
+  tape_config.cartridge_capacity = 300_MB;
+  storage::TapeLibrary tape(sim, tape_config);
+  storage::HsmConfig hsm_config;
+  hsm_config.migrate_after = 10_min;
+  hsm_config.scan_period = 5_min;
+  hsm_config.read_cache.capacity = 250_MB;
+  storage::HsmStore hsm(sim, disk, tape, hsm_config);
+  hsm.start();
+  const auto name = [](int i) { return "obj-" + std::to_string(i); };
+  for (const std::vector<int>& batch :
+       {std::vector<int>{10, 9, 2, 14}, std::vector<int>{5, 12, 1, 7},
+        std::vector<int>{11, 3, 8, 0}, std::vector<int>{6, 13, 4}}) {
+    for (const int i : batch) {
+      hsm.put(name(i), Bytes((40 + (i * 37) % 90) * 1'000'000LL), nullptr);
+    }
+    sim.run_until(sim.now() + 5_min);
+  }
+  EXPECT_FALSE(hsm.on_tape(name(6)));
+  EXPECT_TRUE(hsm.forget(name(6)).is_ok());
+  sim.run_until(sim.now() + 1_h);
+  Rng rng(11);
+  int pending = 0;
+  for (int i = 0; i < 40; ++i) {
+    int pick = static_cast<int>(rng.index(15));
+    if (pick == 6) pick = 10;  // forgotten; obj-10 is read more often
+    ++pending;
+    hsm.get(name(pick), [&pending](const storage::IoResult& result) {
+      EXPECT_TRUE(result.status.is_ok());
+      --pending;
+    });
+    if (i % 5 == 4) sim.run_until(sim.now() + 2_min);
+  }
+  sim.run_while_pending([&] { return pending == 0; });
+  hsm.stop();
+  return ArchiveRun{.outcome = chk::outcome_of(sim),
+                    .hsm = hsm.stats(),
+                    .mounts = tape.mounts_performed(),
+                    .mount_hits = tape.mount_hits(),
+                    .cache = hsm.read_cache()->cache().stats()};
+}
+
+TEST(Determinism, ArchiveOrderFingerprintPinned) {
+  const ArchiveRun run = archive_scenario();
+  EXPECT_EQ(run.outcome.fingerprint, 0x6cb20613138ff2adULL);
+  EXPECT_EQ(run.outcome.events, 194u);
+  EXPECT_EQ(run.hsm.disk_hits, 26);
+  EXPECT_EQ(run.hsm.tape_stages, 8);
+  EXPECT_EQ(run.hsm.tape_direct_reads, 0);
+  EXPECT_EQ(run.hsm.migrations, 14);
+  EXPECT_EQ(run.hsm.evictions, 11);
+  EXPECT_EQ(run.hsm.bytes_migrated.count(), 1'163'000'000);
+  EXPECT_EQ(run.hsm.bytes_staged.count(), 703'000'000);
+  EXPECT_EQ(run.mounts, 15);
+  EXPECT_EQ(run.mount_hits, 7);
+  EXPECT_EQ(run.cache.hits, 6);
+  EXPECT_EQ(run.cache.misses, 34);
+  EXPECT_EQ(run.cache.evictions, 29);
+}
+
 // Four 64 MB blocks read through a two-block (128 MB) DFS block cache:
 // block 0 is re-read between each of the others, three rounds over, from a
 // different worker each time. Hits skip the replica path; misses read a

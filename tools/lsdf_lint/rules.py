@@ -71,9 +71,14 @@ DETERMINISM_ALLOWLIST = {
 # Directories whose event/fingerprint/schedule order is the determinism
 # contract (DESIGN.md §5, §5c): unordered iteration here is an escape.
 # src/fed/ qualifies because rule-resolution order — (dataset-id, rule-id)
-# ascending — is part of the replay contract (DESIGN.md §4i).
+# ascending — is part of the replay contract (DESIGN.md §4i); src/cache/
+# and src/storage/ because eviction, migration and tape placement order
+# show in the fingerprint, and BlockCache's hash directory is safe only
+# while nothing iterates it (DESIGN.md §4f).
 DETERMINISM_CRITICAL_PREFIXES = ("src/sim/", "src/net/", "src/chk/",
-                                 "src/fed/")
+                                 "src/fed/", "src/cache/", "src/storage/")
+_CRITICAL_DIRS = ", ".join(p.rstrip("/")
+                           for p in DETERMINISM_CRITICAL_PREFIXES)
 
 # The lock-implementation layer may use raw std::mutex (TrackedMutex cannot
 # track itself) and cannot annotate against a non-capability guard.
@@ -288,7 +293,7 @@ def _check_determinism_escape(rule: Rule, ctx: FileContext) -> None:
                 ctx.report(
                     rule, it.line,
                     f"iterating std::{decl.container} '{it.base_name}' in a "
-                    f"determinism-critical path (src/sim, src/net, src/chk) "
+                    f"determinism-critical path ({_CRITICAL_DIRS}) "
                     f"— hash order is seed/ASLR-dependent; iterate a sorted "
                     f"or insertion-ordered structure instead",
                 )
