@@ -164,11 +164,9 @@ ScenarioResult run_scenario(const Properties& scenario, std::uint64_t seed,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::ObsOptions obs_options = bench::obs_init(argc, argv);
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--smoke") smoke = true;
-  }
+  const bench::ObsOptions obs_options =
+      bench::obs_init(argc, argv, {{"--smoke"}});
+  const bool smoke = obs_options.has("--smoke");
 
   bench::headline(
       "E12: replica rules & federation (DESIGN.md §4i)",

@@ -11,7 +11,6 @@
 
 #include "common/checksum.h"
 #include "common/rng.h"
-#include "exec/parallel.h"
 #include "exec/thread_pool.h"
 #include "mapreduce/local_runner.h"
 #include "meta/query.h"
@@ -109,19 +108,6 @@ void BM_ThreadPoolSubmitDrain(benchmark::State& state) {
   state.SetItemsProcessed(1000 * state.iterations());
 }
 BENCHMARK(BM_ThreadPoolSubmitDrain)->Arg(1)->Arg(4);
-
-void BM_ParallelReduceSum(benchmark::State& state) {
-  exec::ThreadPool pool(4);
-  const std::int64_t n = state.range(0);
-  for (auto _ : state) {
-    const auto sum = exec::parallel_reduce<std::int64_t>(
-        pool, 0, n, 1024, 0, [](std::int64_t i) { return i; },
-        [](std::int64_t a, std::int64_t b) { return a + b; });
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetItemsProcessed(n * state.iterations());
-}
-BENCHMARK(BM_ParallelReduceSum)->Arg(1 << 20);
 
 void BM_LocalRunnerWordHistogram(benchmark::State& state) {
   exec::ThreadPool pool(4);

@@ -351,18 +351,15 @@ Result<double> dispatch_floor(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto obs = lsdf::bench::obs_init(argc, argv);
-  bool quick = false;
-  bool sharded_smoke = false;
-  std::string suffix;
-  std::string floor_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    if (flag == "--quick") quick = true;
-    if (flag == "--sharded-smoke") sharded_smoke = true;
-    if (flag == "--section-suffix" && i + 1 < argc) suffix = argv[i + 1];
-    if (flag == "--floor" && i + 1 < argc) floor_path = argv[i + 1];
-  }
+  const auto obs = lsdf::bench::obs_init(argc, argv,
+                                        {{"--quick"},
+                                         {"--sharded-smoke"},
+                                         {"--section-suffix", true},
+                                         {"--floor", true}});
+  const bool quick = obs.has("--quick");
+  const bool sharded_smoke = obs.has("--sharded-smoke");
+  const std::string suffix = obs.value("--section-suffix");
+  const std::string floor_path = obs.value("--floor");
 
   if (sharded_smoke) {
     // TSan/CI mode: only the parallel kernel, small, no report file — the

@@ -13,6 +13,8 @@
 #include <cstdlib>
 #include <fstream>
 #include <future>
+#include <initializer_list>
+#include <map>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -283,10 +285,21 @@ inline void write_json_section(
 //   --flight <dir>         flight-recorder postmortems and final timeline
 //   --json <file>          the bench's BENCH_*.json report sections; without
 //                          it a run writes no report
-// Call obs_init(argc, argv) at the top of main and obs_dump(options) at the
-// bottom; obs_dump also fails the run on a lock-order cycle, and exits 1
-// when any requested export, a --json report included, was not written.
-// The tracer stays fully disabled unless --trace is given.
+// plus the flags it names itself (E12's `--smoke`, bench_perf's `--quick`).
+// Call obs_init(argc, argv, {own flags}) at the top of main and
+// obs_dump(options) at the bottom. obs_init exits 2, before the bench does
+// any work, on an argument it does not know or a value flag with no value,
+// so a misspelt export flag cannot pass as a run that exported nothing.
+// obs_dump fails the run on a lock-order cycle, and exits 1 when any
+// requested export, a --json report included, was not written. The tracer
+// stays fully disabled unless --trace is given.
+
+// A flag one bench parses besides the shared ones: a switch (`--quick`) or
+// one that takes a value (`--floor <file>`).
+struct BenchFlag {
+  const char* name;
+  bool takes_value = false;
+};
 
 struct ObsOptions {
   std::string trace_path;
@@ -294,20 +307,59 @@ struct ObsOptions {
   std::string metrics_csv_path;
   std::string flight_dir;
   std::string json_path;
+  // Every flag given: a switch maps to "", a value flag to its value.
+  std::map<std::string, std::string> given;
   [[nodiscard]] bool tracing() const { return !trace_path.empty(); }
   [[nodiscard]] bool flight() const { return !flight_dir.empty(); }
+  [[nodiscard]] bool has(const std::string& flag) const {
+    return given.contains(flag);
+  }
+  [[nodiscard]] std::string value(const std::string& flag) const {
+    const auto it = given.find(flag);
+    return it == given.end() ? std::string() : it->second;
+  }
 };
 
-inline ObsOptions obs_init(int argc, char** argv) {
+// Ends the run with exit 2 on a usage error.
+[[noreturn]] inline void exit_usage(const char* program,
+                                    const std::string& what) {
+  std::fprintf(stderr, "%s: %s\n", program, what.c_str());
+  std::exit(2);
+}
+
+inline ObsOptions obs_init(int argc, char** argv,
+                           std::initializer_list<BenchFlag> own_flags = {}) {
+  std::vector<BenchFlag> flags = {{"--trace", true},
+                                  {"--metrics", true},
+                                  {"--metrics-csv", true},
+                                  {"--flight", true},
+                                  {"--json", true}};
+  flags.insert(flags.end(), own_flags.begin(), own_flags.end());
   ObsOptions options;
-  for (int i = 1; i + 1 < argc; ++i) {
-    const std::string flag = argv[i];
-    if (flag == "--trace") options.trace_path = argv[i + 1];
-    if (flag == "--metrics") options.metrics_path = argv[i + 1];
-    if (flag == "--metrics-csv") options.metrics_csv_path = argv[i + 1];
-    if (flag == "--flight") options.flight_dir = argv[i + 1];
-    if (flag == "--json") options.json_path = argv[i + 1];
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    const auto flag = std::find_if(
+        flags.begin(), flags.end(),
+        [&arg](const BenchFlag& candidate) { return arg == candidate.name; });
+    if (flag == flags.end()) {
+      exit_usage(argv[0], "unknown argument `" + arg + "`");
+    }
+    std::string value;
+    if (flag->takes_value) {
+      // The next argument is the value unless it is missing or is itself
+      // a flag (`--metrics --trace t.json`).
+      if (i + 1 == argc || std::string(argv[i + 1]).rfind("--", 0) == 0) {
+        exit_usage(argv[0], "`" + arg + "` needs a value");
+      }
+      value = argv[++i];
+    }
+    options.given[arg] = value;
   }
+  options.trace_path = options.value("--trace");
+  options.metrics_path = options.value("--metrics");
+  options.metrics_csv_path = options.value("--metrics-csv");
+  options.flight_dir = options.value("--flight");
+  options.json_path = options.value("--json");
   if (options.tracing()) obs::Tracer::global().enable(true);
   if (options.flight()) {
     // Postmortems (contract failures, injected faults) land in the given

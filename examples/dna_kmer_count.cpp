@@ -1,8 +1,9 @@
 // Real-execution example: DNA k-mer counting with the MapReduce LocalRunner
-// on the work-stealing thread pool — the paper's "DNA sequencing and
-// reconstruction using Hadoop tools" (slide 13), run for real instead of in
-// simulation. Synthesises reads from a random reference genome, counts
-// k-mers in parallel, and reports the most frequent ones plus throughput.
+// on exec::ThreadPool — the paper's "DNA sequencing and reconstruction
+// using Hadoop tools" (slide 13), run for real instead of in simulation.
+// Synthesises reads from a random reference genome, counts k-mers in
+// parallel, and reports the most frequent ones plus throughput. Every row
+// but the wall time repeats from run to run.
 //
 //   ./dna_kmer_count [reads] [read_length] [k]
 #include <chrono>
@@ -91,8 +92,7 @@ int main(int argc, char** argv) {
 
   std::printf("reads:            %zu x %zu bp (k=%zu)\n", read_count,
               read_length, k);
-  std::printf("threads:          %u (steals: %lld)\n", pool.thread_count(),
-              static_cast<long long>(pool.steals()));
+  std::printf("threads:          %u\n", pool.thread_count());
   std::printf("distinct k-mers:  %zu of %lld total\n", counts.size(),
               static_cast<long long>(total_kmers));
   std::printf("wall time:        %.3f s  (%.1f Mbp/s)\n", seconds,

@@ -1,14 +1,15 @@
-//! ThreadPool: work-stealing executor for the library's *real* execution
-//! paths (MapReduce RealRunner, checksumming, workflow actors).
+//! ThreadPool: the executor for the library's *real* execution paths
+//! (mapreduce::LocalRunner, the sharded kernel's pooled round loop, the
+//! host-parallelism probe).
 //!
-//! Design: each worker owns a deque protected by its own mutex; submitters
-//! push to the least-loaded queue (or the current worker's own queue when
-//! submitting from inside a task); idle workers pop from their own front and
-//! steal from victims' backs. All parallelism is explicit and joins before
-//! the pool is destroyed — no detached work (Core Guidelines CP rules).
+//! Design: one FIFO queue under one mutex. Every submitter appends to it,
+//! and every idle worker takes the oldest task, so tasks start in the order
+//! they were accepted. All parallelism is explicit and joins before the
+//! pool is destroyed: the destructor runs every accepted task before the
+//! workers exit, so no future is left unresolved (Core Guidelines CP
+//! rules).
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -66,12 +67,6 @@ class ThreadPool {
   [[nodiscard]] unsigned thread_count() const {
     return static_cast<unsigned>(workers_.size());
   }
-  [[nodiscard]] std::int64_t tasks_executed() const {
-    return executed_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::int64_t steals() const {
-    return steals_.load(std::memory_order_relaxed);
-  }
 
   [[nodiscard]] static unsigned default_thread_count() {
     const unsigned hw = std::thread::hardware_concurrency();
@@ -79,42 +74,24 @@ class ThreadPool {
   }
 
  private:
-  struct WorkerQueue {
-    // All worker queues share one lock-order graph node ("exec.worker_queue"):
-    // an inversion against any other lock class is the same bug whichever
-    // worker exhibits it.
-    chk::TrackedMutex mutex{"exec.worker_queue"};
-    std::deque<Task> tasks LSDF_GUARDED_BY(mutex);
-  };
+  void worker_loop();
 
-  void worker_loop(std::size_t index);
-  bool try_pop(std::size_t index, Task& task);
-  bool try_steal(std::size_t thief, Task& task);
-
-  // Sized in the constructor, joined/cleared in the destructor; the vectors
-  // themselves never change shape while workers run (elements lock their
-  // own WorkerQueue mutexes).
-  std::vector<std::unique_ptr<WorkerQueue>> queues_ LSDF_CONST_AFTER_INIT;
+  // Filled in the constructor and joined in the destructor; never changes
+  // shape while workers run.
   std::vector<std::thread> workers_ LSDF_CONST_AFTER_INIT;
-  chk::TrackedMutex sleep_mutex_{"exec.pool_sleep"};
+  chk::TrackedMutex mutex_{"exec.pool"};
   // _any variants: TrackedMutex is BasicLockable but not a std::mutex, and
   // chk::UniqueLock keeps the held-lock stack exact across waits.
   std::condition_variable_any work_available_;
   std::condition_variable_any all_idle_;
-  std::atomic<std::int64_t> pending_{0};
-  std::atomic<std::int64_t> executed_{0};
-  std::atomic<std::int64_t> steals_{0};
-  std::atomic<bool> stopping_{false};
-  std::atomic<std::size_t> next_queue_{0};
+  std::deque<Task> queue_ LSDF_GUARDED_BY(mutex_);
+  // Accepted tasks not yet finished: queued plus running.
+  std::int64_t pending_ LSDF_GUARDED_BY(mutex_) = 0;
+  bool stopping_ LSDF_GUARDED_BY(mutex_) = false;
 
-  // Process-wide totals. Pools share these instruments (they describe the
+  // Process-wide total: pools share this instrument (it describes the
   // process's executor layer).
   obs::Counter& tasks_metric_;
-  obs::Counter& steals_metric_;
-
-  // Index of the worker the current thread is, or npos on external threads.
-  static thread_local std::size_t current_worker_;
-  static constexpr std::size_t kNotAWorker = static_cast<std::size_t>(-1);
 };
 
 }  // namespace lsdf::exec

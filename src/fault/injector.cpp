@@ -34,12 +34,11 @@ FaultInjector::FaultInjector(sim::Simulator& simulator, std::uint64_t seed)
           "lsdf_fault_downtime_seconds")) {}
 
 FaultInjector::Component& FaultInjector::add_component(
-    const std::string& name, ComponentKind kind) {
+    const std::string& name) {
   LSDF_REQUIRE(!components_.contains(name),
                "fault component '" + name + "' already registered");
   Component component;
   component.name = name;
-  component.kind = kind;
   component.rng = Rng(seed_ ^ stable_hash(name));
   component.injected_metric = &obs::MetricsRegistry::global().counter(
       "lsdf_fault_injected_total", {{"component", name}});
@@ -50,21 +49,21 @@ FaultInjector::Component& FaultInjector::add_component(
 
 void FaultInjector::register_disk(const std::string& name,
                                   storage::DiskArray& disk) {
-  Component& component = add_component(name, ComponentKind::kDisk);
+  Component& component = add_component(name);
   component.fail = [&disk] { disk.set_online(false); };
   component.restore = [&disk] { disk.set_online(true); };
 }
 
 void FaultInjector::register_cache(const std::string& name,
                                    cache::BlockCache& cache) {
-  Component& component = add_component(name, ComponentKind::kCache);
+  Component& component = add_component(name);
   component.fail = [&cache] { cache.invalidate_all(); };
   component.restore = [] { /* the cache restarts cold and refills */ };
 }
 
 void FaultInjector::register_tape(const std::string& name,
                                   storage::TapeLibrary& tape) {
-  Component& component = add_component(name, ComponentKind::kTape);
+  Component& component = add_component(name);
   component.fail = [&tape] { (void)tape.fail_drive(); };
   component.restore = [&tape] { tape.repair_drive(); };
 }
@@ -73,7 +72,7 @@ void FaultInjector::register_link(const std::string& name,
                                   net::Topology& topology,
                                   net::LinkId forward) {
   LSDF_REQUIRE(forward < topology.link_count(), "link id out of range");
-  Component& component = add_component(name, ComponentKind::kLink);
+  Component& component = add_component(name);
   component.fail = [this, &topology, forward] {
     topology.set_duplex_up(forward, false);
     if (topology_changed_) topology_changed_();
@@ -88,7 +87,7 @@ void FaultInjector::register_node(const std::string& name,
                                   net::Topology& topology,
                                   net::NodeId node) {
   LSDF_REQUIRE(node < topology.node_count(), "node id out of range");
-  Component& component = add_component(name, ComponentKind::kNode);
+  Component& component = add_component(name);
   Component* self = &component;  // std::map nodes are address-stable
   self->fail = [this, &topology, node, self] {
     // Take down every duplex link touching the node that is currently up;

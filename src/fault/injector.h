@@ -3,8 +3,8 @@
 //! property. The paper's facility must survive disk, tape-drive and backbone
 //! failures while serving running experiments; this injector makes those
 //! failures first-class inputs: scheduled fault plans (from config) and
-//! stochastic MTBF/MTTR renewal processes per component, over four component
-//! kinds:
+//! stochastic MTBF/MTTR renewal processes per component, over five kinds of
+//! component (each registration binds the kind's fail/restore actions):
 //!
 //!   disk  — DiskArray::set_online(false/true)
 //!   tape  — TapeLibrary::fail_drive()/repair_drive() (one drive per fault;
@@ -46,8 +46,6 @@
 #include "storage/tape_library.h"
 
 namespace lsdf::fault {
-
-enum class ComponentKind { kDisk, kTape, kLink, kNode, kCache };
 
 // One actual fail/restore transition, in sim-time order.
 struct FaultRecord {
@@ -127,7 +125,6 @@ class FaultInjector {
  private:
   struct Component {
     std::string name;
-    ComponentKind kind = ComponentKind::kLink;
     std::function<void()> fail;      // best-effort: no-op if already down
     std::function<void()> restore;
     int depth = 0;                   // live overlapping faults
@@ -138,7 +135,7 @@ class FaultInjector {
     obs::Counter* recovered_metric = nullptr;
   };
 
-  Component& add_component(const std::string& name, ComponentKind kind);
+  Component& add_component(const std::string& name);
   [[nodiscard]] Result<Component*> find(const std::string& component);
   void inject(Component& component);
   void restore(Component& component);

@@ -1,14 +1,16 @@
-//! LocalRunner: a *real* MapReduce execution engine on the work-stealing
-//! thread pool. Where JobTracker simulates cluster timing, LocalRunner runs
-//! actual user map/reduce functors over in-memory records — it is what the
-//! examples use to really process data (DNA k-mer counting, image
-//! statistics), proving the facility's processing code paths are executable
-//! and not simulation stubs.
+//! LocalRunner: a *real* MapReduce execution engine on exec::ThreadPool,
+//! and the library's one chunked parallel loop. Where JobTracker simulates
+//! cluster timing, LocalRunner runs actual user map/reduce functors over
+//! in-memory records — it is what the examples use to really process data
+//! (DNA k-mer counting, image statistics), proving the facility's
+//! processing code paths are executable and not simulation stubs.
 //!
 //! Semantics follow Hadoop: map(record) emits (K, V) pairs; pairs are hash-
 //! partitioned into R buckets; each bucket is grouped by key; reduce(key,
 //! values) emits output pairs. Map tasks and reduce buckets run in parallel;
 //! an optional combiner folds each map task's local output before shuffle.
+//! A functor that throws fails the run: run() waits for every task of the
+//! phase, then rethrows the first failure, so no task outlives it.
 #pragma once
 
 #include <algorithm>
@@ -84,7 +86,7 @@ class LocalRunner {
         }
       }));
     }
-    for (auto& future : map_futures) future.get();
+    join(map_futures);
 
     // --- Shuffle + reduce: one task per bucket. ---
     std::vector<std::vector<std::pair<K, V>>> reduced(buckets);
@@ -128,7 +130,7 @@ class LocalRunner {
             }
           }));
     }
-    for (auto& future : reduce_futures) future.get();
+    join(reduce_futures);
 
     // --- Merge buckets; keys within a bucket are already sorted. ---
     std::vector<std::pair<K, V>> output;
@@ -142,6 +144,13 @@ class LocalRunner {
   }
 
  private:
+  // Waits for every task before rethrowing the first failure: the tasks
+  // reference run()'s frame, which the rethrow unwinds.
+  static void join(std::vector<std::future<void>>& futures) {
+    for (auto& future : futures) future.wait();
+    for (auto& future : futures) future.get();
+  }
+
   // Fold duplicate keys within one map task's bucket using the combiner.
   std::vector<std::pair<K, V>> combine(
       std::vector<std::pair<K, V>>& bucket) const {

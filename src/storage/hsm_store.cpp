@@ -191,35 +191,34 @@ void HsmStore::migrate(const std::string& object, Entry& entry) {
 
 void HsmStore::evict_until_low_watermark() {
   // Candidates: disk-resident objects that already have a tape copy and no
-  // I/O in flight.
-  std::vector<std::pair<std::string, const Entry*>> candidates;
-  for (const auto& [name, entry] : objects_) {
+  // I/O in flight, collected in name order.
+  std::vector<Entry*> candidates;
+  for (auto& [name, entry] : objects_) {
     if (entry.disk_resident && entry.tape_resident && !entry.migrating &&
         !entry.staging) {
-      candidates.emplace_back(name, &entry);
+      candidates.push_back(&entry);
     }
   }
   switch (config_.eviction) {
     case EvictionPolicy::kLeastRecentlyUsed:
       std::sort(candidates.begin(), candidates.end(),
-                [](const auto& a, const auto& b) {
-                  return a.second->last_access < b.second->last_access;
+                [](const Entry* a, const Entry* b) {
+                  return a->last_access < b->last_access;
                 });
       break;
     case EvictionPolicy::kLargestFirst:
       std::sort(candidates.begin(), candidates.end(),
-                [](const auto& a, const auto& b) {
-                  return a.second->size > b.second->size;
+                [](const Entry* a, const Entry* b) {
+                  return a->size > b->size;
                 });
       break;
   }
   const double target =
       config_.low_watermark * cache_.capacity().as_double();
-  for (const auto& [name, entry_ptr] : candidates) {
+  for (Entry* entry : candidates) {
     if (cache_.used().as_double() <= target) break;
-    Entry& entry = objects_.at(name);
-    entry.disk_resident = false;
-    cache_.release(entry.size);
+    entry->disk_resident = false;
+    cache_.release(entry->size);
     ++stats_.evictions;
     evictions_metric_.add(1);
   }

@@ -306,17 +306,20 @@ TEST(UniqueLock, RelocksAcrossManualUnlock) {
 // --- Integration: the adopted subsystems feed the global registry ---------
 
 TEST(LockRegistryIntegration, ThreadPoolTrafficIsTrackedAndCycleFree) {
+  // The pool's one lock, "exec.pool", feeds the global registry: submitting
+  // while holding another tracked lock records the edge into it.
+  TrackedMutex outer("test.pool_outer");
   {
     exec::ThreadPool pool(4);
     for (int i = 0; i < 64; ++i) {
+      const LockGuard guard(outer);
       pool.submit([] {});
     }
     pool.wait_idle();
   }
-  // submit() takes a worker queue under the sleep mutex.
-  EXPECT_NE(LockRegistry::global().report().find(
-                "exec.pool_sleep -> exec.worker_queue"),
-            std::string::npos)
+  EXPECT_NE(
+      LockRegistry::global().report().find("test.pool_outer -> exec.pool"),
+      std::string::npos)
       << "adopted exec locks must feed the global registry:\n"
       << LockRegistry::global().report();
   EXPECT_TRUE(LockRegistry::global().cycles().empty())

@@ -1,17 +1,18 @@
-// Tests for the real-execution substrate: the work-stealing thread pool and
-// the parallel algorithms built on it.
+// Tests for the real-execution substrate: the thread pool's one FIFO queue,
+// its drain-on-destruction and shutdown contract, and futures from async().
+// The library's chunked parallel loop, mapreduce::LocalRunner, is tested in
+// mapreduce_test.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <functional>
-#include <numeric>
-#include <set>
+#include <future>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "common/require.h"
-#include "exec/parallel.h"
 #include "exec/thread_pool.h"
 
 namespace lsdf::exec {
@@ -25,7 +26,6 @@ TEST(ThreadPool, RunsSubmittedTasks) {
   }
   pool.wait_idle();
   EXPECT_EQ(counter.load(), 100);
-  EXPECT_EQ(pool.tasks_executed(), 100);
 }
 
 TEST(ThreadPool, AsyncReturnsValues) {
@@ -152,25 +152,29 @@ TEST(ThreadPool, WorkIsActuallyParallel) {
 }
 
 TEST(ThreadPool, StealsWhenOneQueueIsLoaded) {
-  // External submits round-robin, but tasks submitted from inside a worker
-  // stack up on that worker's queue — forcing steals.
+  // One task submits 100 tasks and then waits for all of them, so its own
+  // worker is busy until they are done: they finish only if the other
+  // workers run a busy worker's submissions. A child that is not done
+  // within the deadline fails the test instead of hanging it.
   ThreadPool pool(4);
   std::atomic<int> counter{0};
-  pool.submit([&] {
+  std::atomic<bool> all_done{true};
+  pool.submit([&pool, &counter, &all_done] {
+    std::vector<std::future<void>> children;
     for (int i = 0; i < 100; ++i) {
-      pool.submit([&counter] {
-        // Enough work per task (hundreds of microseconds) that the other
-        // workers wake up long before the producing worker could drain
-        // its own queue alone.
-        volatile std::int64_t x = 0;
-        for (int j = 0; j < 400000; ++j) x += j;
-        counter.fetch_add(1);
-      });
+      children.push_back(pool.async([&counter] { counter.fetch_add(1); }));
+    }
+    for (std::future<void>& child : children) {
+      if (child.wait_for(std::chrono::seconds(10)) !=
+          std::future_status::ready) {
+        all_done = false;
+        return;
+      }
     }
   });
   pool.wait_idle();
+  EXPECT_TRUE(all_done.load());
   EXPECT_EQ(counter.load(), 100);
-  EXPECT_GT(pool.steals(), 0);
 }
 
 TEST(ThreadPool, ContractChecks) {
@@ -178,92 +182,6 @@ TEST(ThreadPool, ContractChecks) {
   ThreadPool pool(1);
   EXPECT_THROW(pool.submit(nullptr), ContractViolation);
 }
-
-// --- parallel_for / parallel_reduce ---------------------------------------------
-
-TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  parallel_for(pool, 0, 1000, 1,
-               [&](std::int64_t i) { hits[static_cast<std::size_t>(i)]++; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ParallelFor, EmptyAndReversedRangesAreNoOps) {
-  ThreadPool pool(2);
-  int hits = 0;
-  parallel_for(pool, 5, 5, 1, [&](std::int64_t) { ++hits; });
-  parallel_for(pool, 10, 5, 1, [&](std::int64_t) { ++hits; });
-  EXPECT_EQ(hits, 0);
-}
-
-TEST(ParallelFor, GrainCoarsensChunks) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  parallel_for(pool, 0, 100, 100, [&](std::int64_t) { count.fetch_add(1); });
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ParallelFor, ExceptionsPropagate) {
-  ThreadPool pool(4);
-  EXPECT_THROW(parallel_for(pool, 0, 100, 1,
-                            [](std::int64_t i) {
-                              if (i == 57) throw std::runtime_error("bad");
-                            }),
-               std::runtime_error);
-}
-
-TEST(ParallelReduce, SumsCorrectly) {
-  ThreadPool pool(4);
-  const std::int64_t n = 100000;
-  const auto sum = parallel_reduce<std::int64_t>(
-      pool, 0, n, 1, 0, [](std::int64_t i) { return i; },
-      [](std::int64_t a, std::int64_t b) { return a + b; });
-  EXPECT_EQ(sum, n * (n - 1) / 2);
-}
-
-TEST(ParallelReduce, EmptyRangeYieldsIdentity) {
-  ThreadPool pool(2);
-  const auto result = parallel_reduce<int>(
-      pool, 0, 0, 1, -7, [](std::int64_t) { return 1; },
-      [](int a, int b) { return a + b; });
-  EXPECT_EQ(result, -7);
-}
-
-TEST(ParallelReduce, MaxReduction) {
-  ThreadPool pool(4);
-  const auto result = parallel_reduce<std::int64_t>(
-      pool, 0, 1000, 1, std::numeric_limits<std::int64_t>::min(),
-      [](std::int64_t i) { return (i * 37) % 1001; },
-      [](std::int64_t a, std::int64_t b) { return std::max(a, b); });
-  std::int64_t expected = std::numeric_limits<std::int64_t>::min();
-  for (std::int64_t i = 0; i < 1000; ++i) {
-    expected = std::max(expected, (i * 37) % 1001);
-  }
-  EXPECT_EQ(result, expected);
-}
-
-// Property sweep: parallel sum equals serial sum for many sizes/grains.
-class ReduceSweep
-    : public ::testing::TestWithParam<std::pair<int, int>> {};
-
-TEST_P(ReduceSweep, MatchesSerial) {
-  const auto [size, grain] = GetParam();
-  ThreadPool pool(4);
-  const auto parallel = parallel_reduce<std::int64_t>(
-      pool, 0, size, grain, 0,
-      [](std::int64_t i) { return i * i; },
-      [](std::int64_t a, std::int64_t b) { return a + b; });
-  std::int64_t serial = 0;
-  for (std::int64_t i = 0; i < size; ++i) serial += i * i;
-  EXPECT_EQ(parallel, serial);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    SizesAndGrains, ReduceSweep,
-    ::testing::Values(std::pair{1, 1}, std::pair{17, 4}, std::pair{1000, 1},
-                      std::pair{1000, 250}, std::pair{4096, 64},
-                      std::pair{100000, 1000}));
 
 }  // namespace
 }  // namespace lsdf::exec

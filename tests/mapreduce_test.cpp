@@ -2,7 +2,15 @@
 // scheduling, speculation, shuffle) and the real-execution LocalRunner.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <cstdint>
+#include <limits>
+#include <map>
+#include <numeric>
 #include <optional>
+#include <stdexcept>
+#include <thread>
 
 #include "dfs/cluster_builder.h"
 #include "exec/thread_pool.h"
@@ -377,6 +385,234 @@ TEST_P(BucketSweep, ResultIndependentOfPartitioning) {
 
 INSTANTIATE_TEST_SUITE_P(Buckets, BucketSweep,
                          ::testing::Values(1, 2, 3, 8, 16, 64));
+
+// --- LocalRunner as the library's chunked parallel loop ----------------------
+//
+// The ParallelFor and ParallelReduce suites keep the names of the chunked
+// loops exec no longer has: LocalRunner is the library's one chunked
+// parallel loop, so they test it.
+
+using IntRunner = LocalRunner<int, int, int>;
+using SumRunner = LocalRunner<std::int64_t, std::int64_t, std::int64_t>;
+
+int count_values(const int&, std::span<const int> values) {
+  return static_cast<int>(values.size());
+}
+
+std::int64_t sum_values(const std::int64_t&,
+                        std::span<const std::int64_t> values) {
+  return std::accumulate(values.begin(), values.end(), std::int64_t{0});
+}
+
+std::vector<int> iota_input(int size) {
+  std::vector<int> input(static_cast<std::size_t>(size));
+  std::iota(input.begin(), input.end(), 0);
+  return input;
+}
+
+TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
+  exec::ThreadPool pool(4);
+  IntRunner::Options options;
+  options.map_chunk = 7;  // the last chunk is partial
+  IntRunner runner(pool, options);
+  const std::vector<int> input = iota_input(1000);
+  std::vector<std::atomic<int>> hits(input.size());
+  const auto result = runner.run(
+      input,
+      [&hits](const int& x, IntRunner::Emitter& emit) {
+        hits[static_cast<std::size_t>(x)].fetch_add(1);
+        emit.emit(x, 1);
+      },
+      count_values);
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  ASSERT_EQ(result.size(), input.size());
+  for (std::size_t i = 0; i < result.size(); ++i) {
+    EXPECT_EQ(result[i], (std::pair<int, int>{static_cast<int>(i), 1}));
+  }
+}
+
+TEST(ParallelFor, EmptyAndReversedRangesAreNoOps) {
+  // No records, or records that emit nothing: empty output, and reduce is
+  // never called.
+  exec::ThreadPool pool(2);
+  IntRunner runner(pool, IntRunner::Options{});
+  std::atomic<int> calls{0};
+  const auto reduce = [&calls](const int&, std::span<const int>) {
+    calls.fetch_add(1);
+    return 0;
+  };
+  const std::vector<int> empty;
+  EXPECT_TRUE(runner
+                  .run(
+                      empty,
+                      [&calls](const int&, IntRunner::Emitter&) {
+                        calls.fetch_add(1);
+                      },
+                      reduce)
+                  .empty());
+  EXPECT_TRUE(
+      runner.run(iota_input(100), [](const int&, IntRunner::Emitter&) {},
+                 reduce)
+          .empty());
+  EXPECT_EQ(calls.load(), 0);
+}
+
+TEST(ParallelFor, GrainCoarsensChunks) {
+  // A map_chunk larger than the input runs one map task, with the same
+  // result as one task per record.
+  exec::ThreadPool pool(4);
+  const std::vector<int> input = iota_input(100);
+  const auto map = [](const int& x, IntRunner::Emitter& emit) {
+    emit.emit(x % 9, x);
+  };
+  IntRunner::Options coarse;
+  coarse.map_chunk = 1000;
+  IntRunner::Options fine;
+  fine.map_chunk = 1;
+  EXPECT_EQ(IntRunner(pool, coarse).run(input, map, count_values),
+            IntRunner(pool, fine).run(input, map, count_values));
+}
+
+// A functor that throws fails the run, and run() joins every task of the
+// phase before it rethrows: the tasks reference run()'s frame. Each case
+// counts the functor calls that completed, then drains the pool; a task
+// that outlived run() shows as a count that grew after run() returned (or
+// as a crash: it would write through run()'s destroyed locals).
+TEST(ParallelFor, ExceptionsPropagate) {
+  // Regression: run() rethrew from the first failed map task while the
+  // other tasks still ran against its frame (a crash in an optimised
+  // build, stack-use-after-scope under ASan).
+  exec::ThreadPool pool(4);
+  IntRunner::Options options;
+  options.map_chunk = 1;  // one map task per record
+  IntRunner runner(pool, options);
+  std::atomic<int> mapped{0};
+  EXPECT_THROW(runner.run(
+                   iota_input(64),
+                   [&mapped](const int& x, IntRunner::Emitter& emit) {
+                     if (x == 0) throw std::runtime_error("bad record");
+                     std::this_thread::sleep_for(std::chrono::milliseconds(1));
+                     mapped.fetch_add(1);
+                     emit.emit(x, 1);
+                   },
+                   count_values),
+               std::runtime_error);
+  const int mapped_when_run_returned = mapped.load();
+  pool.wait_idle();
+  EXPECT_EQ(mapped.load(), mapped_when_run_returned)
+      << "a map task outlived run()";
+  EXPECT_EQ(mapped_when_run_returned, 63);
+}
+
+TEST(LocalRunner, ThrowingReduceJoinsEveryTaskBeforeRethrowing) {
+  exec::ThreadPool pool(4);
+  using Runner = LocalRunner<int, int, int>;
+  Runner::Options options;
+  options.reduce_buckets = 16;
+  Runner runner(pool, options);
+  std::vector<int> input(64);
+  std::iota(input.begin(), input.end(), 0);
+  std::atomic<int> reduced{0};
+  EXPECT_THROW(
+      runner.run(
+          input,
+          [](const int& x, Runner::Emitter& emit) { emit.emit(x, 1); },
+          [&reduced](const int& key, std::span<const int> values) {
+            if (key == 0) throw std::runtime_error("bad key");
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            reduced.fetch_add(1);
+            return static_cast<int>(values.size());
+          }),
+      std::runtime_error);
+  const int reduced_when_run_returned = reduced.load();
+  pool.wait_idle();
+  EXPECT_EQ(reduced.load(), reduced_when_run_returned)
+      << "a reduce task outlived run()";
+}
+
+TEST(ParallelReduce, SumsCorrectly) {
+  exec::ThreadPool pool(4);
+  SumRunner::Options options;
+  options.combiner = sum_values;
+  SumRunner runner(pool, options);
+  const std::int64_t n = 100000;
+  std::vector<std::int64_t> input(static_cast<std::size_t>(n));
+  std::iota(input.begin(), input.end(), std::int64_t{0});
+  const auto result = runner.run(
+      input,
+      [](const std::int64_t& x, SumRunner::Emitter& emit) { emit.emit(0, x); },
+      sum_values);
+  ASSERT_EQ(result.size(), 1u);
+  EXPECT_EQ(result[0].second, n * (n - 1) / 2);
+}
+
+TEST(ParallelReduce, EmptyRangeYieldsIdentity) {
+  // No records: no key, so the combined reduction yields nothing.
+  exec::ThreadPool pool(2);
+  SumRunner::Options options;
+  options.combiner = sum_values;
+  SumRunner runner(pool, options);
+  const std::vector<std::int64_t> empty;
+  EXPECT_TRUE(runner
+                  .run(
+                      empty,
+                      [](const std::int64_t& x, SumRunner::Emitter& emit) {
+                        emit.emit(0, x);
+                      },
+                      sum_values)
+                  .empty());
+}
+
+TEST(ParallelReduce, MaxReduction) {
+  exec::ThreadPool pool(4);
+  SumRunner runner(pool, SumRunner::Options{});
+  std::vector<std::int64_t> input(1000);
+  std::iota(input.begin(), input.end(), std::int64_t{0});
+  const auto result = runner.run(
+      input,
+      [](const std::int64_t& i, SumRunner::Emitter& emit) {
+        emit.emit(0, (i * 37) % 1001);
+      },
+      [](const std::int64_t&, std::span<const std::int64_t> values) {
+        return *std::max_element(values.begin(), values.end());
+      });
+  std::int64_t expected = std::numeric_limits<std::int64_t>::min();
+  for (std::int64_t i = 0; i < 1000; ++i) {
+    expected = std::max(expected, (i * 37) % 1001);
+  }
+  ASSERT_EQ(result.size(), 1u);
+  EXPECT_EQ(result[0].second, expected);
+}
+
+// Property sweep: the parallel per-key sums equal a serial count for many
+// (input size, map_chunk) pairs.
+class ReduceSweep : public ::testing::TestWithParam<std::pair<int, int>> {};
+
+TEST_P(ReduceSweep, MatchesSerial) {
+  const auto [size, chunk] = GetParam();
+  exec::ThreadPool pool(4);
+  SumRunner::Options options;
+  options.map_chunk = static_cast<std::size_t>(chunk);
+  SumRunner runner(pool, options);
+  std::vector<std::int64_t> input(static_cast<std::size_t>(size));
+  std::iota(input.begin(), input.end(), std::int64_t{0});
+  const auto parallel = runner.run(
+      input,
+      [](const std::int64_t& i, SumRunner::Emitter& emit) {
+        emit.emit(i % 13, i * i);
+      },
+      sum_values);
+  std::map<std::int64_t, std::int64_t> serial;
+  for (std::int64_t i = 0; i < size; ++i) serial[i % 13] += i * i;
+  EXPECT_EQ(parallel, (std::vector<std::pair<std::int64_t, std::int64_t>>(
+                          serial.begin(), serial.end())));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SizesAndGrains, ReduceSweep,
+    ::testing::Values(std::pair{1, 1}, std::pair{17, 4}, std::pair{1000, 1},
+                      std::pair{1000, 250}, std::pair{4096, 64},
+                      std::pair{100000, 1000}));
 
 }  // namespace
 }  // namespace lsdf::mapreduce

@@ -15,9 +15,8 @@ Replaces the regex script `tools/lint.py` with a real pipeline:
              single lines.
 
   rules      A rule framework (rules.py) with stable ids (LL001..LL011,
-             LL007 retired), severities, per-rule baselines (baseline.py),
-             text/JSON output and a `--diff <ref>` mode for PR CI
-             (engine.py).
+             LL007 retired), severities, NOLINT suppression, text/JSON
+             output and a `--diff <ref>` mode for PR CI (engine.py).
 
 Run `python3 -m lsdf_lint --help` from `tools/` (or with `tools/` on
 PYTHONPATH), and `python3 -m lsdf_lint.selftest` for the fixture goldens.

@@ -6,10 +6,10 @@ Invocations (from `tools/`, or with `tools/` on PYTHONPATH):
   python3 -m lsdf_lint --format json        # CI artifact
   python3 -m lsdf_lint --diff origin/main   # fast PR gate: changed files
   python3 -m lsdf_lint --list-rules         # rule catalog
-  python3 -m lsdf_lint --write-baselines    # grandfather current findings
 
-Exit status is non-zero when findings (or stale baseline entries) remain,
-so it can run directly as a ctest and a CI step.
+Exit status is non-zero when findings remain, so it can run directly as a
+ctest and a CI step. A deliberate violation is suppressed on its own line
+with `// NOLINT(rule-name)`; there is no per-file or per-rule allowlist.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import __version__, baseline, engine
+from . import __version__, engine
 from .rules import RULES
 
 
@@ -42,11 +42,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--diff", metavar="REF", default=None,
                         help="lint only files changed vs the git ref")
-    parser.add_argument("--no-baselines", action="store_true",
-                        help="ignore baselines/*.txt")
-    parser.add_argument("--write-baselines", action="store_true",
-                        help="accept all current findings into per-rule "
-                             "baseline files")
     parser.add_argument("--list-rules", action="store_true")
     parser.add_argument("--version", action="version",
                         version=f"lsdf_lint {__version__}")
@@ -72,20 +67,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
     started = time.monotonic()
-    report = engine.run(
-        root,
-        files=files,
-        use_baselines=not (args.no_baselines or args.write_baselines),
-    )
-
-    if args.write_baselines:
-        written = baseline.write(Path(__file__).resolve().parent,
-                                 report.findings)
-        for path in written:
-            print(f"wrote {path}")
-        print(f"baselined {len(report.findings)} finding(s) across "
-              f"{len(written)} rule(s)", file=sys.stderr)
-        return 0
+    report = engine.run(root, files=files)
 
     if args.format == "json":
         print(engine.render_json(report))

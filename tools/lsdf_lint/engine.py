@@ -3,9 +3,9 @@
 The engine owns everything around the rules: which files are scanned
 (SCAN_DIRS, or an explicit list for `--diff` mode), the one global check
 that is not per-file (every `src/<subsystem>/` must be named in
-DESIGN.md), NOLINT suppression, baseline filtering, and the text/JSON
-renderers. `run()` is the single entry point used by the CLI, the ctest
-gate, and the selftest fixture runner.
+DESIGN.md), NOLINT suppression, and the text/JSON renderers. `run()` is
+the single entry point used by the CLI, the ctest gate, and the selftest
+fixture runner.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import baseline as baseline_mod
 from . import semantic, tokenizer
 from .rules import RULES, RULES_BY_NAME, FileContext, Finding, Rule
 
@@ -29,12 +28,11 @@ _DOC_RULE = RULES_BY_NAME["doc-coverage"]
 @dataclass
 class Report:
     findings: list[Finding] = field(default_factory=list)
-    stale_baseline: list[str] = field(default_factory=list)
     files_scanned: int = 0
 
     @property
     def exit_code(self) -> int:
-        return 1 if self.findings or self.stale_baseline else 0
+        return 1 if self.findings else 0
 
 
 def discover(root: Path) -> list[str]:
@@ -128,7 +126,6 @@ def run(
     root: Path,
     files: list[str] | None = None,
     rules: list[Rule] | None = None,
-    use_baselines: bool = True,
     global_checks: bool = True,
 ) -> Report:
     """Lint `files` (repo-relative; None = discover everything) under root."""
@@ -141,19 +138,12 @@ def run(
         report.files_scanned += 1
     if global_checks and files is None:
         report.findings.extend(check_design_inventory(root))
-    if use_baselines:
-        accepted = baseline_mod.load(Path(__file__).resolve().parent)
-        report.findings, report.stale_baseline = baseline_mod.apply(
-            report.findings, accepted
-        )
     report.findings.sort(key=lambda f: (f.file, f.line, f.code))
     return report
 
 
 def render_text(report: Report) -> str:
-    lines = [f.render() for f in report.findings]
-    lines.extend(report.stale_baseline)
-    return "\n".join(lines)
+    return "\n".join(f.render() for f in report.findings)
 
 
 def render_json(report: Report) -> str:
@@ -173,7 +163,6 @@ def render_json(report: Report) -> str:
                  "message": f.message}
                 for f in report.findings
             ],
-            "stale_baseline_entries": report.stale_baseline,
         },
         indent=2,
     )

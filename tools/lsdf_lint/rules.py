@@ -1,7 +1,7 @@
 """The LSDF rule catalog: stable ids, severities, and per-file checkers.
 
 Each rule has a stable short code (LL001..LL011) that never changes
-meaning, a kebab-case name used in output/NOLINT/baselines, and a checker
+meaning, a kebab-case name used in output and NOLINT, and a checker
 run against a `FileContext` (raw text + token stream + semantic model).
 A retired code is never reused: LL007 went with the fixed-bucket
 histogram whose `_seconds` registrations it flagged.
@@ -11,8 +11,8 @@ tests/fixtures/<rule-name>/ pin each rule's behaviour.
 Suppression: `// NOLINT(rule-name)` on the finding's line (or
 `// NOLINTNEXTLINE(rule-name)` on the line above) — reserved for
 deliberate violations such as the runtime-guard regression test in
-tests/sim_sharded_test.cpp. Per-rule baselines (baseline.py) exist for
-incremental adoption; the repo ships with all baselines empty.
+tests/sim_sharded_test.cpp. There is no per-file or per-rule allowlist:
+the change that adds a rule also fixes what the rule finds.
 """
 
 from __future__ import annotations

@@ -133,7 +133,7 @@ def run_fixture(rule_name: str) -> list[str]:
         if not root.is_dir():
             failures.append(f"{rule_name}/{flavor}: fixture tree missing")
             continue
-        report = engine.run(root, use_baselines=False)
+        report = engine.run(root)
         got = sorted(
             f.render() for f in report.findings if f.rule == rule_name
         )
