@@ -19,6 +19,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/simulator.h"
+#include "storage/io_channel.h"
 
 namespace lsdf {
 namespace {
@@ -190,6 +191,34 @@ void BM_TransferEngineReallocation(benchmark::State& state) {
   state.SetItemsProcessed(flows * state.iterations());
 }
 BENCHMARK(BM_TransferEngineReallocation)->Arg(10)->Arg(100);
+
+void BM_FairChannelBurst(benchmark::State& state) {
+  // N ops of distinct seeded sizes submitted at one instant to a
+  // DiskArray-sized channel (20 Gb/s, 400 MB/s per op) and run to
+  // completion: the shape of facility_fill's archive preload. Every
+  // advance still costs one subtraction per op in flight.
+  const auto ops = static_cast<std::size_t>(state.range(0));
+  Rng rng(7);
+  std::vector<Bytes> sizes;
+  for (std::size_t i = 0; i < ops; ++i) {
+    sizes.emplace_back(6'000'000'000 +
+                       static_cast<std::int64_t>(
+                           rng.next_below(12'000'000'000)));
+  }
+  for (auto _ : state) {
+    sim::Simulator sim;
+    storage::FairChannel channel(sim, Rate::gigabits_per_second(20.0),
+                                 Rate::megabytes_per_second(400.0));
+    std::size_t completed = 0;
+    for (const Bytes size : sizes) {
+      channel.submit(size, [&completed] { ++completed; });
+    }
+    sim.run();
+    benchmark::DoNotOptimize(completed);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(ops) * state.iterations());
+}
+BENCHMARK(BM_FairChannelBurst)->Arg(64)->Arg(512)->Arg(4096);
 
 // --- Observability hot path (the instrumented subsystems pay this) -----------
 

@@ -185,7 +185,9 @@ Result<double> Properties::get_double(const std::string& key) const {
 }
 
 Result<bool> Properties::get_bool(const std::string& key) const {
-  LSDF_ASSIGN_OR_RETURN(const std::string text, get(key));
+  const Result<std::string> found = get(key);
+  if (!found.is_ok()) return found.status();
+  const std::string& text = found.value();
   if (text == "true" || text == "1" || text == "yes") return true;
   if (text == "false" || text == "0" || text == "no") return false;
   return invalid_argument("property `" + key + "` is not a boolean: `" +

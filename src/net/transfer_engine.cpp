@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <string>
 
 #include "common/require.h"
@@ -341,14 +342,16 @@ void TransferEngine::schedule_next_completion() {
     min_seconds =
         std::min(min_seconds, flow.wire_bytes_remaining / flow.rate_bps);
   }
-  if (min_seconds == std::numeric_limits<double>::infinity()) return;
-  pending_completion_ = simulator_.schedule_after(
-      SimDuration::from_seconds(min_seconds) + SimDuration(1),
-      [this] {
-        completion_scheduled_ = false;
-        advance_progress();
-        reallocate();
-      });
+  // No allocated flow, or none finishing before the end of the clock: the
+  // next reallocation re-arms the completion.
+  const std::optional<SimDuration> delay =
+      simulator_.completion_delay(min_seconds);
+  if (!delay) return;
+  pending_completion_ = simulator_.schedule_after(*delay, [this] {
+    completion_scheduled_ = false;
+    advance_progress();
+    reallocate();
+  });
   completion_scheduled_ = true;
 }
 

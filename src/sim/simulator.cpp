@@ -72,6 +72,16 @@ EventId Simulator::schedule_at(SimTime t, Callback callback) {
   return EventId{index, slot.generation, shard_};
 }
 
+std::optional<SimDuration> Simulator::completion_delay(double seconds) const {
+  LSDF_REQUIRE(!(seconds < 0.0), "a completion delay cannot be negative");
+  // Reject in double first: the cast in from_seconds is defined only for
+  // values below 2^63 ns (~292 years). This also rejects inf and NaN.
+  if (!(seconds * 1e9 < 0x1p63)) return std::nullopt;
+  const SimDuration delay = SimDuration::from_seconds(seconds) + SimDuration(1);
+  if (delay >= SimTime::max() - now_) return std::nullopt;
+  return delay;
+}
+
 bool Simulator::cancel(EventId id) {
   LSDF_DCHECK(detail::t_active_shard == detail::kNoActiveShard ||
                   detail::t_active_shard == shard_,

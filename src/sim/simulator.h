@@ -22,6 +22,7 @@
 #include <deque>
 #include <functional>  // std::hash only — no std::function in the kernel
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -115,6 +116,17 @@ class Simulator {
   EventId schedule_after(SimDuration delay, F&& fn) {
     return schedule_at(now_ + delay, std::forward<F>(fn));
   }
+
+  // Delay until a rate-derived completion `seconds` from now: the seconds
+  // truncated to whole nanoseconds, plus one so the progress update the
+  // event triggers has crossed the finishing threshold. nullopt when that
+  // lands at or past the end of the clock (SimTime::max()), where
+  // SimDuration::from_seconds' int64 cast would overflow; an infinite or
+  // NaN delay is past it too. The caller then schedules nothing: its work
+  // stays in flight until a later reallocation brings the completion into
+  // range, or until it is cancelled.
+  [[nodiscard]] std::optional<SimDuration> completion_delay(
+      double seconds) const;
 
   // Cancel a pending event. Returns false if it already fired or was
   // cancelled before (including when the slot has since been recycled for

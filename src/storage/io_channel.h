@@ -2,11 +2,21 @@
 //! a datanode's disks) whose concurrent operations split capacity equally,
 //! subject to an optional per-operation rate cap. This is the single-link
 //! special case of the network engine's max-min allocation.
+//!
+//! Every in-flight op runs at one shared rate, so the channel stores that
+//! rate once. Ops sit in flat arrays in submission (= OpId) order with the
+//! smallest remaining byte count carried alongside: a submit at the instant
+//! of the last update touches no other op, and each advance of simulated
+//! time is one pass that subtracts the same progress from every op, drops
+//! the finished ones and recomputes the minimum. Callbacks live in a
+//! slot-indexed side table the pass never moves. The arithmetic is the
+//! per-op-rate formulation's, bit for bit (DESIGN §4j, "Shared channels").
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
+#include <limits>
+#include <vector>
 
 #include "common/units.h"
 #include "sim/simulator.h"
@@ -32,7 +42,7 @@ class FairChannel {
   // Abort an in-flight operation (its callback never fires).
   bool cancel(OpId id);
 
-  [[nodiscard]] std::size_t active_ops() const { return ops_.size(); }
+  [[nodiscard]] std::size_t active_ops() const { return remaining_.size(); }
   [[nodiscard]] Rate capacity() const {
     return Rate::bytes_per_second(capacity_bps_);
   }
@@ -44,20 +54,24 @@ class FairChannel {
   void set_degradation(double factor);
 
  private:
-  struct Op {
-    double remaining = 0.0;
-    double rate_bps = 0.0;
-    Callback done;
-  };
-
+  // Credit every op with the bytes moved since the last update; ops that
+  // finish leave the channel, then their callbacks fire in OpId order.
   void advance_progress();
+  // Recompute the shared rate and re-arm the next completion event.
   void reallocate();
 
   sim::Simulator& simulator_;
   double capacity_bps_;
   double per_op_cap_bps_;  // 0 = uncapped
   double degradation_ = 1.0;
-  std::map<OpId, Op> ops_;
+  double share_bps_ = 0.0;  // every in-flight op's rate
+  // In-flight ops, index-aligned, in submission order.
+  std::vector<double> remaining_;
+  std::vector<OpId> ids_;
+  std::vector<std::uint32_t> slots_;  // index into callbacks_
+  double min_remaining_ = std::numeric_limits<double>::infinity();
+  std::vector<Callback> callbacks_;
+  std::vector<std::uint32_t> free_slots_;
   OpId next_id_ = 1;
   SimTime last_update_;
   sim::EventId pending_{};

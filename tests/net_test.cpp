@@ -229,6 +229,37 @@ TEST(TransferEngine, CappedFlowLeavesBandwidthForOthers) {
   EXPECT_NEAR(capped.completion->duration().seconds(), 5.0, 0.02);
 }
 
+TEST(TransferEngine, CompletionPastTheClockEndStaysInFlightUntilCancelled) {
+  sim::Simulator sim;
+  Topology topo = line_topology(2, Rate::gigabits_per_second(10.0));
+  TransferEngine engine(sim, topo);
+  Capture crawling;
+  Capture open;
+  TransferOptions crawl_options;
+  crawl_options.rate_cap = Rate::bytes_per_second(1e-6);
+  // 1 MB at 1e-6 B/s takes ~31,700 years, past the end of the clock.
+  const FlowId crawl = engine
+                           .start_transfer(0, 1, 1_MB, crawl_options,
+                                           crawling.cb())
+                           .value();
+  ASSERT_TRUE(engine
+                  .start_transfer(0, 1, 100_MB, TransferOptions{},
+                                  open.cb())
+                  .is_ok());
+  sim.run();
+  // The open flow completes on schedule; the crawling one is left with no
+  // completion event and waits for a cancel.
+  ASSERT_TRUE(open.completion.has_value());
+  EXPECT_TRUE(open.completion->delivered());
+  EXPECT_FALSE(crawling.completion.has_value());
+  EXPECT_EQ(engine.active_flows(), 1u);
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_TRUE(engine.cancel(crawl));
+  ASSERT_TRUE(crawling.completion.has_value());
+  EXPECT_EQ(crawling.completion->status.code(), StatusCode::kCancelled);
+  EXPECT_EQ(engine.active_flows(), 0u);
+}
+
 TEST(TransferEngine, CrossTrafficOnlySharesCommonLinks) {
   // 0-1-2 and 3-1-2: flows 0->2 and 3->2 share only link 1->2.
   sim::Simulator sim;
@@ -383,7 +414,7 @@ TEST(TransferEngine, InvalidEfficiencyViolatesContract) {
   TransferOptions options;
   options.efficiency = 0.0;
   EXPECT_THROW(
-      engine.start_transfer(0, 1, 1_MB, options, nullptr).is_ok(),
+      (void)engine.start_transfer(0, 1, 1_MB, options, nullptr).is_ok(),
       ContractViolation);
 }
 

@@ -29,7 +29,9 @@ MetadataStore build_rich_store() {
     reg.basic["exposure_ms"] = 0.1 + i;  // exercises double round-trip
     reg.basic["calibrated"] = (i % 2 == 0);
     const DatasetId id = store.register_dataset(std::move(reg)).value();
-    if (i % 2 == 0) EXPECT_TRUE(store.tag(id, "golden").is_ok());
+    if (i % 2 == 0) {
+      EXPECT_TRUE(store.tag(id, "golden").is_ok());
+    }
     if (i == 1) {
       AttrMap params;
       params["algorithm"] = std::string("seg-v2");

@@ -185,7 +185,8 @@ TEST(Partitioner, DownLinksAndUncoupledPairs) {
   EXPECT_FALSE(partition.coupled(sa, sd));
   EXPECT_EQ(partition.lookahead(sa, sd), SimDuration::max());
   EXPECT_THROW(partition.post_notice(sa, sd, [] {}), ContractViolation);
-  EXPECT_THROW(partition.transfer_delay(sa, sd, 1_GB), ContractViolation);
+  EXPECT_THROW((void)partition.transfer_delay(sa, sd, 1_GB),
+               ContractViolation);
 }
 
 TEST(Partition, TransferArrivesAtPathLatencyPlusSerialization) {

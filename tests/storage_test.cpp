@@ -6,6 +6,8 @@
 #include <optional>
 #include <vector>
 
+#include "chk/fingerprint.h"
+#include "common/rng.h"
 #include "sim/simulator.h"
 #include "storage/disk_array.h"
 #include "storage/hsm_store.h"
@@ -91,6 +93,135 @@ TEST(FairChannel, ContractChecks) {
   FairChannel channel(sim, Rate::megabytes_per_second(10.0), Rate::zero());
   EXPECT_THROW(channel.set_degradation(0.0), ContractViolation);
   EXPECT_THROW(channel.set_degradation(1.5), ContractViolation);
+}
+
+// Golden pin for the channel's schedule. A seeded same-instant burst (some
+// sizes repeated, so several ops finish in one progress pass), a staggered
+// second wave, a per-op-capped channel, a degradation dip, a cancel and a
+// completion that submits a follow-up. Every completion folds (op index,
+// nanosecond) into `completions`; the kernel fingerprint covers the
+// completion events' own scheduling and cancellation. Ops are 0.2-5 TB,
+// so one-ulp differences in the remaining bytes reach the nanosecond
+// clock: a formulation that rounds differently (virtual-time finish tags)
+// moves this digest. Frozen at the per-op-rate std::map channel: a rewrite
+// must land every completion on the same nanosecond, in the same order.
+TEST(FairChannel, BurstScheduleFingerprintPinned) {
+  sim::Simulator sim;
+  FairChannel shared(sim, Rate::gigabits_per_second(20.0), Rate::zero());
+  FairChannel capped(sim, Rate::megabytes_per_second(1000.0),
+                     Rate::megabytes_per_second(150.0));
+  chk::Fingerprint completions;
+  int completed = 0;
+  const auto record = [&](std::uint64_t index) {
+    return [&, index] {
+      completions.fold(index);
+      completions.fold(static_cast<std::uint64_t>(sim.now().nanos()));
+      ++completed;
+    };
+  };
+
+  Rng rng(2026);
+  const auto draw = [&rng](Bytes low, Bytes span) {
+    return low + Bytes(static_cast<std::int64_t>(
+                     rng.next_below(static_cast<std::uint64_t>(span.count()))));
+  };
+  std::vector<OpId> burst;
+  Bytes size = 1_TB;
+  for (std::uint64_t i = 0; i < 300; ++i) {
+    if (i % 5 != 0) size = draw(480_GB, 4500_GB);
+    if (i == 17) {
+      burst.push_back(shared.submit(size, [&, done = record(i)] {
+        done();
+        shared.submit(800_GB, record(9000));  // follow-up on the same channel
+      }));
+    } else {
+      burst.push_back(shared.submit(size, record(i)));
+    }
+  }
+  SimTime at = SimTime::zero();
+  for (std::uint64_t i = 0; i < 40; ++i) {
+    at = at + SimDuration::from_seconds(rng.exponential(4000.0));
+    const Bytes wave_size = draw(200_GB, 3000_GB);
+    FairChannel& channel = (i % 2 == 0) ? capped : shared;
+    sim.schedule_at(at, [&channel, wave_size, done = record(1000 + i)] {
+      channel.submit(wave_size, done);
+    });
+  }
+  sim.schedule_at(SimTime::zero() + 20000_s,
+                  [&] { EXPECT_TRUE(shared.cancel(burst[123])); });
+  sim.schedule_at(SimTime::zero() + 30000_s, [&] {
+    shared.set_degradation(0.5);
+    capped.set_degradation(0.5);
+  });
+  sim.schedule_at(SimTime::zero() + 90000_s, [&] {
+    shared.set_degradation(1.0);
+    capped.set_degradation(1.0);
+  });
+  sim.run();
+
+  EXPECT_EQ(completed, 300 - 1 + 40 + 1);
+  EXPECT_EQ(shared.active_ops(), 0u);
+  EXPECT_EQ(capped.active_ops(), 0u);
+  EXPECT_EQ(completions.value(), 0x9fe5bcc7024d2d9aULL);
+  EXPECT_EQ(sim.fingerprint(), 0xf31ded5d741a8dc0ULL);
+  EXPECT_EQ(sim.executed_events(), 324u);
+}
+
+TEST(FairChannel, CallbacksSeeAConsistentChannel) {
+  sim::Simulator sim;
+  FairChannel channel(sim, Rate::megabytes_per_second(100.0), Rate::zero());
+  std::vector<char> fired;
+  bool late_cancel = true;
+  bool live_cancel = false;
+  std::size_t active_in_callback = 0;
+  SimTime follow_up_done;
+  OpId c = 0;
+  OpId d = 0;
+  // A, B and C are equal, so one progress pass finishes all three.
+  channel.submit(100_MB, [&] {
+    fired.push_back('A');
+    active_in_callback = channel.active_ops();
+    late_cancel = channel.cancel(c);  // C finished in this same pass
+    live_cancel = channel.cancel(d);  // D is still in flight
+  });
+  channel.submit(100_MB, [&] {
+    fired.push_back('B');
+    channel.submit(50_MB, [&] {
+      fired.push_back('E');
+      follow_up_done = sim.now();
+    });
+  });
+  c = channel.submit(100_MB, [&] { fired.push_back('C'); });
+  d = channel.submit(1000_MB, [&] { fired.push_back('D'); });
+  sim.run();
+
+  EXPECT_EQ(fired, (std::vector<char>{'A', 'B', 'C', 'E'}));
+  EXPECT_EQ(active_in_callback, 1u);  // only D: A, B, C left before A fired
+  EXPECT_FALSE(late_cancel);
+  EXPECT_TRUE(live_cancel);
+  // 4 ops at 25 MB/s finish 100 MB at 4 s (+1 ns); E then runs alone at
+  // 100 MB/s: 0.5 s (+1 ns).
+  EXPECT_EQ(follow_up_done.nanos(), 4'500'000'002);
+  EXPECT_EQ(channel.active_ops(), 0u);
+}
+
+TEST(FairChannel, CompletionPastTheClockEndWaitsForAReallocation) {
+  sim::Simulator sim;
+  FairChannel channel(sim, Rate::megabytes_per_second(100.0), Rate::zero());
+  channel.set_degradation(1e-12);
+  SimTime finished;
+  // 1 GB at 1e-4 B/s takes ~317,000 years, past the end of the clock: the
+  // op stays in flight with no completion scheduled.
+  channel.submit(1_GB, [&] { finished = sim.now(); });
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(channel.active_ops(), 1u);
+  // Restoring full bandwidth brings the completion back into range.
+  sim.schedule_after(1_s, [&] { channel.set_degradation(1.0); });
+  sim.run();
+  EXPECT_EQ(channel.active_ops(), 0u);
+  // 1e9 - 1e-4 bytes remain after 1 s; at 100 MB/s that truncates to
+  // 9,999,999,999 ns, and the completion's extra 1 ns makes it 10 s more.
+  EXPECT_EQ(finished, SimTime::zero() + 11_s);
 }
 
 // --- DiskArray ---------------------------------------------------------------
