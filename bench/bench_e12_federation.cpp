@@ -14,7 +14,7 @@
 // from; a missing or malformed file fails the run.
 //
 // Usage: bench_e12_federation [--smoke] [--trace f] [--metrics f]
-//        [--metrics-csv f] [--flight dir]
+//        [--flight dir] [--json f]
 #include <chrono>
 #include <string>
 

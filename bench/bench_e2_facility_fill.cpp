@@ -29,9 +29,7 @@ int main(int argc, char** argv) {
   config.ingest.parallel_slots = 64;
   core::Facility facility(config);
   sim::Simulator& sim = facility.simulator();
-  if (obs_options.tracing()) {
-    obs::Tracer::global().use_sim_clock([&sim] { return sim.now().nanos(); });
-  }
+  const bench::ScopedSimTraceClock trace_clock(sim);
 
   for (const char* project :
        {"zebrafish-htm", "katrin", "climate", "anka"}) {

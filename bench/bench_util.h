@@ -110,8 +110,8 @@ inline double host_parallelism() {
   return all.count() > 0.0 ? hw * one.count() / all.count() : 0.0;
 }
 
-// Set by every requested export (--json, --metrics, --metrics-csv, --flight,
-// --trace) that could not be written; obs_dump then fails the run.
+// Set by every requested export (--json, --metrics, --flight, --trace) that
+// could not be written; obs_dump then fails the run.
 inline bool export_failed = false;
 
 // --- Machine-readable reports (BENCH_*.json) ---------------------------------
@@ -281,7 +281,6 @@ inline void write_json_section(
 //   --trace <file.json>    span timeline (Chrome trace_event; open in
 //                          chrome://tracing or https://ui.perfetto.dev)
 //   --metrics <file>       final metrics registry, Prometheus text format
-//   --metrics-csv <file>   same, as name,labels,field,value CSV
 //   --flight <dir>         flight-recorder postmortems and final timeline
 //   --json <file>          the bench's BENCH_*.json report sections; without
 //                          it a run writes no report
@@ -304,7 +303,6 @@ struct BenchFlag {
 struct ObsOptions {
   std::string trace_path;
   std::string metrics_path;
-  std::string metrics_csv_path;
   std::string flight_dir;
   std::string json_path;
   // Every flag given: a switch maps to "", a value flag to its value.
@@ -331,7 +329,6 @@ inline ObsOptions obs_init(int argc, char** argv,
                            std::initializer_list<BenchFlag> own_flags = {}) {
   std::vector<BenchFlag> flags = {{"--trace", true},
                                   {"--metrics", true},
-                                  {"--metrics-csv", true},
                                   {"--flight", true},
                                   {"--json", true}};
   flags.insert(flags.end(), own_flags.begin(), own_flags.end());
@@ -357,7 +354,6 @@ inline ObsOptions obs_init(int argc, char** argv,
   }
   options.trace_path = options.value("--trace");
   options.metrics_path = options.value("--metrics");
-  options.metrics_csv_path = options.value("--metrics-csv");
   options.flight_dir = options.value("--flight");
   options.json_path = options.value("--json");
   if (options.tracing()) obs::Tracer::global().enable(true);
@@ -474,17 +470,6 @@ inline void obs_dump(const ObsOptions& options) {
     } else {
       row("metrics: FAILED to write %s: %s", options.metrics_path.c_str(),
           written.message().c_str());
-      export_failed = true;
-    }
-  }
-  if (!options.metrics_csv_path.empty()) {
-    const Status written = write_file_atomic(
-        options.metrics_csv_path, obs::MetricsRegistry::global().to_csv());
-    if (written.is_ok()) {
-      row("metrics: wrote CSV to %s", options.metrics_csv_path.c_str());
-    } else {
-      row("metrics: FAILED to write %s: %s",
-          options.metrics_csv_path.c_str(), written.message().c_str());
       export_failed = true;
     }
   }

@@ -27,6 +27,10 @@ DfsCluster::DfsCluster(sim::Simulator& simulator,
 namespace {
 std::string block_key(BlockId id) { return std::to_string(id); }
 
+bool holds(const std::vector<DataNodeId>& replicas, DataNodeId node) {
+  return std::find(replicas.begin(), replicas.end(), node) != replicas.end();
+}
+
 const char* locality_name(Locality locality) {
   switch (locality) {
     case Locality::kNodeLocal: return "node-local";
@@ -74,6 +78,13 @@ std::optional<DataNodeId> DfsCluster::datanode_at(net::NodeId where) const {
   return it->second;
 }
 
+bool DfsCluster::can_host(DataNodeId id, Bytes size,
+                          const std::vector<DataNodeId>& holders) const {
+  return nodes_[id].in_service() &&
+         nodes_[id].used + size <= config_.datanode_capacity &&
+         !holds(holders, id);
+}
+
 std::vector<DataNodeId> DfsCluster::choose_replicas(net::NodeId client,
                                                     Bytes block_size) {
   const int want = std::min<int>(config_.replication,
@@ -81,10 +92,7 @@ std::vector<DataNodeId> DfsCluster::choose_replicas(net::NodeId client,
   std::vector<DataNodeId> chosen;
 
   auto usable = [&](DataNodeId id) {
-    const DataNode& node = nodes_[id];
-    return node.alive && !node.draining &&
-           node.used + block_size <= config_.datanode_capacity &&
-           std::find(chosen.begin(), chosen.end(), id) == chosen.end();
+    return can_host(id, block_size, chosen);
   };
   auto pick = [&](auto&& extra) -> std::optional<DataNodeId> {
     std::vector<DataNodeId> candidates;
@@ -371,8 +379,7 @@ void DfsCluster::read_block(BlockId id, net::NodeId reader,
 Status DfsCluster::corrupt_replica(BlockId id, DataNodeId node) {
   const auto it = blocks_.find(id);
   if (it == blocks_.end()) return not_found("block #" + std::to_string(id));
-  const auto& replicas = it->second.replicas;
-  if (std::find(replicas.begin(), replicas.end(), node) == replicas.end()) {
+  if (!holds(it->second.replicas, node)) {
     return not_found("no replica of the block on that datanode");
   }
   corrupted_.emplace(id, node);
@@ -439,7 +446,7 @@ void DfsCluster::read_attempt(BlockId id, net::NodeId reader,
   state->started = started;
   state->size = size;
   state->locality = best_locality;
-  auto leg_done = [this, id, reader, source, size, pending, state,
+  auto leg_done = [this, id, reader, source, pending, state,
                    excluded = std::move(excluded),
                    done = std::move(done)]() mutable {
     if (--*pending != 0) return;
@@ -447,21 +454,7 @@ void DfsCluster::read_attempt(BlockId id, net::NodeId reader,
     if (corrupted_.contains({id, source})) {
       ++checksum_failures_;
       // Quarantine the replica, restore redundancy, try the next one.
-      const auto block_it = blocks_.find(id);
-      if (block_it != blocks_.end()) {
-        auto& replicas = block_it->second.replicas;
-        const auto bad =
-            std::find(replicas.begin(), replicas.end(), source);
-        if (bad != replicas.end()) {
-          replicas.erase(bad);
-          nodes_[source].used -= size;
-        }
-        corrupted_.erase({id, source});
-        schedule_rereplication(id);
-      }
-      // Revalidate: any cached copy of this block is suspect now that a
-      // replica failed verification — drop it so the next read re-verifies.
-      drop_cached_block(id);
+      lose_replica(id, source);
       excluded.push_back(source);
       read_attempt(id, reader, std::move(excluded), state->started,
                    std::move(done));
@@ -488,21 +481,9 @@ Status DfsCluster::fail_datanode(DataNodeId id) {
   if (!node.alive) return failed_precondition("datanode already down");
   node.alive = false;
   node.used = Bytes::zero();
-  // Drop its replicas and queue re-replication for affected blocks.
-  std::vector<BlockId> degraded;
-  for (auto& [block_id, info] : blocks_) {
-    const auto replica_it =
-        std::find(info.replicas.begin(), info.replicas.end(), id);
-    if (replica_it != info.replicas.end()) {
-      info.replicas.erase(replica_it);
-      degraded.push_back(block_id);
-    }
-  }
-  for (const BlockId block_id : degraded) {
-    // Cached copies of blocks that lost a replica are dropped: the cache
-    // must not mask redundancy loss from readers while re-replication runs.
-    drop_cached_block(block_id);
-    schedule_rereplication(block_id);
+  ++node.incarnation;
+  for (const auto& [block_id, info] : blocks_) {
+    if (holds(info.replicas, id)) lose_replica(block_id, id);
   }
   return Status::ok();
 }
@@ -516,6 +497,21 @@ Status DfsCluster::recover_datanode(DataNodeId id) {
   return Status::ok();
 }
 
+void DfsCluster::lose_replica(BlockId id, DataNodeId node) {
+  corrupted_.erase({id, node});
+  // The cache must not mask redundancy loss, or serve a copy that only a
+  // now-discredited replica vouched for: the next read re-verifies.
+  drop_cached_block(id);
+  const auto it = blocks_.find(id);
+  if (it == blocks_.end()) return;
+  auto& replicas = it->second.replicas;
+  const auto lost = std::find(replicas.begin(), replicas.end(), node);
+  if (lost == replicas.end()) return;
+  replicas.erase(lost);
+  if (nodes_[node].alive) nodes_[node].used -= it->second.size;
+  schedule_rereplication(id);
+}
+
 void DfsCluster::schedule_rereplication(BlockId id) {
   const auto it = blocks_.find(id);
   if (it == blocks_.end()) return;
@@ -527,14 +523,9 @@ void DfsCluster::schedule_rereplication(BlockId id) {
   const DataNodeId source = info.replicas[rng_.index(info.replicas.size())];
   std::vector<DataNodeId> candidates;
   for (DataNodeId candidate = 0; candidate < nodes_.size(); ++candidate) {
-    const DataNode& node = nodes_[candidate];
-    if (!node.alive) continue;
-    if (node.used + info.size > config_.datanode_capacity) continue;
-    if (std::find(info.replicas.begin(), info.replicas.end(), candidate) !=
-        info.replicas.end()) {
-      continue;
+    if (can_host(candidate, info.size, info.replicas)) {
+      candidates.push_back(candidate);
     }
-    candidates.push_back(candidate);
   }
   if (candidates.empty()) return;
   auto off_rack = std::find_if(
@@ -544,80 +535,68 @@ void DfsCluster::schedule_rereplication(BlockId id) {
   const DataNodeId target =
       off_rack != candidates.end() ? *off_rack
                                    : candidates[rng_.index(candidates.size())];
-
-  nodes_[target].used += info.size;
-  net::TransferOptions options;
-  options.rate_cap = config_.rereplication_cap;
-  const Bytes size = info.size;
-  const auto route = net_.start_transfer(
-      nodes_[source].where, nodes_[target].where, size, options,
-      [this, id, target, size](const net::TransferCompletion&) {
-        if (!blocks_.contains(id)) {  // file deleted mid-copy
-          nodes_[target].used -= size;
-          return;
-        }
-        nodes_[target].disk->submit(size, [this, id, target, size] {
-          const auto block_it = blocks_.find(id);
-          if (block_it == blocks_.end()) {
-            nodes_[target].used -= size;
-            return;
-          }
-          block_it->second.replicas.push_back(target);
-          ++rereplications_;
-          // Keep going until the block is back at full strength.
-          schedule_rereplication(id);
-        });
-      });
-  LSDF_REQUIRE(route.is_ok(), "no route for re-replication");
+  // Keep going until the block is back at full strength; a copy that did
+  // not land is retried on another target. One that cannot start (no
+  // route) is not retried: a retry now would find the same route down.
+  (void)copy_replica(id, source, target, /*drop_source=*/false,
+                     [this, id](bool landed) {
+                       if (landed) ++rereplications_;
+                       schedule_rereplication(id);
+                     });
 }
 
-void DfsCluster::move_replica(BlockId id, DataNodeId source,
-                              DataNodeId target,
-                              std::function<void(bool)> moved) {
-  const auto it = blocks_.find(id);
-  if (it == blocks_.end()) {
-    moved(false);
-    return;
-  }
-  const Bytes size = it->second.size;
+bool DfsCluster::copy_replica(BlockId id, DataNodeId source,
+                              DataNodeId target, bool drop_source,
+                              std::function<void(bool)> done) {
+  const Bytes size = blocks_.at(id).size;
+  const std::uint64_t incarnation = nodes_[target].incarnation;
   nodes_[target].used += size;
+  // Checked after the network leg and again after the disk write. A target
+  // that left service meanwhile (even if it has rejoined since) had its
+  // byte count cleared, reservation included; any other refusal gives the
+  // reservation back.
+  auto lands = [this, id, target, size, incarnation] {
+    if (nodes_[target].incarnation != incarnation) return false;
+    const auto it = blocks_.find(id);
+    if (it != blocks_.end() && !holds(it->second.replicas, target)) {
+      return true;
+    }
+    nodes_[target].used -= size;
+    return false;
+  };
   net::TransferOptions options;
   options.rate_cap = config_.rereplication_cap;
   const auto flow = net_.start_transfer(
       nodes_[source].where, nodes_[target].where, size, options,
-      [this, id, source, target, size,
-       moved = std::move(moved)](const net::TransferCompletion&) {
-        const auto block_it = blocks_.find(id);
-        if (block_it == blocks_.end()) {  // deleted mid-copy
-          nodes_[target].used -= size;
-          moved(false);
+      [this, id, source, target, size, drop_source, lands,
+       done = std::move(done)](const net::TransferCompletion&) {
+        if (!lands()) {
+          done(false);
           return;
         }
         nodes_[target].disk->submit(size, [this, id, source, target, size,
-                                           moved = std::move(moved)] {
-          const auto block_it = blocks_.find(id);
-          if (block_it == blocks_.end()) {
-            nodes_[target].used -= size;
-            moved(false);
+                                           drop_source, lands, done] {
+          if (!lands()) {
+            done(false);
             return;
           }
-          auto& replicas = block_it->second.replicas;
+          auto& replicas = blocks_.at(id).replicas;
           const auto source_it =
               std::find(replicas.begin(), replicas.end(), source);
-          if (source_it != replicas.end()) {
+          if (drop_source && source_it != replicas.end()) {
             *source_it = target;
             nodes_[source].used -= size;
-            moved(true);
-          } else {  // source replica vanished (e.g. node failed mid-move)
+          } else {  // a copy, or the source replica vanished mid-move
             replicas.push_back(target);
-            moved(true);
           }
+          done(true);
         });
       });
   if (!flow.is_ok()) {
     nodes_[target].used -= size;
-    moved(false);
+    return false;
   }
+  return true;
 }
 
 void DfsCluster::rebalance(double target_imbalance,
@@ -637,13 +616,13 @@ void DfsCluster::balance_step(double target_imbalance,
     finish();
     return;
   }
-  // Pick the fullest and emptiest live, non-draining nodes.
+  // Pick the fullest and emptiest in-service nodes.
   DataNodeId fullest = 0;
   DataNodeId emptiest = 0;
   bool any = false;
   for (DataNodeId id = 0; id < nodes_.size(); ++id) {
     const DataNode& node = nodes_[id];
-    if (!node.alive || node.draining) continue;
+    if (!node.in_service()) continue;
     if (!any) {
       fullest = emptiest = id;
       any = true;
@@ -656,26 +635,20 @@ void DfsCluster::balance_step(double target_imbalance,
     finish();
     return;
   }
-  // Find a block on `fullest` that is not already on `emptiest` and fits.
+  // Move a block on `fullest` that `emptiest` can take.
   for (const auto& [block_id, info] : blocks_) {
-    const auto& replicas = info.replicas;
-    if (std::find(replicas.begin(), replicas.end(), fullest) ==
-        replicas.end()) {
+    if (!holds(info.replicas, fullest) ||
+        !can_host(emptiest, info.size, info.replicas)) {
       continue;
     }
-    if (std::find(replicas.begin(), replicas.end(), emptiest) !=
-        replicas.end()) {
-      continue;
+    if (copy_replica(block_id, fullest, emptiest, /*drop_source=*/true,
+                     [this, target_imbalance, moves, done](bool moved) {
+                       if (moved) ++*moves;
+                       balance_step(target_imbalance, moves, done);
+                     })) {
+      return;  // continue after the asynchronous move
     }
-    if (nodes_[emptiest].used + info.size > config_.datanode_capacity) {
-      continue;
-    }
-    move_replica(block_id, fullest, emptiest,
-                 [this, target_imbalance, moves, done](bool ok) {
-                   if (ok) ++*moves;
-                   balance_step(target_imbalance, moves, done);
-                 });
-    return;  // continue after the asynchronous move
+    break;  // no route to move over
   }
   finish();  // nothing movable
 }
@@ -696,39 +669,31 @@ void DfsCluster::drain_step(DataNodeId id,
                             std::shared_ptr<std::function<void()>> done) {
   // Find one replica still on the draining node and move it off.
   for (const auto& [block_id, info] : blocks_) {
-    const auto& replicas = info.replicas;
-    if (std::find(replicas.begin(), replicas.end(), id) == replicas.end()) {
-      continue;
-    }
-    // Target: live, non-draining, not already a replica, with space —
-    // prefer keeping the rack spread.
+    if (!holds(info.replicas, id)) continue;
     std::vector<DataNodeId> candidates;
     for (DataNodeId candidate = 0; candidate < nodes_.size(); ++candidate) {
-      const DataNode& node = nodes_[candidate];
-      if (!node.alive || node.draining) continue;
-      if (node.used + info.size > config_.datanode_capacity) continue;
-      if (std::find(replicas.begin(), replicas.end(), candidate) !=
-          replicas.end()) {
-        continue;
+      if (can_host(candidate, info.size, info.replicas)) {
+        candidates.push_back(candidate);
       }
-      candidates.push_back(candidate);
     }
-    if (candidates.empty()) {
-      // Stuck: no room anywhere. Leave the node draining; operators add
-      // capacity and re-issue the decommission in real deployments.
-      if (*done) (*done)();
+    // Stuck when no node can take it (no room, or no route): leave the node
+    // draining; operators add capacity and re-issue the decommission in
+    // real deployments.
+    if (!candidates.empty() &&
+        copy_replica(block_id, id, candidates[rng_.index(candidates.size())],
+                     /*drop_source=*/true,
+                     [this, id, done](bool) { drain_step(id, done); })) {
       return;
     }
-    const DataNodeId target = candidates[rng_.index(candidates.size())];
-    move_replica(block_id, id, target, [this, id, done](bool) {
-      drain_step(id, done);
-    });
+    if (*done) (*done)();
     return;
   }
   // Nothing left: take the node out of service, still fully replicated.
-  nodes_[id].alive = false;
-  nodes_[id].draining = false;
-  nodes_[id].used = Bytes::zero();
+  DataNode& node = nodes_[id];
+  node.alive = false;
+  node.draining = false;
+  node.used = Bytes::zero();
+  ++node.incarnation;
   if (*done) (*done)();
 }
 
@@ -745,10 +710,7 @@ void DfsCluster::scrub(std::function<void(const ScrubReport&)> done) {
     if (!nodes_[node].alive) continue;
     auto work = std::make_shared<std::vector<BlockId>>();
     for (const auto& [block_id, info] : blocks_) {
-      if (std::find(info.replicas.begin(), info.replicas.end(), node) !=
-          info.replicas.end()) {
-        work->push_back(block_id);
-      }
+      if (holds(info.replicas, node)) work->push_back(block_id);
     }
     ++*pending_nodes;
     // Sequential per-node verification through the node's disk channel.
@@ -765,32 +727,17 @@ void DfsCluster::scrub(std::function<void(const ScrubReport&)> done) {
       }
       const BlockId block_id = (*work)[index];
       const auto it = blocks_.find(block_id);
-      if (it == blocks_.end() ||
-          std::find(it->second.replicas.begin(),
-                    it->second.replicas.end(),
-                    node) == it->second.replicas.end()) {
+      if (it == blocks_.end() || !holds(it->second.replicas, node)) {
         (*step)(index + 1);  // deleted or moved meanwhile
         return;
       }
-      const Bytes size = it->second.size;
-      nodes_[node].disk->submit(size, [this, node, block_id, size, report,
-                                       step, index] {
+      nodes_[node].disk->submit(it->second.size, [this, node, block_id,
+                                                  report, step, index] {
         ++report->replicas_checked;
         if (corrupted_.contains({block_id, node})) {
           ++report->corrupt_found;
           ++checksum_failures_;
-          const auto block_it = blocks_.find(block_id);
-          if (block_it != blocks_.end()) {
-            auto& replicas = block_it->second.replicas;
-            const auto bad =
-                std::find(replicas.begin(), replicas.end(), node);
-            if (bad != replicas.end()) {
-              replicas.erase(bad);
-              nodes_[node].used -= size;
-            }
-            corrupted_.erase({block_id, node});
-            schedule_rereplication(block_id);
-          }
+          lose_replica(block_id, node);
         }
         (*step)(index + 1);
       });

@@ -134,8 +134,9 @@ class DfsCluster {
   };
   // Proactive integrity scrub (HDFS's block scanner): verify every replica
   // on every live datanode, paying each node's disk time; corrupt replicas
-  // are dropped and re-replicated without waiting for a client to trip
-  // over them. Nodes scrub concurrently; `done` fires when all finish.
+  // are dropped (with any cached copy of their block) and re-replicated
+  // without waiting for a client to trip over them. Nodes scrub
+  // concurrently; `done` fires when all finish.
   void scrub(std::function<void(const ScrubReport&)> done);
 
   // Locality of a block relative to a prospective reader datanode.
@@ -167,7 +168,11 @@ class DfsCluster {
 
   // Graceful decommission: stop placing new data on the node, re-home all
   // of its replicas, then take it out of service. Unlike fail_datanode,
-  // no redundancy is ever lost. `done` fires when the node is drained.
+  // no redundancy is ever lost, also when other datanodes fail during the
+  // drain: re-replication never targets a draining node, and a move whose
+  // target fails mid-copy is not recorded. `done` fires when the node is
+  // drained, or when no datanode can take its next replica (it then stays
+  // draining).
   [[nodiscard]] Status decommission_datanode(DataNodeId id,
                                              std::function<void()> done);
   [[nodiscard]] bool datanode_draining(DataNodeId id) const {
@@ -181,7 +186,12 @@ class DfsCluster {
     Bytes used;
     bool alive = true;
     bool draining = false;
+    // Bumped each time the node leaves service (failure or the end of a
+    // decommission), so a copy can tell its target went away mid-flight
+    // even if it has since rejoined.
+    std::uint64_t incarnation = 0;
     std::unique_ptr<storage::FairChannel> disk;
+    [[nodiscard]] bool in_service() const { return alive && !draining; }
   };
 
   [[nodiscard]] std::vector<DataNodeId> choose_replicas(net::NodeId client,
@@ -192,12 +202,29 @@ class DfsCluster {
   [[nodiscard]] std::optional<DataNodeId> datanode_at(net::NodeId where) const;
   [[nodiscard]] Locality locality_between(DataNodeId a, DataNodeId b) const;
   void write_block(BlockId id, net::NodeId client, DfsCallback done);
+
+  // The three replica decisions; every placement, copy and loss goes
+  // through them.
+  //
+  // The one placement rule: node `id` is in service, has room for `size`
+  // more bytes and is not one of `holders`.
+  [[nodiscard]] bool can_host(DataNodeId id, Bytes size,
+                              const std::vector<DataNodeId>& holders) const;
+  // Copy `id`'s replica from `source` to `target` at the background rate
+  // cap, reserving the target's space up front. The copy lands only if the
+  // block still exists, the target has not failed or been decommissioned
+  // since the copy started, and it holds no replica yet; otherwise the
+  // reservation is returned and `done(false)` fires. A landed copy with `drop_source` replaces the source replica (a
+  // move). Returns false, without calling `done`, when the copy cannot
+  // start.
+  [[nodiscard]] bool copy_replica(BlockId id, DataNodeId source,
+                                  DataNodeId target, bool drop_source,
+                                  std::function<void(bool)> done);
+  // A replica is gone (its node failed, or it failed verification): erase
+  // it, release a live node's bytes, clear its corruption mark, drop the
+  // cached block and queue re-replication.
+  void lose_replica(BlockId id, DataNodeId node);
   void schedule_rereplication(BlockId id);
-  // Copy one replica of `id` from `source` to `target` at the background
-  // rate cap, then drop the source replica; fires `moved` on completion
-  // (false if the block vanished or the copy could not start).
-  void move_replica(BlockId id, DataNodeId source, DataNodeId target,
-                    std::function<void(bool)> moved);
   void balance_step(double target_imbalance,
                     std::shared_ptr<int> moves,
                     std::shared_ptr<std::function<void(int)>> done);

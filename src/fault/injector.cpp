@@ -4,22 +4,12 @@
 #include <string>
 #include <utility>
 
+#include "common/checksum.h"
 #include "common/require.h"
 #include "obs/flight_recorder.h"
 
 namespace lsdf::fault {
 namespace {
-
-// Stable cross-platform hash (FNV-1a) so per-component random streams
-// depend only on (seed, name), never on registration order or std::hash.
-std::uint64_t stable_hash(std::string_view s) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
 
 constexpr std::string_view kPlanPrefix = "fault.";
 
@@ -39,7 +29,9 @@ FaultInjector::Component& FaultInjector::add_component(
                "fault component '" + name + "' already registered");
   Component component;
   component.name = name;
-  component.rng = Rng(seed_ ^ stable_hash(name));
+  // FNV-1a is stable across platforms, so a component's random stream
+  // depends only on (seed, name), never on registration order or std::hash.
+  component.rng = Rng(seed_ ^ fnv1a64(name));
   component.injected_metric = &obs::MetricsRegistry::global().counter(
       "lsdf_fault_injected_total", {{"component", name}});
   component.recovered_metric = &obs::MetricsRegistry::global().counter(

@@ -197,14 +197,6 @@ Labels with_quantile(const Labels& labels, const std::string& q) {
   return out;
 }
 
-std::string quantile_field(double q) {
-  if (q == 0.5) return "p50";
-  if (q == 0.9) return "p90";
-  if (q == 0.99) return "p99";
-  if (q == 0.999) return "p999";
-  return "q" + render_value(q);
-}
-
 }  // namespace
 
 std::string MetricsRegistry::to_prometheus() const {
@@ -239,54 +231,6 @@ std::string MetricsRegistry::to_prometheus() const {
             << render_value(snap.value) << '\n';
         out << snap.name << "_count" << format_labels(snap.labels) << ' '
             << snap.count << '\n';
-        break;
-    }
-  }
-  return out.str();
-}
-
-std::string MetricsRegistry::to_csv() const {
-  const std::vector<InstrumentSnapshot> snaps = snapshot();
-  std::ostringstream out;
-  out << "name,labels,field,value\n";
-  for (const InstrumentSnapshot& snap : snaps) {
-    // RFC 4180: the quoted labels field doubles any embedded quote. The
-    // field carries the raw `{k="v"}` rendering, not the Prometheus form —
-    // backslash escapes would leak a second quoting convention into CSV.
-    std::string labels;
-    if (!snap.labels.empty()) {
-      labels += '{';
-      bool first = true;
-      for (const auto& [key, value] : snap.labels) {
-        if (!first) labels += ',';
-        first = false;
-        labels += key;
-        labels += "=\"\"";
-        for (const char c : value) {
-          labels += c;
-          if (c == '"') labels += '"';
-        }
-        labels += "\"\"";
-      }
-      labels += '}';
-    }
-    switch (snap.kind) {
-      case InstrumentKind::kCounter:
-      case InstrumentKind::kGauge:
-        out << snap.name << ",\"" << labels << "\",value,"
-            << render_value(snap.value) << '\n';
-        break;
-      case InstrumentKind::kHdrHistogram:
-        out << snap.name << ",\"" << labels << "\",sum,"
-            << render_value(snap.value) << '\n';
-        out << snap.name << ",\"" << labels << "\",count," << snap.count
-            << '\n';
-        for (const auto& [q, value] : snap.quantiles) {
-          out << snap.name << ",\"" << labels << "\","
-              << quantile_field(q) << ',' << render_value(value) << '\n';
-        }
-        out << snap.name << ",\"" << labels << "\",max,"
-            << render_value(snap.max) << '\n';
         break;
     }
   }

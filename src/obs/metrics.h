@@ -12,7 +12,7 @@
 //!    atomics, never a lock or a lookup.
 //!  * Instruments live as long as the registry (node-stable storage); handles
 //!    returned by the registry never dangle.
-//!  * Export: Prometheus text exposition, CSV, and a merged Snapshot struct.
+//!  * Export: Prometheus text exposition and a merged Snapshot struct.
 #pragma once
 
 #include <atomic>
@@ -107,8 +107,6 @@ class MetricsRegistry {
   // Prometheus text exposition format (names as registered; histograms
   // expand to summary quantiles plus _sum/_count).
   [[nodiscard]] std::string to_prometheus() const;
-  // CSV: name,labels,field,value — one row per scalar.
-  [[nodiscard]] std::string to_csv() const;
 
   [[nodiscard]] std::size_t instrument_count() const;
 

@@ -98,14 +98,15 @@ bench::ObsOptions parse(std::vector<std::string> args,
 
 TEST(BenchFlags, SharedAndOwnFlagsParse) {
   const bench::ObsOptions options =
-      parse({"--metrics", "m.prom", "--quick", "--metrics-csv", "m.csv",
+      parse({"--metrics", "m.prom", "--quick", "--trace", "t.json",
              "--json", "report.json", "--section-suffix", "_ci", "--floor",
              "floor.conf"},
             kPerfFlags);
+  obs::Tracer::global().enable(false);  // --trace switched it on
   EXPECT_EQ(options.metrics_path, "m.prom");
-  EXPECT_EQ(options.metrics_csv_path, "m.csv");
+  EXPECT_EQ(options.trace_path, "t.json");
   EXPECT_EQ(options.json_path, "report.json");
-  EXPECT_FALSE(options.tracing());
+  EXPECT_TRUE(options.tracing());
   EXPECT_FALSE(options.flight());
   EXPECT_TRUE(options.has("--quick"));
   EXPECT_FALSE(options.has("--sharded-smoke"));
@@ -123,6 +124,9 @@ TEST(BenchFlagsDeathTest, UnknownArgumentExitsTwo) {
               "unknown argument `--quick`");
   EXPECT_EXIT(parse({"positional"}, kPerfFlags), ::testing::ExitedWithCode(2),
               "unknown argument `positional`");
+  // The CSV export is gone; its flag is an unknown argument like any other.
+  EXPECT_EXIT(parse({"--metrics-csv", "x.csv"}), ::testing::ExitedWithCode(2),
+              "unknown argument `--metrics-csv`");
 }
 
 TEST(BenchFlagsDeathTest, ValueFlagWithoutValueExitsTwo) {

@@ -377,6 +377,35 @@ TEST(DfsIntegrity, ScrubOnEmptyClusterCompletesImmediately) {
   EXPECT_EQ(report->replicas_checked, 0);
 }
 
+TEST(DfsIntegrity, CorruptionMarkLeavesWithItsReplica) {
+  ClusterFixture f(2, 2);  // four datanodes, replication 3
+  ASSERT_TRUE(f.write("/data/a", 64_MB).is_ok());
+  const BlockId block = f.dfs.stat("/data/a").value().blocks[0];
+  const auto replicas = f.dfs.block_replicas(block);
+  ASSERT_EQ(replicas.size(), 3u);
+  const DataNodeId bad = replicas[0];
+  ASSERT_TRUE(f.dfs.corrupt_replica(block, bad).is_ok());
+  // The corrupt replica's node fails, the block heals onto the fourth
+  // node, and the failed node rejoins empty.
+  ASSERT_TRUE(f.dfs.fail_datanode(bad).is_ok());
+  f.sim.run();
+  ASSERT_TRUE(f.dfs.recover_datanode(bad).is_ok());
+  // Losing another holder leaves the rejoined node the only target: the
+  // block comes back onto it as a fresh copy.
+  ASSERT_TRUE(f.dfs.fail_datanode(replicas[1]).is_ok());
+  f.sim.run();
+  const auto healed = f.dfs.block_replicas(block);
+  ASSERT_EQ(std::count(healed.begin(), healed.end(), bad), 1);
+
+  std::optional<DfsIoResult> result;
+  f.dfs.read_block(block, f.dfs.datanode_location(bad),
+                   [&](const DfsIoResult& r) { result = r; });
+  f.sim.run();
+  ASSERT_TRUE(result && result->status.is_ok());
+  EXPECT_EQ(result->locality, Locality::kNodeLocal);
+  EXPECT_EQ(f.dfs.checksum_failures_detected(), 0);
+}
+
 TEST(DfsIntegrity, CorruptingUnknownTargetsFails) {
   ClusterFixture f;
   ASSERT_TRUE(f.write("/data/a", 64_MB).is_ok());

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <set>
 
 #include "dfs/cluster_builder.h"
 #include "dfs/dfs.h"
@@ -246,6 +247,28 @@ struct BalancerFixture {
     sim.run();
     ASSERT_TRUE(ok);
   }
+
+  // What a settled cluster holds whatever happened to it: every recorded
+  // replica is on a live datanode, no block lists a datanode twice, and
+  // used() is exactly the bytes of the recorded replicas.
+  void expect_replicas_consistent() {
+    Bytes recorded;
+    for (const auto& path : dfs.list()) {
+      const dfs::FileInfo file = dfs.stat(path).value();
+      for (const auto block : file.blocks) {
+        const dfs::BlockInfo info = dfs.block(block).value();
+        const std::set<dfs::DataNodeId> distinct(info.replicas.begin(),
+                                                 info.replicas.end());
+        EXPECT_EQ(distinct.size(), info.replicas.size()) << "block " << block;
+        for (const auto node : info.replicas) {
+          EXPECT_TRUE(dfs.datanode_alive(node))
+              << "block " << block << " recorded on down datanode " << node;
+        }
+        recorded += info.size * static_cast<std::int64_t>(info.replicas.size());
+      }
+    }
+    EXPECT_EQ(dfs.used().count(), recorded.count());
+  }
 };
 
 TEST(Balancer, ReducesImbalanceBelowTarget) {
@@ -331,6 +354,57 @@ TEST(Decommission, DrainingNodeReceivesNoNewBlocks) {
     EXPECT_EQ(std::count(replicas.begin(), replicas.end(), f.datanodes[0]),
               0);
   }
+}
+
+TEST(Decommission, DrainOverlappingAFailureLeavesNoReplicaOnADeadNode) {
+  BalancerFixture f;
+  for (std::size_t i = 0; i < f.datanodes.size(); ++i) {
+    f.load_from(f.datanodes[i], "/f" + std::to_string(i), 512_MB);
+  }
+  // Node 0 drains while node 1, on the same rack, fails at the same instant:
+  // the failure's re-replication must not target the draining node, and no
+  // copy may land on a node that has left service.
+  bool drained = false;
+  ASSERT_TRUE(
+      f.dfs.decommission_datanode(f.datanodes[0], [&] { drained = true; })
+          .is_ok());
+  ASSERT_TRUE(f.dfs.fail_datanode(f.datanodes[1]).is_ok());
+  f.sim.run();
+  ASSERT_TRUE(drained);
+  EXPECT_FALSE(f.dfs.datanode_alive(f.datanodes[0]));
+  f.expect_replicas_consistent();
+  EXPECT_EQ(f.dfs.under_replicated_blocks(), 0u);
+}
+
+TEST(Decommission, MoveOntoATargetThatFailsMidCopyIsNotRecorded) {
+  BalancerFixture f;
+  // Nodes 2, 4 and 5 are down, so a block written from node 0 lands on
+  // nodes 0 and 3, and node 1 is the only place a drain of node 0 can go.
+  for (const int down : {2, 4, 5}) {
+    ASSERT_TRUE(f.dfs.fail_datanode(f.datanodes[down]).is_ok());
+  }
+  f.load_from(f.datanodes[0], "/a", 64_MB);
+  const dfs::BlockId block = f.dfs.stat("/a").value().blocks[0];
+  const std::vector<dfs::DataNodeId> placed = {f.datanodes[0],
+                                               f.datanodes[3]};
+  ASSERT_EQ(f.dfs.block_replicas(block), placed);
+
+  bool done = false;
+  ASSERT_TRUE(
+      f.dfs.decommission_datanode(f.datanodes[0], [&] { done = true; })
+          .is_ok());
+  // The 64 MB move onto node 1 takes about half a second: fail its target
+  // partway through.
+  f.sim.schedule_after(100_ms, [&] {
+    ASSERT_TRUE(f.dfs.fail_datanode(f.datanodes[1]).is_ok());
+  });
+  f.sim.run();
+  // The drain carried on after the lost copy and stopped with no target
+  // left; the block keeps its two replicas where they were.
+  EXPECT_TRUE(done);
+  EXPECT_EQ(f.dfs.block_replicas(block), placed);
+  f.expect_replicas_consistent();
+  EXPECT_EQ(f.dfs.under_replicated_blocks(), 0u);
 }
 
 TEST(Decommission, ErrorsOnBadTargets) {

@@ -97,24 +97,6 @@ TEST(Export, PrometheusTextFormat) {
   EXPECT_EQ(registry.to_prometheus(), expected);
 }
 
-TEST(Export, CsvFormat) {
-  MetricsRegistry registry;
-  registry.counter("ops", {{"op", "read"}}).add(3);
-  registry.hdr_histogram("lat").record(0.25);
-  const std::string expected =
-      "name,labels,field,value\n"
-      "lat,\"\",sum,0.25\n"
-      "lat,\"\",count,1\n"
-      "lat,\"\",p50,0.25\n"
-      "lat,\"\",p90,0.25\n"
-      "lat,\"\",p99,0.25\n"
-      "lat,\"\",p999,0.25\n"
-      "lat,\"\",max,0.25\n"
-      // RFC 4180: quotes inside the quoted labels field double.
-      "ops,\"{op=\"\"read\"\"}\",value,3\n";
-  EXPECT_EQ(registry.to_csv(), expected);
-}
-
 // --- Concurrency -------------------------------------------------------------
 
 TEST(Concurrency, HammerFromThreadPoolWorkers) {
@@ -377,9 +359,10 @@ TEST(MetricsRegistry, HdrHistogramExportsQuantilesAndMax) {
   EXPECT_NE(prom.find("quantile=\"0.99\""), std::string::npos);
   EXPECT_NE(prom.find("req_seconds_count{tenant=\"katrin\"} 100"),
             std::string::npos);
-  const std::string csv = registry.to_csv();
-  EXPECT_NE(csv.find("p999"), std::string::npos);
-  EXPECT_NE(csv.find("max"), std::string::npos);
+  // p999 and the exact recorded max (quantile="1") travel in the summary.
+  EXPECT_NE(prom.find("quantile=\"0.999\""), std::string::npos);
+  EXPECT_NE(prom.find("req_seconds{tenant=\"katrin\",quantile=\"1\"} 0.1"),
+            std::string::npos);
 }
 
 // --- Request context ---------------------------------------------------------
@@ -622,14 +605,6 @@ TEST(Export, PrometheusEscapesLabelValues) {
   const std::string prom = registry.to_prometheus();
   EXPECT_NE(prom.find("a\\\\b\\\"c\\nd"), std::string::npos);
   EXPECT_EQ(prom.find("c\nd"), std::string::npos);  // no raw newline inside
-}
-
-TEST(Export, CsvQuotesEmbeddedQuotes) {
-  MetricsRegistry registry;
-  registry.counter("weird_total", {{"name", "say \"hi\""}}).add(1);
-  const std::string csv = registry.to_csv();
-  // RFC 4180: embedded quotes double.
-  EXPECT_NE(csv.find("say \"\"hi\"\""), std::string::npos);
 }
 
 TEST(FileUtil, AtomicWriteReplacesAndCleansUp) {

@@ -201,13 +201,26 @@ TEST_P(DfsFuzz, AccountingMatchesBlockMapAndRedundancyHeals) {
   config.datanode_capacity = 20_GB;
   config.placement_seed = GetParam();
   dfs::DfsCluster dfs(sim, layout.topology, engine, config);
-  dfs::register_datanodes(dfs, layout);
+  const std::vector<dfs::DataNodeId> nodes =
+      dfs::register_datanodes(dfs, layout);
+  auto in_service = [&] {
+    return std::count_if(nodes.begin(), nodes.end(), [&](auto node) {
+      return dfs.datanode_alive(node) && !dfs.datanode_draining(node);
+    });
+  };
 
+  // Failures, recoveries, decommissions and balancer runs overlap the
+  // re-replication and moves they start: only a write lets the cluster
+  // settle. At most replication - 1 failures between settles, and
+  // replication + 1 nodes kept in service, mean no block can lose its
+  // last copy and a drain or re-replication always has a target.
   std::set<std::string> live_files;
+  std::vector<dfs::DataNodeId> down;  // failed, recovered in a later round
+  int unsettled_failures = 0;
   int next_file = 0;
-  for (int round = 0; round < 30; ++round) {
+  for (int round = 0; round < 60; ++round) {
     const double dice = rng.next_double();
-    if (dice < 0.6) {
+    if (dice < 0.35) {
       const std::string path = "/f" + std::to_string(next_file++);
       const Bytes size(static_cast<std::int64_t>(
           (rng.next_below(10) + 1) * 64'000'000ULL));
@@ -216,21 +229,37 @@ TEST_P(DfsFuzz, AccountingMatchesBlockMapAndRedundancyHeals) {
                        if (r.status.is_ok()) live_files.insert(path);
                      });
       sim.run();
-    } else if (dice < 0.8 && !live_files.empty()) {
+      unsettled_failures = 0;
+    } else if (dice < 0.45 && !live_files.empty()) {
       const auto victim = std::next(live_files.begin(),
                                     static_cast<std::ptrdiff_t>(
                                         rng.index(live_files.size())));
       ASSERT_TRUE(dfs.remove(*victim).is_ok());
       live_files.erase(victim);
-    } else {
-      // Bounce a random datanode.
-      const auto node =
-          static_cast<dfs::DataNodeId>(rng.index(dfs.datanode_count()));
-      if (dfs.datanode_alive(node)) {
+    } else if (dice < 0.65) {
+      const dfs::DataNodeId node = nodes[rng.index(nodes.size())];
+      if (dfs.datanode_alive(node) &&
+          unsettled_failures < config.replication - 1 &&
+          in_service() > config.replication + 1) {
         ASSERT_TRUE(dfs.fail_datanode(node).is_ok());
-        sim.run();  // let re-replication settle
-        ASSERT_TRUE(dfs.recover_datanode(node).is_ok());
+        down.push_back(node);
+        ++unsettled_failures;
       }
+    } else if (dice < 0.78) {
+      if (!down.empty()) {
+        const auto revived =
+            down.begin() + static_cast<std::ptrdiff_t>(rng.index(down.size()));
+        ASSERT_TRUE(dfs.recover_datanode(*revived).is_ok());
+        down.erase(revived);
+      }
+    } else if (dice < 0.9) {
+      const dfs::DataNodeId node = nodes[rng.index(nodes.size())];
+      if (dfs.datanode_alive(node) && !dfs.datanode_draining(node) &&
+          in_service() > config.replication + 1) {
+        ASSERT_TRUE(dfs.decommission_datanode(node, nullptr).is_ok());
+      }
+    } else {
+      dfs.rebalance(0.05, nullptr);
     }
   }
   sim.run();
@@ -262,6 +291,17 @@ TEST_P(DfsFuzz, AccountingMatchesBlockMapAndRedundancyHeals) {
                      [&](const dfs::DfsIoResult& r) { read = r; });
       sim.run();
       ASSERT_TRUE(read && read->status.is_ok()) << path;
+    }
+  }
+
+  // Invariant 5: no replica is recorded on a datanode that is not alive.
+  for (const auto& path : dfs.list()) {
+    const dfs::FileInfo info = dfs.stat(path).value();
+    for (const auto block : info.blocks) {
+      for (const auto node : dfs.block_replicas(block)) {
+        EXPECT_TRUE(dfs.datanode_alive(node))
+            << "block " << block << " recorded on down datanode " << node;
+      }
     }
   }
 }
