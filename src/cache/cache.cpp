@@ -78,15 +78,6 @@ bool BlockCache::erase(const std::string& key) {
   return true;
 }
 
-void BlockCache::invalidate_all() {
-  stats_.invalidations += static_cast<std::int64_t>(entries_.size());
-  invalidations_metric_.add(static_cast<std::int64_t>(entries_.size()));
-  entries_.clear();
-  recency_.clear();
-  used_ = Bytes::zero();
-  used_metric_.set(0.0);
-}
-
 void BlockCache::drop(Recency::iterator pos) {
   used_ -= pos->size;
   entries_.erase(pos->key);  // while the key it views is still alive

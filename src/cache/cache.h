@@ -32,8 +32,7 @@ struct CacheStats {
   std::int64_t misses = 0;
   std::int64_t admissions = 0;
   std::int64_t evictions = 0;
-  // Entries dropped by erase()/invalidate_all() — fault injection, object
-  // deletion, corruption revalidation.
+  // Entries dropped by erase() — object deletion, corruption revalidation.
   std::int64_t invalidations = 0;
   [[nodiscard]] double hit_rate() const {
     const std::int64_t total = hits + misses;
@@ -65,11 +64,8 @@ class BlockCache {
   // probe, plus one erase per eviction.
   bool admit(const std::string& key, Bytes size);
 
-  // Drop one entry / everything. invalidate_all() is what fault injection
-  // calls when the node backing this cache fails: contents are lost, the
-  // directory survives, later lookups simply miss and refill.
+  // Drop one entry; later lookups of it miss and refill.
   bool erase(const std::string& key);
-  void invalidate_all();
 
   [[nodiscard]] Bytes used() const { return used_; }
   [[nodiscard]] Bytes capacity() const { return config_.capacity; }

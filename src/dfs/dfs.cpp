@@ -550,6 +550,8 @@ bool DfsCluster::copy_replica(BlockId id, DataNodeId source,
                               std::function<void(bool)> done) {
   const Bytes size = blocks_.at(id).size;
   const std::uint64_t incarnation = nodes_[target].incarnation;
+  // The copy carries the source's bytes, a corruption included.
+  const bool corrupt = corrupted_.contains({id, source});
   nodes_[target].used += size;
   // Checked after the network leg and again after the disk write. A target
   // that left service meanwhile (even if it has rejoined since) had its
@@ -568,14 +570,14 @@ bool DfsCluster::copy_replica(BlockId id, DataNodeId source,
   options.rate_cap = config_.rereplication_cap;
   const auto flow = net_.start_transfer(
       nodes_[source].where, nodes_[target].where, size, options,
-      [this, id, source, target, size, drop_source, lands,
+      [this, id, source, target, size, drop_source, corrupt, lands,
        done = std::move(done)](const net::TransferCompletion&) {
         if (!lands()) {
           done(false);
           return;
         }
         nodes_[target].disk->submit(size, [this, id, source, target, size,
-                                           drop_source, lands, done] {
+                                           drop_source, corrupt, lands, done] {
           if (!lands()) {
             done(false);
             return;
@@ -586,9 +588,11 @@ bool DfsCluster::copy_replica(BlockId id, DataNodeId source,
           if (drop_source && source_it != replicas.end()) {
             *source_it = target;
             nodes_[source].used -= size;
+            corrupted_.erase({id, source});
           } else {  // a copy, or the source replica vanished mid-move
             replicas.push_back(target);
           }
+          if (corrupt) corrupted_.emplace(id, target);
           done(true);
         });
       });
@@ -635,9 +639,12 @@ void DfsCluster::balance_step(double target_imbalance,
     finish();
     return;
   }
-  // Move a block on `fullest` that `emptiest` can take.
+  // Move a block on `fullest` that `emptiest` can take, and only one
+  // smaller than the gap between them: a larger block would just swap
+  // which of the two is fuller, and the spread would never narrow.
+  const Bytes gap = nodes_[fullest].used - nodes_[emptiest].used;
   for (const auto& [block_id, info] : blocks_) {
-    if (!holds(info.replicas, fullest) ||
+    if (info.size >= gap || !holds(info.replicas, fullest) ||
         !can_host(emptiest, info.size, info.replicas)) {
       continue;
     }
@@ -650,7 +657,7 @@ void DfsCluster::balance_step(double target_imbalance,
     }
     break;  // no route to move over
   }
-  finish();  // nothing movable
+  finish();  // nothing movable, or no move would narrow the spread
 }
 
 Status DfsCluster::decommission_datanode(DataNodeId id,

@@ -161,9 +161,10 @@ class DfsCluster {
   [[nodiscard]] double imbalance() const;
 
   // Background balancer (the HDFS balancer): moves block replicas from the
-  // fullest to the emptiest datanodes, one rate-capped copy at a time,
-  // until the fill spread drops below `target_imbalance`. `done` reports
-  // how many replicas were moved.
+  // fullest to the emptiest in-service datanodes, one rate-capped copy at a
+  // time, until the fill spread drops below `target_imbalance` or no block
+  // on the fullest is smaller than its lead over the emptiest (no move
+  // could narrow the spread). `done` reports how many replicas were moved.
   void rebalance(double target_imbalance, std::function<void(int)> done);
 
   // Graceful decommission: stop placing new data on the node, re-home all
@@ -214,9 +215,11 @@ class DfsCluster {
   // cap, reserving the target's space up front. The copy lands only if the
   // block still exists, the target has not failed or been decommissioned
   // since the copy started, and it holds no replica yet; otherwise the
-  // reservation is returned and `done(false)` fires. A landed copy with `drop_source` replaces the source replica (a
-  // move). Returns false, without calling `done`, when the copy cannot
-  // start.
+  // reservation is returned and `done(false)` fires. A landed copy with
+  // `drop_source` replaces the source replica (a move) and clears the
+  // source's corruption mark. A copy from a source marked corrupt when it
+  // started lands marked corrupt. Returns false, without calling `done`,
+  // when the copy cannot start.
   [[nodiscard]] bool copy_replica(BlockId id, DataNodeId source,
                                   DataNodeId target, bool drop_source,
                                   std::function<void(bool)> done);

@@ -39,20 +39,6 @@ FaultInjector::Component& FaultInjector::add_component(
   return components_.emplace(name, std::move(component)).first->second;
 }
 
-void FaultInjector::register_disk(const std::string& name,
-                                  storage::DiskArray& disk) {
-  Component& component = add_component(name);
-  component.fail = [&disk] { disk.set_online(false); };
-  component.restore = [&disk] { disk.set_online(true); };
-}
-
-void FaultInjector::register_cache(const std::string& name,
-                                   cache::BlockCache& cache) {
-  Component& component = add_component(name);
-  component.fail = [&cache] { cache.invalidate_all(); };
-  component.restore = [] { /* the cache restarts cold and refills */ };
-}
-
 void FaultInjector::register_tape(const std::string& name,
                                   storage::TapeLibrary& tape) {
   Component& component = add_component(name);
@@ -71,35 +57,6 @@ void FaultInjector::register_link(const std::string& name,
   };
   component.restore = [this, &topology, forward] {
     topology.set_duplex_up(forward, true);
-    if (topology_changed_) topology_changed_();
-  };
-}
-
-void FaultInjector::register_node(const std::string& name,
-                                  net::Topology& topology,
-                                  net::NodeId node) {
-  LSDF_REQUIRE(node < topology.node_count(), "node id out of range");
-  Component& component = add_component(name);
-  Component* self = &component;  // std::map nodes are address-stable
-  self->fail = [this, &topology, node, self] {
-    // Take down every duplex link touching the node that is currently up;
-    // remember exactly those so recovery cannot resurrect an independently
-    // failed link.
-    self->downed_links.clear();
-    for (net::LinkId id = 0; id < topology.link_count(); id += 2) {
-      const net::Link& link = topology.link(id);
-      if (link.from != node && link.to != node) continue;
-      if (!topology.link_up(id) && !topology.link_up(id + 1)) continue;
-      topology.set_duplex_up(id, false);
-      self->downed_links.push_back(id);
-    }
-    if (topology_changed_) topology_changed_();
-  };
-  self->restore = [this, &topology, self] {
-    for (const net::LinkId id : self->downed_links) {
-      topology.set_duplex_up(id, true);
-    }
-    self->downed_links.clear();
     if (topology_changed_) topology_changed_();
   };
 }

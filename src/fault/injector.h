@@ -1,20 +1,16 @@
 //! FaultInjector: deterministic, seeded fault injection driven by the sim
 //! clock — the layer that turns "reliability" from a claim into a measured
-//! property. The paper's facility must survive disk, tape-drive and backbone
+//! property. The paper's facility must survive tape-drive and backbone
 //! failures while serving running experiments; this injector makes those
 //! failures first-class inputs: scheduled fault plans (from config) and
-//! stochastic MTBF/MTTR renewal processes per component, over five kinds of
-//! component (each registration binds the kind's fail/restore actions):
+//! stochastic MTBF/MTTR renewal processes per component, over the two kinds
+//! of component the scenarios inject (each registration binds the kind's
+//! fail/restore actions):
 //!
-//!   disk  — DiskArray::set_online(false/true)
 //!   tape  — TapeLibrary::fail_drive()/repair_drive() (one drive per fault;
 //!           an in-flight operation on the failed drive is aborted and
 //!           requeued, GridFTP-style restartability)
 //!   link  — Topology::set_duplex_up(forward, false/true)
-//!   node  — every duplex link touching the node goes down/up together
-//!   cache — BlockCache::invalidate_all() on failure (cache contents are
-//!           lost with their node; recovery is a no-op — the cache comes
-//!           back empty and refills on demand)
 //!
 //! Determinism: all randomness flows from the constructor seed through
 //! per-component forked streams (keyed by a stable FNV-1a hash of the
@@ -34,7 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "cache/cache.h"
 #include "common/config.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -42,7 +37,6 @@
 #include "net/topology.h"
 #include "obs/metrics.h"
 #include "sim/simulator.h"
-#include "storage/disk_array.h"
 #include "storage/tape_library.h"
 
 namespace lsdf::fault {
@@ -60,16 +54,10 @@ class FaultInjector {
   FaultInjector(sim::Simulator& simulator, std::uint64_t seed);
 
   // -- Component registration (names must be unique) --------------------------
-  void register_disk(const std::string& name, storage::DiskArray& disk);
   // Each fault takes one healthy drive out of service; recovery repairs one.
   void register_tape(const std::string& name, storage::TapeLibrary& tape);
   void register_link(const std::string& name, net::Topology& topology,
                      net::LinkId forward);
-  void register_node(const std::string& name, net::Topology& topology,
-                     net::NodeId node);
-  // A fault drops every cached entry (the node holding the cache lost its
-  // contents); recovery is a no-op — the cache restarts cold and refills.
-  void register_cache(const std::string& name, cache::BlockCache& cache);
 
   // Invoked after every topology-affecting change (wire the transfer
   // engine's resync() here so flows re-path/stall immediately).
@@ -130,7 +118,6 @@ class FaultInjector {
     int depth = 0;                   // live overlapping faults
     SimTime failed_at;
     Rng rng{0};                      // per-component stochastic stream
-    std::vector<net::LinkId> downed_links;  // node faults: what we took down
     obs::Counter* injected_metric = nullptr;
     obs::Counter* recovered_metric = nullptr;
   };

@@ -233,9 +233,8 @@ class FederationService {
   std::map<RuleId, RuleEntry> rules_;
   std::map<std::string, Bytes> quotas_;
   // Actual replica state, the resolver's "actual" side of the diff. Keyed
-  // by dataset, not indexed by it: catalogue ids are arbitrary 64-bit
-  // values (MetadataStore::from_text keeps them). A dataset whose last
-  // replica is dropped loses its key.
+  // by dataset, not indexed by it, so it holds only datasets that have
+  // replicas: a dataset whose last replica is dropped loses its key.
   std::map<meta::DatasetId, ReplicaList> replicas_;
   // Desired-minus-actual, waiting for a WAN slot.
   std::map<PendingKey, std::pair<Bytes, SimTime>> pending_;

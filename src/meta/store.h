@@ -14,7 +14,6 @@
 #include <map>
 #include <set>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -94,16 +93,6 @@ class MetadataStore {
   void subscribe(Observer observer) {
     observers_.push_back(std::move(observer));
   }
-
-  // -- Persistence --------------------------------------------------------------
-  // The catalogue IS the facility's long-term memory ("invisible data is
-  // lost data"), so it must survive restarts. Serialises to a stable,
-  // line-oriented text format (tab-separated; names must not contain tabs
-  // or newlines) and back; ids, tags, branches and results round-trip
-  // exactly. Observers are not serialised.
-  [[nodiscard]] std::string to_text() const;
-  [[nodiscard]] static Result<MetadataStore> from_text(
-      std::string_view text);
 
  private:
   struct Project {

@@ -49,16 +49,6 @@ void DiskArray::write(Bytes size, IoCallback done) {
 
 void DiskArray::perform(Bytes size, bool is_write, IoCallback done) {
   const SimTime started = simulator_.now();
-  if (!online_) {
-    simulator_.schedule_after(
-        SimDuration::zero(), [this, started, size, done = std::move(done)] {
-          if (done) {
-            done(IoResult{unavailable(config_.name + " is offline"), started,
-                          simulator_.now(), size});
-          }
-        });
-    return;
-  }
   // Fixed per-op latency first (controller + head positioning), then the
   // streaming phase through the fair-shared channel.
   simulator_.schedule_after(

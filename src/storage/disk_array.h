@@ -24,16 +24,6 @@ struct DiskArrayConfig {
   SimDuration op_latency = 5_ms;
 };
 
-struct IoResult {
-  Status status;
-  SimTime started;
-  SimTime finished;
-  Bytes size;
-  [[nodiscard]] SimDuration duration() const { return finished - started; }
-};
-
-using IoCallback = std::function<void(const IoResult&)>;
-
 class DiskArray {
  public:
   DiskArray(sim::Simulator& simulator, DiskArrayConfig config);
@@ -43,8 +33,7 @@ class DiskArray {
   [[nodiscard]] Status reserve(Bytes amount);
   void release(Bytes amount);
 
-  // Timed data movement through the shared channel. Fails immediately
-  // (UNAVAILABLE) when the array is offline.
+  // Timed data movement through the shared channel.
   void read(Bytes size, IoCallback done);
   void write(Bytes size, IoCallback done);
 
@@ -55,13 +44,10 @@ class DiskArray {
     return used_.as_double() / config_.capacity.as_double();
   }
   [[nodiscard]] const std::string& name() const { return config_.name; }
-  [[nodiscard]] bool online() const { return online_; }
   [[nodiscard]] std::size_t active_ops() const {
     return channel_.active_ops();
   }
 
-  // Failure injection.
-  void set_online(bool online) { online_ = online; }
   // Rebuild or media degradation shrinking usable bandwidth.
   void set_degradation(double factor) { channel_.set_degradation(factor); }
 
@@ -82,7 +68,6 @@ class DiskArray {
   DiskArrayConfig config_;
   FairChannel channel_;
   Bytes used_;
-  bool online_ = true;
   RunningStats read_latency_;
   RunningStats write_latency_;
   Bytes bytes_read_;

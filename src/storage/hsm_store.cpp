@@ -118,10 +118,7 @@ Status HsmStore::forget(const std::string& object) {
   }
   if (read_cache_) read_cache_->cache().erase(object);
   if (it->second.disk_resident) cache_.release(it->second.size);
-  if (it->second.tape_resident) {
-    // Tape space becomes dead; TapeLibrary::compact() reclaims it later.
-    (void)tape_.forget(object);
-  }
+  if (it->second.tape_resident) (void)tape_.forget(object);
   awaiting_tape_.erase(it);
   objects_.erase(it);
   return Status::ok();
@@ -174,7 +171,7 @@ void HsmStore::migrate(const std::string& object, Entry& entry) {
   entry.migrating = true;
   // Read from disk and stream to tape. The disk read and tape write overlap
   // in a real mover; we model the tape write (the slower, gating phase).
-  tape_.archive(object, entry.size, [this, object](const TapeResult& result) {
+  tape_.archive(object, entry.size, [this, object](const IoResult& result) {
     const auto it = objects_.find(object);
     if (it == objects_.end()) return;  // forgotten mid-flight
     it->second.migrating = false;
@@ -247,13 +244,10 @@ void HsmStore::stage_then_read(const std::string& object, Entry& entry,
     ++stats_.tape_direct_reads;
     direct_reads_metric_.add(1);
     tape_.recall(object, [this, object, done = std::move(done)](
-                             const TapeResult& result) {
+                             const IoResult& result) {
       const auto it = objects_.find(object);
       if (it != objects_.end()) --it->second.direct_reads;
-      if (done) {
-        done(IoResult{result.status, result.started, result.finished,
-                      result.size});
-      }
+      if (done) done(result);
     });
     return;
   }
@@ -263,7 +257,7 @@ void HsmStore::stage_then_read(const std::string& object, Entry& entry,
   stages_metric_.add(1);
   tape_.recall(object, [this, object, request_start, staged_size,
                         done = std::move(done)](
-                           const TapeResult& result) mutable {
+                           const IoResult& result) mutable {
     const auto it = objects_.find(object);
     if (it == objects_.end()) {
       // Forgotten mid-stage (defensive: forget() rejects while staging).
@@ -280,10 +274,7 @@ void HsmStore::stage_then_read(const std::string& object, Entry& entry,
     staged.staging = false;
     if (!result.status.is_ok()) {
       cache_.release(staged.size);
-      if (done) {
-        done(IoResult{result.status, result.started, result.finished,
-                      result.size});
-      }
+      if (done) done(result);
       return;
     }
     staged.disk_resident = true;

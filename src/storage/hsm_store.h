@@ -77,8 +77,8 @@ class HsmStore {
   // Retrieve an object: read-cache hit, disk hit, or tape stage + disk hit.
   void get(const std::string& object, IoCallback done);
 
-  // Drop an object everywhere (disk copy freed; tape copy is append-only
-  // and simply forgotten, as real tape reclamation is offline).
+  // Drop an object everywhere (disk copy freed; the tape copy is forgotten,
+  // and the append-only tape it was written to is not reused).
   [[nodiscard]] Status forget(const std::string& object);
 
   [[nodiscard]] bool contains(const std::string& object) const {

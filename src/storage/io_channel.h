@@ -18,10 +18,23 @@
 #include <limits>
 #include <vector>
 
+#include "common/status.h"
 #include "common/units.h"
 #include "sim/simulator.h"
 
 namespace lsdf::storage {
+
+// The completion record every storage device reports: disk arrays, the
+// tape library and the tiers built on them.
+struct IoResult {
+  Status status;
+  SimTime started;
+  SimTime finished;
+  Bytes size;
+  [[nodiscard]] SimDuration duration() const { return finished - started; }
+};
+
+using IoCallback = std::function<void(const IoResult&)>;
 
 using OpId = std::uint64_t;
 

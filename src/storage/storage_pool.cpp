@@ -8,7 +8,7 @@ Result<DiskArray*> StoragePool::place(Bytes size) {
   if (arrays_.empty()) return failed_precondition("pool has no arrays");
 
   auto fits = [size](const DiskArray* array) {
-    return array->online() && array->free() >= size;
+    return array->free() >= size;
   };
 
   DiskArray* chosen = nullptr;

@@ -11,7 +11,6 @@ TapeLibrary::TapeLibrary(sim::Simulator& simulator, TapeConfig config)
       drives_(static_cast<std::size_t>(config_.drive_count)),
       robot_(simulator, 1, config_.name + ".robot"),
       cartridge_fill_(static_cast<std::size_t>(config_.cartridge_count)),
-      cartridge_dead_(static_cast<std::size_t>(config_.cartridge_count)),
       archive_bytes_metric_(obs::MetricsRegistry::global().counter(
           "lsdf_tape_bytes_total", {{"op", "archive"}})),
       recall_bytes_metric_(obs::MetricsRegistry::global().counter(
@@ -29,15 +28,15 @@ TapeLibrary::TapeLibrary(sim::Simulator& simulator, TapeConfig config)
 }
 
 void TapeLibrary::archive(const std::string& object, Bytes size,
-                          TapeCallback done) {
+                          IoCallback done) {
   const SimTime submitted = simulator_.now();
   if (objects_.contains(object)) {
     simulator_.schedule_after(
         SimDuration::zero(), [this, object, size, submitted,
                               done = std::move(done)] {
           if (done) {
-            done(TapeResult{already_exists(object + " already archived"),
-                            submitted, simulator_.now(), size});
+            done(IoResult{already_exists(object + " already archived"),
+                          submitted, simulator_.now(), size});
           }
         });
     return;
@@ -54,7 +53,7 @@ void TapeLibrary::archive(const std::string& object, Bytes size,
         SimDuration::zero(), [this, object, size, submitted,
                               done = std::move(done)] {
           if (done) {
-            done(TapeResult{
+            done(IoResult{
                 resource_exhausted(config_.name + " is full archiving " +
                                    object),
                 submitted, simulator_.now(), size});
@@ -79,7 +78,7 @@ void TapeLibrary::archive(const std::string& object, Bytes size,
   enqueue(std::move(request));
 }
 
-void TapeLibrary::recall(const std::string& object, TapeCallback done) {
+void TapeLibrary::recall(const std::string& object, IoCallback done) {
   const SimTime submitted = simulator_.now();
   const auto it = objects_.find(object);
   if (it == objects_.end()) {
@@ -87,8 +86,8 @@ void TapeLibrary::recall(const std::string& object, TapeCallback done) {
         SimDuration::zero(),
         [this, object, submitted, done = std::move(done)] {
           if (done) {
-            done(TapeResult{not_found(object + " is not on tape"), submitted,
-                            simulator_.now(), Bytes::zero()});
+            done(IoResult{not_found(object + " is not on tape"), submitted,
+                          simulator_.now(), Bytes::zero()});
           }
         });
     return;
@@ -112,91 +111,9 @@ void TapeLibrary::enqueue(Request request) {
 Status TapeLibrary::forget(const std::string& object) {
   const auto it = objects_.find(object);
   if (it == objects_.end()) return not_found(object + " is not on tape");
-  const auto cartridge = static_cast<std::size_t>(it->second.cartridge);
-  cartridge_dead_[cartridge] += it->second.size;
-  dead_ += it->second.size;
   used_ -= it->second.size;
   objects_.erase(it);
   return Status::ok();
-}
-
-void TapeLibrary::compact(std::function<void(Bytes)> done) {
-  LSDF_REQUIRE(!compacting_, "a compaction is already running");
-  // Pick the cartridge with the most dead space.
-  std::int64_t victim = -1;
-  Bytes most_dead;
-  for (std::size_t i = 0; i < cartridge_dead_.size(); ++i) {
-    if (cartridge_dead_[i] > most_dead) {
-      most_dead = cartridge_dead_[i];
-      victim = static_cast<std::int64_t>(i);
-    }
-  }
-  if (victim < 0) {
-    simulator_.schedule_after(SimDuration::zero(),
-                              [done = std::move(done)] {
-                                if (done) done(Bytes::zero());
-                              });
-    return;
-  }
-  compacting_ = true;
-  // Mark the victim full so re-archived survivors cannot land back on it.
-  cartridge_fill_[static_cast<std::size_t>(victim)] =
-      config_.cartridge_capacity;
-  // Survivors must move off the victim cartridge.
-  auto survivors = std::make_shared<std::vector<std::string>>();
-  for (const auto& [name, location] : objects_) {
-    if (location.cartridge == victim) survivors->push_back(name);
-  }
-  compact_step(victim, survivors, Bytes::zero(), std::move(done));
-}
-
-void TapeLibrary::compact_step(
-    std::int64_t cartridge,
-    std::shared_ptr<std::vector<std::string>> survivors, Bytes reclaimed,
-    std::function<void(Bytes)> done) {
-  if (survivors->empty()) {
-    // Wipe the cartridge and return it to the scratch pool.
-    const auto index = static_cast<std::size_t>(cartridge);
-    reclaimed += cartridge_dead_[index];
-    dead_ -= cartridge_dead_[index];
-    cartridge_dead_[index] = Bytes::zero();
-    cartridge_fill_[index] = Bytes::zero();
-    if (cartridge < fill_cartridge_) fill_cartridge_ = cartridge;
-    compacting_ = false;
-    simulator_.schedule_after(
-        SimDuration::zero(), [reclaimed, done = std::move(done)] {
-          if (done) done(reclaimed);
-        });
-    return;
-  }
-  // Move one survivor: recall it, then re-archive to fresh tape. The
-  // recall/archive pair pays realistic drive time through the queue.
-  const std::string object = survivors->back();
-  survivors->pop_back();
-  const auto location = objects_.at(object);
-  recall(object, [this, object, location, cartridge, survivors, reclaimed,
-                  done = std::move(done)](const TapeResult& read) mutable {
-    if (!read.status.is_ok()) {  // drive trouble: give up cleanly
-      compacting_ = false;
-      if (done) done(reclaimed);
-      return;
-    }
-    // Drop the old placement, then append a fresh copy elsewhere. Only
-    // dead space counts as reclaimed; survivors are merely relocated.
-    objects_.erase(object);
-    used_ -= location.size;
-    archive(object, location.size,
-            [this, cartridge, survivors, reclaimed,
-             done = std::move(done)](const TapeResult& write) mutable {
-              if (!write.status.is_ok()) {
-                compacting_ = false;
-                if (done) done(Bytes::zero());
-                return;
-              }
-              compact_step(cartridge, survivors, reclaimed,
-                           std::move(done));
-            });
-  });
 }
 
 int TapeLibrary::healthy_drives() const {
@@ -321,8 +238,8 @@ void TapeLibrary::run_on_drive(std::size_t drive_index, Request request) {
                 (simulator_.now() - request->submitted).seconds());
           }
           if (request->done) {
-            request->done(TapeResult{Status::ok(), request->submitted,
-                                     simulator_.now(), request->size});
+            request->done(IoResult{Status::ok(), request->submitted,
+                                   simulator_.now(), request->size});
           }
           pump();
         });

@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -19,6 +18,7 @@
 #include "common/units.h"
 #include "obs/metrics.h"
 #include "sim/simulator.h"
+#include "storage/io_channel.h"
 
 namespace lsdf::storage {
 
@@ -33,44 +33,25 @@ struct TapeConfig {
   SimDuration full_seek = 60_s;  // end-to-end tape wind time
 };
 
-struct TapeResult {
-  Status status;
-  SimTime started;
-  SimTime finished;
-  Bytes size;
-  [[nodiscard]] SimDuration duration() const { return finished - started; }
-};
-
-using TapeCallback = std::function<void(const TapeResult&)>;
-
 class TapeLibrary {
  public:
   TapeLibrary(sim::Simulator& simulator, TapeConfig config);
 
   // Append an object to the library (archive). Placement appends to the
   // current fill cartridge, opening a new one when full.
-  void archive(const std::string& object, Bytes size, TapeCallback done);
+  void archive(const std::string& object, Bytes size, IoCallback done);
 
   // Read an object back (recall). NOT_FOUND if it was never archived.
-  void recall(const std::string& object, TapeCallback done);
+  void recall(const std::string& object, IoCallback done);
 
   [[nodiscard]] bool contains(const std::string& object) const {
     return objects_.contains(object);
   }
 
-  // Mark an archived object as dead. Tape is append-only, so the space is
-  // not reusable until its cartridge is compacted; the object is
-  // immediately unreadable.
+  // Drop an archived object: it is immediately unreadable and its bytes
+  // leave used(). Tape is append-only, so the space it was written to
+  // stays written and is never archived onto again.
   [[nodiscard]] Status forget(const std::string& object);
-
-  // Bytes held by dead objects (reclaimable via compaction).
-  [[nodiscard]] Bytes dead_bytes() const { return dead_; }
-
-  // Compact the cartridge with the most dead space: its live objects are
-  // re-archived (paying drive time) onto fresh tape and the cartridge is
-  // wiped for reuse. `done` reports bytes reclaimed (zero if nothing to
-  // compact). One compaction at a time.
-  void compact(std::function<void(Bytes)> done);
 
   [[nodiscard]] Bytes used() const { return used_; }
   [[nodiscard]] Bytes capacity() const {
@@ -105,7 +86,7 @@ class TapeLibrary {
     std::int64_t cartridge = 0;
     Bytes offset;
     SimTime submitted;
-    TapeCallback done;
+    IoCallback done;
   };
   struct Drive {
     std::optional<std::int64_t> mounted;  // cartridge id
@@ -123,9 +104,6 @@ class TapeLibrary {
   void enqueue(Request request);
   void pump();
   void run_on_drive(std::size_t drive_index, Request request);
-  void compact_step(std::int64_t cartridge,
-                    std::shared_ptr<std::vector<std::string>> survivors,
-                    Bytes reclaimed, std::function<void(Bytes)> done);
 
   sim::Simulator& simulator_;
   TapeConfig config_;
@@ -134,11 +112,8 @@ class TapeLibrary {
   std::deque<Request> queue_;
   std::map<std::string, ObjectLocation> objects_;
   std::vector<Bytes> cartridge_fill_;
-  std::vector<Bytes> cartridge_dead_;
   std::int64_t fill_cartridge_ = 0;
   Bytes used_;
-  Bytes dead_;
-  bool compacting_ = false;
   std::int64_t mounts_ = 0;
   std::int64_t mount_hits_ = 0;
   std::int64_t aborted_ = 0;

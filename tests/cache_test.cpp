@@ -1,6 +1,6 @@
 // Tests for lsdf::cache: LRU eviction and re-admission in BlockCache, the
-// CachedStore read-through wrapper, HSM and DFS integration, fault-injected
-// invalidation, the DataBrowser's catalogue searches, and the
+// CachedStore read-through wrapper, HSM and DFS integration, the
+// DataBrowser's catalogue searches, and the
 // tier-exclusive byte-attribution contract (a hit never touches the
 // backing store's counters).
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 #include "core/facility.h"
 #include "dfs/cluster_builder.h"
 #include "dfs/dfs.h"
-#include "fault/injector.h"
 #include "meta/query.h"
 #include "obs/metrics.h"
 #include "sim/simulator.h"
@@ -145,16 +144,15 @@ TEST(BlockCache, S3FifoGhostHitReadmitsStraightToMain) {
   EXPECT_EQ(cache.lookup("fill-3"), 20_MB);
 }
 
-TEST(BlockCache, EraseAndInvalidateAllCountAsInvalidations) {
+TEST(BlockCache, EraseCountsAsInvalidation) {
   BlockCache cache(small_config());
   EXPECT_TRUE(cache.admit("a", 10_MB));
   EXPECT_TRUE(cache.admit("b", 10_MB));
   EXPECT_TRUE(cache.erase("a"));
   EXPECT_FALSE(cache.erase("a"));  // already gone
-  cache.invalidate_all();
-  EXPECT_EQ(cache.entry_count(), 0u);
-  EXPECT_EQ(cache.used(), Bytes::zero());
-  EXPECT_EQ(cache.stats().invalidations, 2);
+  EXPECT_EQ(cache.entry_count(), 1u);
+  EXPECT_EQ(cache.used(), 10_MB);
+  EXPECT_EQ(cache.stats().invalidations, 1);
   EXPECT_EQ(cache.stats().evictions, 0);  // invalidation is not eviction
 }
 
@@ -385,35 +383,6 @@ TEST(HsmReadCache, DisabledByDefault) {
   EXPECT_GE(f.hsm.stats().disk_hits + f.hsm.stats().tape_stages +
                 f.hsm.stats().tape_direct_reads,
             2);
-}
-
-// --- Fault injection: caches lose their contents and refill -------------------
-
-TEST(FaultInjection, CacheFaultDropsEntriesAndTheCacheRefills) {
-  HsmFixture f(2_GB);
-  f.archive_and_age();
-  (void)f.get("obj-0");
-  auto& cache = f.hsm.read_cache()->cache();
-  EXPECT_EQ(cache.entry_count(), 1u);
-
-  fault::FaultInjector injector(f.sim, 7);
-  injector.register_cache("hsm-read-cache", cache);
-  ASSERT_TRUE(
-      injector.schedule_fault("hsm-read-cache", f.sim.now() + 1_min, 5_min)
-          .is_ok());
-  f.sim.run_until(f.sim.now() + 2_min);
-  EXPECT_EQ(cache.entry_count(), 0u);  // contents lost with the node
-  EXPECT_GT(cache.stats().invalidations, 0);
-
-  // The directory survives: the next read misses, falls through to the
-  // tiers (the staged disk copy is still there) and refills the cache.
-  const std::int64_t misses_before = cache.stats().misses;
-  const storage::IoResult refill = f.get("obj-0");
-  EXPECT_TRUE(refill.status.is_ok());
-  EXPECT_GT(cache.stats().misses, misses_before);
-  EXPECT_EQ(cache.entry_count(), 1u);
-  f.sim.run_until(f.sim.now() + 10_min);  // recovery is a no-op
-  EXPECT_EQ(injector.recovered(), 1);
 }
 
 // --- DFS block cache ----------------------------------------------------------

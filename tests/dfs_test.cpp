@@ -406,6 +406,52 @@ TEST(DfsIntegrity, CorruptionMarkLeavesWithItsReplica) {
   EXPECT_EQ(f.dfs.checksum_failures_detected(), 0);
 }
 
+TEST(DfsIntegrity, CorruptionMarkTravelsWithAMovedReplica) {
+  ClusterFixture f(2, 2);  // four datanodes, replication 3
+  ASSERT_TRUE(f.write("/data/a", 64_MB).is_ok());
+  const BlockId block = f.dfs.stat("/data/a").value().blocks[0];
+  const auto replicas = f.dfs.block_replicas(block);
+  ASSERT_EQ(replicas.size(), 3u);
+  const DataNodeId bad = replicas[0];
+  DataNodeId spare = 0;
+  while (std::count(replicas.begin(), replicas.end(), spare) != 0) ++spare;
+  ASSERT_TRUE(f.dfs.corrupt_replica(block, bad).is_ok());
+  // Draining the corrupt replica's node moves its bytes onto the spare
+  // node, the only one without a replica.
+  bool drained = false;
+  ASSERT_TRUE(
+      f.dfs.decommission_datanode(bad, [&] { drained = true; }).is_ok());
+  f.sim.run();
+  ASSERT_TRUE(drained);
+  const auto moved = f.dfs.block_replicas(block);
+  ASSERT_EQ(std::count(moved.begin(), moved.end(), spare), 1);
+
+  // A read of the moved copy catches the corruption and is served from a
+  // clean replica.
+  std::optional<DfsIoResult> result;
+  f.dfs.read_block(block, f.dfs.datanode_location(spare),
+                   [&](const DfsIoResult& r) { result = r; });
+  f.sim.run();
+  ASSERT_TRUE(result && result->status.is_ok());
+  EXPECT_EQ(f.dfs.checksum_failures_detected(), 1);
+
+  // The drained node rejoins, and losing another holder brings the block
+  // back onto it as a fresh copy from a clean replica: it reads clean.
+  const std::int64_t failures = f.dfs.checksum_failures_detected();
+  ASSERT_TRUE(f.dfs.recover_datanode(bad).is_ok());
+  ASSERT_TRUE(f.dfs.fail_datanode(replicas[1]).is_ok());
+  f.sim.run();
+  const auto healed = f.dfs.block_replicas(block);
+  ASSERT_EQ(std::count(healed.begin(), healed.end(), bad), 1);
+  result.reset();
+  f.dfs.read_block(block, f.dfs.datanode_location(bad),
+                   [&](const DfsIoResult& r) { result = r; });
+  f.sim.run();
+  ASSERT_TRUE(result && result->status.is_ok());
+  EXPECT_EQ(result->locality, Locality::kNodeLocal);
+  EXPECT_EQ(f.dfs.checksum_failures_detected(), failures);
+}
+
 TEST(DfsIntegrity, CorruptingUnknownTargetsFails) {
   ClusterFixture f;
   ASSERT_TRUE(f.write("/data/a", 64_MB).is_ok());

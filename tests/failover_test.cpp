@@ -317,6 +317,22 @@ TEST(Balancer, MovedBlocksRemainReadable) {
   }
 }
 
+TEST(Balancer, StopsWhenNoMoveCanNarrowTheSpread) {
+  BalancerFixture f;
+  // Seven 64 MB blocks written from node 0. A target of zero is out of
+  // reach once the fullest and emptiest in-service datanodes are within one
+  // block of each other: the balancer must finish there, not swap a block
+  // back and forth for ever.
+  f.load_from(f.datanodes[0], "/skew", 448_MB);
+  std::optional<int> moves;
+  f.dfs.rebalance(0.0, [&](int m) { moves = m; });
+  f.sim.run_until(f.sim.now() + 1_h);
+  ASSERT_TRUE(moves.has_value());
+  EXPECT_GT(*moves, 0);
+  EXPECT_LE(f.dfs.imbalance(), (64_MB).as_double() / (10_GB).as_double());
+  f.expect_replicas_consistent();
+}
+
 TEST(Decommission, DrainsNodeWithoutLosingRedundancy) {
   BalancerFixture f;
   f.load_from(f.datanodes[1], "/a", 512_MB);

@@ -16,7 +16,6 @@
 #include "net/topology.h"
 #include "net/transfer_engine.h"
 #include "sim/simulator.h"
-#include "storage/disk_array.h"
 #include "storage/tape_library.h"
 
 namespace lsdf::fault {
@@ -109,21 +108,24 @@ TEST(FaultInjector, ScheduledFaultTakesLinkDownAndBringsItBack) {
 
 TEST(FaultInjector, OverlappingFaultsCoalesceIntoTheirUnion) {
   sim::Simulator sim;
-  storage::DiskArray disk(sim, storage::DiskArrayConfig{});
+  Topology topo;
+  const LinkId wan = topo.add_duplex_link(
+      topo.add_node("a"), topo.add_node("b"),
+      Rate::megabytes_per_second(100.0), SimDuration::zero());
   FaultInjector injector(sim, 7);
-  injector.register_disk("ddn", disk);
-  // [10, 40) and [20, 60) overlap: the disk must be down for the union
+  injector.register_link("wan", topo, wan);
+  // [10, 40) and [20, 60) overlap: the link must be down for the union
   // [10, 60) and produce exactly one fail/restore pair.
   ASSERT_TRUE(injector
-                  .schedule_fault("ddn", SimTime::zero() + 10_s, 30_s)
+                  .schedule_fault("wan", SimTime::zero() + 10_s, 30_s)
                   .is_ok());
   ASSERT_TRUE(injector
-                  .schedule_fault("ddn", SimTime::zero() + 20_s, 40_s)
+                  .schedule_fault("wan", SimTime::zero() + 20_s, 40_s)
                   .is_ok());
   sim.run_until(SimTime::zero() + 50_s);
-  EXPECT_FALSE(disk.online());  // first window ended, second still open
+  EXPECT_FALSE(topo.link_up(wan));  // first window ended, second still open
   sim.run();
-  EXPECT_TRUE(disk.online());
+  EXPECT_TRUE(topo.link_up(wan));
   ASSERT_EQ(injector.timeline().size(), 2u);
   EXPECT_EQ(injector.timeline()[0].at, SimTime::zero() + 10_s);
   EXPECT_TRUE(injector.timeline()[0].failed);
@@ -147,40 +149,16 @@ TEST(FaultInjector, TapeFaultTakesOneDriveAndRecoveryRepairsIt) {
   EXPECT_EQ(tape.healthy_drives(), 2);
 }
 
-TEST(FaultInjector, NodeFaultDownsEveryTouchingLink) {
-  sim::Simulator sim;
-  Topology topo;
-  const NodeId hub = topo.add_node("hub");
-  const NodeId a = topo.add_node("a");
-  const NodeId b = topo.add_node("b");
-  const Rate rate = Rate::megabytes_per_second(100.0);
-  const LinkId hub_a = topo.add_duplex_link(hub, a, rate, SimDuration::zero());
-  const LinkId hub_b = topo.add_duplex_link(hub, b, rate, SimDuration::zero());
-  const LinkId a_b = topo.add_duplex_link(a, b, rate, SimDuration::zero());
-  FaultInjector injector(sim, 7);
-  injector.register_node("hub", topo, hub);
-  ASSERT_TRUE(injector
-                  .schedule_fault("hub", SimTime::zero() + 1_s, 10_s)
-                  .is_ok());
-  sim.run_until(SimTime::zero() + 2_s);
-  EXPECT_FALSE(topo.link_up(hub_a));
-  EXPECT_FALSE(topo.link_up(hub_b));
-  EXPECT_TRUE(topo.link_up(a_b));  // bystander link untouched
-  sim.run();
-  EXPECT_TRUE(topo.link_up(hub_a));
-  EXPECT_TRUE(topo.link_up(hub_b));
-}
-
 TEST(FaultInjector, RejectsUnknownComponentsAndBadSchedules) {
   sim::Simulator sim;
   FaultInjector injector(sim, 7);
   EXPECT_EQ(injector.schedule_fault("ghost", SimTime::zero() + 1_s, 1_s)
                 .code(),
             StatusCode::kNotFound);
-  storage::DiskArray disk(sim, storage::DiskArrayConfig{});
-  injector.register_disk("d", disk);
+  storage::TapeLibrary tape(sim, storage::TapeConfig{});
+  injector.register_tape("lib", tape);
   EXPECT_EQ(injector
-                .schedule_fault("d", SimTime::zero() + 1_s,
+                .schedule_fault("lib", SimTime::zero() + 1_s,
                                 SimDuration::zero())
                 .code(),
             StatusCode::kInvalidArgument);
@@ -190,16 +168,19 @@ TEST(FaultInjector, RejectsUnknownComponentsAndBadSchedules) {
 
 std::vector<FaultRecord> stochastic_timeline(std::uint64_t seed) {
   sim::Simulator sim;
-  storage::DiskArray disk_a(sim, storage::DiskArrayConfig{});
-  storage::DiskArray disk_b(sim, storage::DiskArrayConfig{});
+  Topology topo;
+  const LinkId wan = topo.add_duplex_link(
+      topo.add_node("a"), topo.add_node("b"),
+      Rate::megabytes_per_second(100.0), SimDuration::zero());
+  storage::TapeLibrary tape(sim, storage::TapeConfig{});
   FaultInjector injector(sim, seed);
-  injector.register_disk("disk-a", disk_a);
-  injector.register_disk("disk-b", disk_b);
+  injector.register_link("wan", topo, wan);
+  injector.register_tape("tape", tape);
   EXPECT_TRUE(
-      injector.arm_stochastic("disk-a", 2_h, 10_min, SimTime::zero() + 48_h)
+      injector.arm_stochastic("wan", 2_h, 10_min, SimTime::zero() + 48_h)
           .is_ok());
   EXPECT_TRUE(
-      injector.arm_stochastic("disk-b", 3_h, 20_min, SimTime::zero() + 48_h)
+      injector.arm_stochastic("tape", 3_h, 20_min, SimTime::zero() + 48_h)
           .is_ok());
   sim.run();
   return injector.timeline();
@@ -263,24 +244,24 @@ TEST(FaultInjector, LoadPlanSchedulesFaultsAndFlaps) {
 
 TEST(FaultInjector, LoadPlanRejectsMalformedAndUnknownKeys) {
   sim::Simulator sim;
-  storage::DiskArray disk(sim, storage::DiskArrayConfig{});
+  storage::TapeLibrary tape(sim, storage::TapeConfig{});
   {
     FaultInjector injector(sim, 7);
-    injector.register_disk("d", disk);
+    injector.register_tape("d", tape);
     Properties plan;
     plan.set("fault.schedule.d", "60s within 30s");  // bad keyword
     EXPECT_FALSE(injector.load_plan(plan).is_ok());
   }
   {
     FaultInjector injector(sim, 7);
-    injector.register_disk("d", disk);
+    injector.register_tape("d", tape);
     Properties plan;
     plan.set("fault.frobnicate.d", "1h");  // unknown fault.* key
     EXPECT_FALSE(injector.load_plan(plan).is_ok());
   }
   {
     FaultInjector injector(sim, 7);
-    injector.register_disk("d", disk);
+    injector.register_tape("d", tape);
     Properties plan;
     plan.set("fault.mtbf.d", "1h");  // mttr missing
     EXPECT_FALSE(injector.load_plan(plan).is_ok());
@@ -289,7 +270,7 @@ TEST(FaultInjector, LoadPlanRejectsMalformedAndUnknownKeys) {
   for (const char* schedule : {"1h for 10min repeat 3x every 2h",
                                "1h for 10min repeat 2.9 every 2h"}) {
     FaultInjector injector(sim, 7);
-    injector.register_disk("d", disk);
+    injector.register_tape("d", tape);
     Properties plan;
     plan.set("fault.schedule.d", schedule);
     EXPECT_EQ(injector.load_plan(plan).code(), StatusCode::kInvalidArgument)

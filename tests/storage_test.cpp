@@ -283,22 +283,6 @@ TEST(DiskArray, ConcurrentStreamsShareAggregateBandwidth) {
   EXPECT_EQ(array.read_latency_seconds().count(), 4);
 }
 
-TEST(DiskArray, OfflineArrayFailsIo) {
-  sim::Simulator sim;
-  DiskArray array(sim, small_array());
-  array.set_online(false);
-  std::optional<IoResult> result;
-  array.read(1_MB, [&](const IoResult& r) { result = r; });
-  sim.run();
-  ASSERT_TRUE(result.has_value());
-  EXPECT_EQ(result->status.code(), StatusCode::kUnavailable);
-  array.set_online(true);
-  result.reset();
-  array.read(1_MB, [&](const IoResult& r) { result = r; });
-  sim.run();
-  EXPECT_TRUE(result->status.is_ok());
-}
-
 TEST(DiskArray, DegradationModelsRebuild) {
   sim::Simulator sim;
   DiskArray array(sim, small_array());
@@ -328,8 +312,8 @@ TapeConfig small_tape() {
 TEST(TapeLibrary, ArchiveThenRecallRoundTrip) {
   sim::Simulator sim;
   TapeLibrary tape(sim, small_tape());
-  std::optional<TapeResult> archived;
-  tape.archive("run-1", 1_GB, [&](const TapeResult& r) { archived = r; });
+  std::optional<IoResult> archived;
+  tape.archive("run-1", 1_GB, [&](const IoResult& r) { archived = r; });
   sim.run();
   ASSERT_TRUE(archived.has_value());
   EXPECT_TRUE(archived->status.is_ok());
@@ -338,8 +322,8 @@ TEST(TapeLibrary, ArchiveThenRecallRoundTrip) {
   EXPECT_TRUE(tape.contains("run-1"));
   EXPECT_EQ(tape.used(), 1_GB);
 
-  std::optional<TapeResult> recalled;
-  tape.recall("run-1", [&](const TapeResult& r) { recalled = r; });
+  std::optional<IoResult> recalled;
+  tape.recall("run-1", [&](const IoResult& r) { recalled = r; });
   sim.run();
   ASSERT_TRUE(recalled.has_value());
   EXPECT_TRUE(recalled->status.is_ok());
@@ -349,8 +333,8 @@ TEST(TapeLibrary, ArchiveThenRecallRoundTrip) {
 TEST(TapeLibrary, RecallOfUnknownObjectFails) {
   sim::Simulator sim;
   TapeLibrary tape(sim, small_tape());
-  std::optional<TapeResult> result;
-  tape.recall("ghost", [&](const TapeResult& r) { result = r; });
+  std::optional<IoResult> result;
+  tape.recall("ghost", [&](const IoResult& r) { result = r; });
   sim.run();
   EXPECT_EQ(result->status.code(), StatusCode::kNotFound);
 }
@@ -359,8 +343,8 @@ TEST(TapeLibrary, DuplicateArchiveFails) {
   sim::Simulator sim;
   TapeLibrary tape(sim, small_tape());
   tape.archive("x", 1_GB, nullptr);
-  std::optional<TapeResult> result;
-  tape.archive("x", 1_GB, [&](const TapeResult& r) { result = r; });
+  std::optional<IoResult> result;
+  tape.archive("x", 1_GB, [&](const IoResult& r) { result = r; });
   sim.run();
   EXPECT_EQ(result->status.code(), StatusCode::kAlreadyExists);
 }
@@ -387,11 +371,11 @@ TEST(TapeLibrary, SeekTimeGrowsWithOffset) {
   tape.archive("late", 100_MB, nullptr);
   sim.run();
 
-  std::optional<TapeResult> early;
-  std::optional<TapeResult> late;
-  tape.recall("big", [&](const TapeResult& r) { early = r; });
+  std::optional<IoResult> early;
+  std::optional<IoResult> late;
+  tape.recall("big", [&](const IoResult& r) { early = r; });
   sim.run();
-  tape.recall("late", [&](const TapeResult& r) { late = r; });
+  tape.recall("late", [&](const IoResult& r) { late = r; });
   sim.run();
   ASSERT_TRUE(early && late);
   // `late` sits at offset 9 GB / 10 GB -> ~54 s seek; `big` at offset 0.
@@ -406,8 +390,8 @@ TEST(TapeLibrary, CapacityExhaustionReported) {
   config.cartridge_count = 1;
   config.cartridge_capacity = 1_GB;
   TapeLibrary tape(sim, config);
-  std::optional<TapeResult> result;
-  tape.archive("too-big", 2_GB, [&](const TapeResult& r) { result = r; });
+  std::optional<IoResult> result;
+  tape.archive("too-big", 2_GB, [&](const IoResult& r) { result = r; });
   sim.run();
   EXPECT_EQ(result->status.code(), StatusCode::kResourceExhausted);
 }
@@ -419,11 +403,11 @@ TEST(TapeLibrary, TwoDrivesServeRequestsInParallel) {
   TapeLibrary tape(sim, config);
   int done = 0;
   SimTime last;
-  tape.archive("a", 900_MB, [&](const TapeResult&) {
+  tape.archive("a", 900_MB, [&](const IoResult&) {
     ++done;
     last = sim.now();
   });
-  tape.archive("b", 900_MB, [&](const TapeResult&) {
+  tape.archive("b", 900_MB, [&](const IoResult&) {
     ++done;
     last = sim.now();
   });
@@ -441,8 +425,8 @@ TEST(TapeLibrary, DriveFailureShrinksParallelismAndRepairRestores) {
   EXPECT_TRUE(tape.fail_drive().is_ok());
   EXPECT_EQ(tape.healthy_drives(), 1);
   // Work still completes on the surviving drive.
-  std::optional<TapeResult> result;
-  tape.archive("x", 1_GB, [&](const TapeResult& r) { result = r; });
+  std::optional<IoResult> result;
+  tape.archive("x", 1_GB, [&](const IoResult& r) { result = r; });
   sim.run();
   EXPECT_TRUE(result->status.is_ok());
   tape.repair_drive();
@@ -459,8 +443,8 @@ TEST(TapeLibrary, FailingTheOnlyBusyDriveAbortsAndRequeues) {
   config.drive_count = 1;
   TapeLibrary tape(sim, config);
   int completions = 0;
-  std::optional<TapeResult> result;
-  tape.archive("x", 1_GB, [&](const TapeResult& r) {
+  std::optional<IoResult> result;
+  tape.archive("x", 1_GB, [&](const IoResult& r) {
     ++completions;
     result = r;
   });
@@ -493,10 +477,10 @@ TEST(TapeLibrary, AbortedStreamDoesNotResurrectAfterReassignment) {
   TapeLibrary tape(sim, config);
   int a_completions = 0;
   int b_completions = 0;
-  tape.archive("a", 1_GB, [&](const TapeResult&) { ++a_completions; });
+  tape.archive("a", 1_GB, [&](const IoResult&) { ++a_completions; });
   sim.run_until(SimTime::zero() + 35_s);  // mounted, mid-stream
   ASSERT_TRUE(tape.fail_drive().is_ok());
-  tape.archive("b", 1_GB, [&](const TapeResult&) { ++b_completions; });
+  tape.archive("b", 1_GB, [&](const IoResult&) { ++b_completions; });
   tape.repair_drive();
   sim.run();
   // Both operations complete exactly once, the requeued "a" first.
@@ -506,88 +490,31 @@ TEST(TapeLibrary, AbortedStreamDoesNotResurrectAfterReassignment) {
   EXPECT_TRUE(tape.contains("b"));
 }
 
-// --- Tape reclamation ----------------------------------------------------------
+// --- Forgetting archived objects ---------------------------------------------
 
 TEST(TapeReclamation, ForgetMarksDeadSpaceAndBlocksRecall) {
   sim::Simulator sim;
-  TapeLibrary tape(sim, small_tape());
+  TapeConfig config = small_tape();
+  config.cartridge_count = 1;
+  config.cartridge_capacity = 3_GB;
+  TapeLibrary tape(sim, config);
   tape.archive("a", 2_GB, nullptr);
   tape.archive("b", 1_GB, nullptr);
   sim.run();
   ASSERT_TRUE(tape.forget("a").is_ok());
   EXPECT_FALSE(tape.contains("a"));
-  EXPECT_EQ(tape.dead_bytes(), 2_GB);
   EXPECT_EQ(tape.used(), 1_GB);
   EXPECT_EQ(tape.forget("a").code(), StatusCode::kNotFound);
-  std::optional<TapeResult> recall;
-  tape.recall("a", [&](const TapeResult& r) { recall = r; });
+  std::optional<IoResult> recall;
+  tape.recall("a", [&](const IoResult& r) { recall = r; });
   sim.run();
   EXPECT_EQ(recall->status.code(), StatusCode::kNotFound);
-}
-
-TEST(TapeReclamation, CompactionReclaimsDeadSpaceAndKeepsSurvivors) {
-  sim::Simulator sim;
-  TapeConfig config = small_tape();
-  config.cartridge_capacity = 4_GB;
-  TapeLibrary tape(sim, config);
-  // Cartridge 0: a (2 GB, will die) + b (1 GB, survivor).
-  tape.archive("a", 2_GB, nullptr);
-  tape.archive("b", 1_GB, nullptr);
+  // Tape is append-only: the forgotten 2 GB stay written, so the full
+  // cartridge takes nothing more.
+  std::optional<IoResult> more;
+  tape.archive("c", 1_GB, [&](const IoResult& r) { more = r; });
   sim.run();
-  ASSERT_TRUE(tape.forget("a").is_ok());
-
-  std::optional<Bytes> reclaimed;
-  tape.compact([&](Bytes freed) { reclaimed = freed; });
-  sim.run();
-  ASSERT_TRUE(reclaimed.has_value());
-  EXPECT_EQ(*reclaimed, 2_GB);
-  EXPECT_EQ(tape.dead_bytes(), 0_B);
-  EXPECT_TRUE(tape.contains("b"));
-  EXPECT_EQ(tape.used(), 1_GB);
-  // The survivor is still readable after relocation.
-  std::optional<TapeResult> recall;
-  tape.recall("b", [&](const TapeResult& r) { recall = r; });
-  sim.run();
-  EXPECT_TRUE(recall->status.is_ok());
-  EXPECT_EQ(recall->size, 1_GB);
-}
-
-TEST(TapeReclamation, CompactedCartridgeIsReusable) {
-  sim::Simulator sim;
-  TapeConfig config = small_tape();
-  config.cartridge_count = 2;
-  config.cartridge_capacity = 2_GB;
-  TapeLibrary tape(sim, config);
-  tape.archive("a", 2_GB, nullptr);  // fills cartridge 0 exactly
-  tape.archive("b", 2_GB, nullptr);  // fills cartridge 1
-  sim.run();
-  // Library full: a third archive fails.
-  std::optional<TapeResult> full;
-  tape.archive("c", 1_GB, [&](const TapeResult& r) { full = r; });
-  sim.run();
-  ASSERT_EQ(full->status.code(), StatusCode::kResourceExhausted);
-  // Kill `a`, compact, and the freed cartridge takes new data.
-  ASSERT_TRUE(tape.forget("a").is_ok());
-  std::optional<Bytes> reclaimed;
-  tape.compact([&](Bytes freed) { reclaimed = freed; });
-  sim.run();
-  EXPECT_EQ(*reclaimed, 2_GB);
-  std::optional<TapeResult> retry;
-  tape.archive("c", 1_GB, [&](const TapeResult& r) { retry = r; });
-  sim.run();
-  EXPECT_TRUE(retry->status.is_ok());
-}
-
-TEST(TapeReclamation, CompactionWithNothingDeadIsANoOp) {
-  sim::Simulator sim;
-  TapeLibrary tape(sim, small_tape());
-  tape.archive("a", 1_GB, nullptr);
-  sim.run();
-  std::optional<Bytes> reclaimed;
-  tape.compact([&](Bytes freed) { reclaimed = freed; });
-  sim.run();
-  EXPECT_EQ(*reclaimed, 0_B);
-  EXPECT_TRUE(tape.contains("a"));
+  EXPECT_EQ(more->status.code(), StatusCode::kResourceExhausted);
 }
 
 // --- HsmStore ------------------------------------------------------------------
@@ -730,7 +657,7 @@ TEST(HsmStore, ForgetPropagatesToTapeAsDeadSpace) {
   ASSERT_TRUE(f.hsm.on_tape("cold"));
   ASSERT_TRUE(f.hsm.forget("cold").is_ok());
   EXPECT_FALSE(f.tape.contains("cold"));
-  EXPECT_EQ(f.tape.dead_bytes(), 1_GB);
+  EXPECT_EQ(f.tape.used(), 0_B);  // the written tape is dead space
   f.hsm.stop();
 }
 
@@ -861,15 +788,6 @@ TEST(StoragePool, FirstFitSticksToFirstUntilFull) {
   pool.add_array(f.b);
   EXPECT_EQ(pool.place(60_GB).value()->name(), "a");
   EXPECT_EQ(pool.place(60_GB).value()->name(), "b");  // a has only 40 left
-}
-
-TEST(StoragePool, SkipsOfflineArrays) {
-  PoolFixture f;
-  StoragePool pool(PlacementPolicy::kMostFree);
-  pool.add_array(f.a);
-  pool.add_array(f.b);
-  f.b.set_online(false);
-  EXPECT_EQ(pool.place(10_GB).value()->name(), "a");
 }
 
 TEST(StoragePool, ExhaustionReported) {
