@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
   const auto [via_adal_ok, via_adal_s] =
       timed_read(facility, "lsdf://data/e4/obj");
   // Direct: same array, same size, bypassing ADAL.
-  storage::DiskArray& array = *facility.pool().locate("e4/obj").value();
+  storage::DiskArray& array = *facility.pool().locate("e4/obj").value().array;
   std::optional<storage::IoResult> direct;
   array.read(1_GB, [&](const storage::IoResult& r) { direct = r; });
   sim.run_while_pending([&] { return direct.has_value(); });

@@ -49,10 +49,6 @@ void AuthService::grant(const std::string& principal,
   grants_[{principal, backend}] |= static_cast<std::uint8_t>(access);
 }
 
-void AuthService::revoke_token(const std::string& token) {
-  principal_by_token_.erase(token);
-}
-
 Result<std::string> AuthService::principal_of(
     const Credentials& credentials) const {
   const auto principal = principal_by_token_.find(credentials.token);
@@ -191,34 +187,11 @@ void Adal::write(const Credentials& who, const std::string& uri, Bytes size,
       fail(std::move(done), already_exists(uri));
       return;
     }
-    // Quota check against the writing principal's budget.
-    const auto principal = auth_.principal_of(who);
-    if (!principal.is_ok()) {
-      fail(std::move(done), principal.status());
-      return;
-    }
-    const std::string owner = principal.value();
-    if (const auto limit = quota_limit_.find(owner);
-        limit != quota_limit_.end()) {
-      const Bytes used = quota_usage_[owner];
-      if (used + size > limit->second) {
-        fail(std::move(done),
-             resource_exhausted("quota exceeded for `" + owner + "`: " +
-                                format_bytes(used) + " + " +
-                                format_bytes(size) + " > " +
-                                format_bytes(limit->second)));
-        return;
-      }
-    }
-    quota_usage_[owner] += size;
-    logical_.emplace(path, Located{default_backend_, size, owner});
+    logical_.emplace(path, Located{default_backend_, size});
     default_backend_->write(
-        path, size, [this, path, size, owner, done = std::move(done)](
+        path, size, [this, path, done = std::move(done)](
                         const storage::IoResult& result) mutable {
-          if (!result.status.is_ok()) {
-            logical_.erase(path);
-            quota_usage_[owner] -= size;
-          }
+          if (!result.status.is_ok()) logical_.erase(path);
           if (done) done(result);
         });
     return;
@@ -274,23 +247,6 @@ void Adal::read(const Credentials& who, const std::string& uri,
   backend->read(real_path, std::move(done));
 }
 
-Status Adal::remove(const Credentials& who, const std::string& uri) {
-  LSDF_ASSIGN_OR_RETURN(const Uri parsed, Uri::parse(uri));
-  if (parsed.backend == kLogical) {
-    const auto located = logical_.find(parsed.path);
-    if (located == logical_.end()) return not_found(uri);
-    LSDF_RETURN_IF_ERROR(
-        auth_.check(who, located->second.backend->name(), Access::kWrite));
-    LSDF_RETURN_IF_ERROR(located->second.backend->remove(parsed.path));
-    quota_usage_[located->second.owner] -= located->second.size;
-    logical_.erase(located);
-    return Status::ok();
-  }
-  LSDF_RETURN_IF_ERROR(auth_.check(who, parsed.backend, Access::kWrite));
-  LSDF_ASSIGN_OR_RETURN(Backend * backend, backend_for(parsed.backend));
-  return backend->remove(parsed.path);
-}
-
 Result<Bytes> Adal::stat(const std::string& uri) const {
   LSDF_ASSIGN_OR_RETURN(const Uri parsed, Uri::parse(uri));
   if (parsed.backend == kLogical) {
@@ -300,16 +256,6 @@ Result<Bytes> Adal::stat(const std::string& uri) const {
   }
   LSDF_ASSIGN_OR_RETURN(Backend * backend, backend_for(parsed.backend));
   return backend->size_of(parsed.path);
-}
-
-bool Adal::exists(const std::string& uri) const {
-  const auto parsed = Uri::parse(uri);
-  if (!parsed.is_ok()) return false;
-  if (parsed.value().backend == kLogical) {
-    return logical_.contains(parsed.value().path);
-  }
-  const auto backend = backend_for(parsed.value().backend);
-  return backend.is_ok() && backend.value()->contains(parsed.value().path);
 }
 
 void Adal::migrate(const Credentials& who, const std::string& logical_path,
@@ -337,6 +283,11 @@ void Adal::migrate(const Credentials& who, const std::string& logical_path,
     finish(not_found("logical path " + logical_path));
     return;
   }
+  if (located->second.migrating) {
+    finish(failed_precondition("logical path " + logical_path +
+                               " is already migrating"));
+    return;
+  }
   const auto target = backend_for(target_backend);
   if (!target.is_ok()) {
     finish(target.status());
@@ -362,49 +313,46 @@ void Adal::migrate(const Credentials& who, const std::string& logical_path,
 
   // Copy: read from the source while writing to the destination; the
   // location table flips only after both legs succeed, so concurrent reads
-  // keep hitting the old copy until the new one is durable.
+  // keep hitting the old copy until the new one is durable. A failed write
+  // may have met another object of the same name, so cleanup removes the
+  // destination copy only when this migration's write made it.
+  located->second.migrating = true;
   const Bytes size = located->second.size;
-  auto pending = std::make_shared<int>(2);
-  auto failed = std::make_shared<Status>(Status::ok());
-  auto leg = [this, pending, failed, logical_path, source, destination,
-              finish = std::move(finish)](const storage::IoResult& result) {
-    if (!result.status.is_ok() && failed->is_ok()) *failed = result.status;
-    if (--*pending != 0) return;
+  struct Legs {
+    int pending = 2;
+    Status status;
+    bool copied = false;  // the destination write succeeded
+  };
+  auto legs = std::make_shared<Legs>();
+  auto leg = [this, legs, logical_path, source, destination,
+              finish = std::move(finish)](bool write,
+                                          const storage::IoResult& result) {
+    if (!result.status.is_ok()) {
+      if (legs->status.is_ok()) legs->status = result.status;
+    } else if (write) {
+      legs->copied = true;
+    }
+    if (--legs->pending != 0) return;
     const auto located = logical_.find(logical_path);
-    if (!failed->is_ok() || located == logical_.end()) {
-      (void)destination->remove(logical_path);
-      finish(failed->is_ok() ? not_found("object vanished during migration")
-                             : *failed);
+    if (located != logical_.end()) located->second.migrating = false;
+    if (!legs->status.is_ok() || located == logical_.end()) {
+      if (legs->copied) (void)destination->remove(logical_path);
+      finish(legs->status.is_ok()
+                 ? not_found("object vanished during migration")
+                 : legs->status);
       return;
     }
     located->second.backend = destination;
     (void)source->remove(logical_path);
     finish(Status::ok());
   };
-  source->read(logical_path, leg);
-  destination->write(logical_path, size, leg);
-}
-
-void Adal::set_quota(const std::string& principal, Bytes limit) {
-  LSDF_REQUIRE(limit >= Bytes::zero(), "negative quota");
-  quota_limit_[principal] = limit;
-}
-
-void Adal::clear_quota(const std::string& principal) {
-  quota_limit_.erase(principal);
-}
-
-Bytes Adal::quota_usage(const std::string& principal) const {
-  const auto it = quota_usage_.find(principal);
-  return it == quota_usage_.end() ? Bytes::zero() : it->second;
-}
-
-Result<Bytes> Adal::quota_limit(const std::string& principal) const {
-  const auto it = quota_limit_.find(principal);
-  if (it == quota_limit_.end()) {
-    return not_found("no quota for `" + principal + "`");
-  }
-  return it->second;
+  source->read(logical_path, [leg](const storage::IoResult& result) {
+    leg(false, result);
+  });
+  destination->write(logical_path, size,
+                     [leg](const storage::IoResult& result) {
+                       leg(true, result);
+                     });
 }
 
 Result<std::string> Adal::resolve(const std::string& logical_path) const {

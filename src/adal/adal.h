@@ -7,6 +7,10 @@
 //!    backend updates the table, so logical URIs stay valid across storage
 //!    technology changes — the "transparent access over background storage
 //!    and technology changes" requirement, measured by experiment E4.
+//!    The location table is the catalogue of which copy exists, so an
+//!    object migrates once at a time and a migration removes only a copy
+//!    its own write made: no migration leaves the table naming a copy
+//!    another one removed.
 //!  * Backends are pluggable (disk pool, HSM/tape, DFS, in-memory); new
 //!    technologies register at runtime.
 //!  * Authentication is token-based with per-backend read/write grants.
@@ -37,7 +41,8 @@ struct Uri {
 };
 
 // One storage technology under ADAL. Implementations adapt StoragePool,
-// HsmStore, DfsCluster or memory to this interface.
+// HsmStore, DfsCluster or memory to this interface. `remove` serves
+// migration (dropping a copy) and `size_of` serves Adal::stat.
 class Backend {
  public:
   virtual ~Backend() = default;
@@ -46,10 +51,8 @@ class Backend {
                      storage::IoCallback done) = 0;
   virtual void read(const std::string& path, storage::IoCallback done) = 0;
   [[nodiscard]] virtual Status remove(const std::string& path) = 0;
-  [[nodiscard]] virtual bool contains(const std::string& path) const = 0;
   [[nodiscard]] virtual Result<Bytes> size_of(
       const std::string& path) const = 0;
-  [[nodiscard]] virtual std::vector<std::string> list() const = 0;
 };
 
 // --- Authentication -------------------------------------------------------
@@ -67,7 +70,6 @@ class AuthService {
   // Grant the principal access on a backend ("*" = every backend).
   void grant(const std::string& principal, const std::string& backend,
              Access access);
-  void revoke_token(const std::string& token);
 
   [[nodiscard]] Status check(const Credentials& credentials,
                              const std::string& backend, Access need) const;
@@ -102,13 +104,13 @@ class Adal {
   void read(const Credentials& who, const std::string& uri,
             storage::IoCallback done);
 
-  // Synchronous control plane.
-  [[nodiscard]] Status remove(const Credentials& who, const std::string& uri);
+  // Size of the object a URI names; NOT_FOUND when there is none.
   [[nodiscard]] Result<Bytes> stat(const std::string& uri) const;
-  [[nodiscard]] bool exists(const std::string& uri) const;
 
   // Move a logical object to another backend; its lsdf://data/... URI keeps
   // resolving before, during (old copy serves reads) and after migration.
+  // FAILED_PRECONDITION when the object is already migrating. A failed
+  // migration removes the destination copy only if its own write made it.
   void migrate(const Credentials& who, const std::string& logical_path,
                const std::string& target_backend,
                std::function<void(Status)> done);
@@ -117,21 +119,11 @@ class Adal {
   [[nodiscard]] Result<std::string> resolve(
       const std::string& logical_path) const;
 
-  // -- Quotas -------------------------------------------------------------------
-  // Communities get byte budgets on the logical namespace; writes beyond
-  // the budget fail with RESOURCE_EXHAUSTED, removals give the bytes back.
-  // Principals without a quota are unlimited.
-  void set_quota(const std::string& principal, Bytes limit);
-  void clear_quota(const std::string& principal);
-  [[nodiscard]] Bytes quota_usage(const std::string& principal) const;
-  [[nodiscard]] Result<Bytes> quota_limit(
-      const std::string& principal) const;
-
  private:
   struct Located {
     Backend* backend = nullptr;
     Bytes size;
-    std::string owner;  // principal that wrote it (quota accounting)
+    bool migrating = false;
   };
 
   [[nodiscard]] Result<Backend*> backend_for(const std::string& name) const;
@@ -154,8 +146,6 @@ class Adal {
   std::map<std::string, std::unique_ptr<Backend>> backends_;
   Backend* default_backend_ = nullptr;
   std::map<std::string, Located> logical_;  // logical path -> location
-  std::map<std::string, Bytes> quota_limit_;
-  std::map<std::string, Bytes> quota_usage_;
   // (tenant, op) -> latency instrument; handles resolved once.
   std::map<std::pair<std::string, std::string>, obs::HdrHistogram*>
       latency_by_;

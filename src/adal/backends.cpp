@@ -23,40 +23,22 @@ void PoolBackend::write(const std::string& path, Bytes size,
     fail(std::move(done), array.status());
     return;
   }
-  sizes_[path] = size;
   array.value()->write(size, std::move(done));
 }
 
 void PoolBackend::read(const std::string& path, storage::IoCallback done) {
-  const auto array = pool_.locate(path);
-  if (!array.is_ok()) {
-    fail(std::move(done), array.status());
+  const auto placed = pool_.locate(path);
+  if (!placed.is_ok()) {
+    fail(std::move(done), placed.status());
     return;
   }
-  array.value()->read(sizes_.at(path), std::move(done));
-}
-
-Status PoolBackend::remove(const std::string& path) {
-  LSDF_RETURN_IF_ERROR(pool_.remove_object(path));
-  sizes_.erase(path);
-  return Status::ok();
-}
-
-bool PoolBackend::contains(const std::string& path) const {
-  return sizes_.contains(path);
+  placed.value().array->read(placed.value().size, std::move(done));
 }
 
 Result<Bytes> PoolBackend::size_of(const std::string& path) const {
-  const auto it = sizes_.find(path);
-  if (it == sizes_.end()) return not_found(path);
-  return it->second;
-}
-
-std::vector<std::string> PoolBackend::list() const {
-  std::vector<std::string> names;
-  names.reserve(sizes_.size());
-  for (const auto& [name, size] : sizes_) names.push_back(name);
-  return names;
+  LSDF_ASSIGN_OR_RETURN(const storage::StoragePool::PlacedObject placed,
+                        pool_.locate(path));
+  return placed.size;
 }
 
 // --- DfsBackend -------------------------------------------------------------
@@ -177,13 +159,6 @@ Result<Bytes> MemBackend::size_of(const std::string& path) const {
   const auto it = objects_.find(path);
   if (it == objects_.end()) return not_found(path);
   return it->second;
-}
-
-std::vector<std::string> MemBackend::list() const {
-  std::vector<std::string> names;
-  names.reserve(objects_.size());
-  for (const auto& [name, size] : objects_) names.push_back(name);
-  return names;
 }
 
 }  // namespace lsdf::adal

@@ -25,11 +25,11 @@ class PoolBackend final : public Backend {
   void write(const std::string& path, Bytes size,
              storage::IoCallback done) override;
   void read(const std::string& path, storage::IoCallback done) override;
-  [[nodiscard]] Status remove(const std::string& path) override;
-  [[nodiscard]] bool contains(const std::string& path) const override;
+  [[nodiscard]] Status remove(const std::string& path) override {
+    return pool_.remove_object(path);
+  }
   [[nodiscard]] Result<Bytes> size_of(
       const std::string& path) const override;
-  [[nodiscard]] std::vector<std::string> list() const override;
 
  private:
   void fail(storage::IoCallback done, Status status) const;
@@ -37,7 +37,6 @@ class PoolBackend final : public Backend {
   std::string name_;
   sim::Simulator& simulator_;
   storage::StoragePool& pool_;
-  std::map<std::string, Bytes> sizes_;
 };
 
 // Archive: HSM over disk cache + tape.
@@ -57,15 +56,9 @@ class HsmBackend final : public Backend {
   [[nodiscard]] Status remove(const std::string& path) override {
     return hsm_.forget(path);
   }
-  [[nodiscard]] bool contains(const std::string& path) const override {
-    return hsm_.contains(path);
-  }
   [[nodiscard]] Result<Bytes> size_of(
       const std::string& path) const override {
     return hsm_.size_of(path);
-  }
-  [[nodiscard]] std::vector<std::string> list() const override {
-    return hsm_.object_names();
   }
 
  private:
@@ -91,14 +84,8 @@ class DfsBackend final : public Backend {
   [[nodiscard]] Status remove(const std::string& path) override {
     return dfs_.remove(path);
   }
-  [[nodiscard]] bool contains(const std::string& path) const override {
-    return dfs_.stat(path).is_ok();
-  }
   [[nodiscard]] Result<Bytes> size_of(
       const std::string& path) const override;
-  [[nodiscard]] std::vector<std::string> list() const override {
-    return dfs_.list();
-  }
 
  private:
   std::string name_;
@@ -119,12 +106,8 @@ class MemBackend final : public Backend {
              storage::IoCallback done) override;
   void read(const std::string& path, storage::IoCallback done) override;
   [[nodiscard]] Status remove(const std::string& path) override;
-  [[nodiscard]] bool contains(const std::string& path) const override {
-    return objects_.contains(path);
-  }
   [[nodiscard]] Result<Bytes> size_of(
       const std::string& path) const override;
-  [[nodiscard]] std::vector<std::string> list() const override;
   [[nodiscard]] Bytes used() const { return used_; }
 
  private:

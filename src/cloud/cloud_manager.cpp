@@ -27,7 +27,6 @@ std::optional<HostId> CloudManager::pick_host(const VmTemplate& t) const {
   std::optional<HostId> best;
   for (HostId id = 0; id < hosts_.size(); ++id) {
     const Host& host = hosts_[id];
-    if (!host.alive) continue;
     const int free = host.config.cores - host.cores_in_use;
     const Bytes free_mem = host.config.memory - host.memory_in_use;
     if (free < t.cores || free_mem < t.memory) continue;
@@ -91,17 +90,12 @@ VmId CloudManager::deploy(const VmTemplate& vm_template,
                boot_time = vm_template.boot_time,
                done = std::move(done)]() mutable {
     auto& vm = vms_.at(id);
-    // Killed or host-failed while deploying: stop the boot chain.
-    if (vm.state == VmState::kTerminated || vm.state == VmState::kFailed) {
-      return;
-    }
+    // Terminated while deploying: stop the boot chain.
+    if (vm.state == VmState::kTerminated) return;
     vm.state = VmState::kBooting;
     simulator_.schedule_after(boot_time, [this, id, done = std::move(done)] {
       auto& vm = vms_.at(id);
-      if (vm.state == VmState::kTerminated ||
-          vm.state == VmState::kFailed) {
-        return;
-      }
+      if (vm.state == VmState::kTerminated) return;
       vm.state = VmState::kRunning;
       vm.running_since = simulator_.now();
       if (done) {
@@ -142,47 +136,6 @@ Status CloudManager::terminate(VmId id) {
   return Status::ok();
 }
 
-Status CloudManager::fail_host(HostId id, DeployCallback on_restart) {
-  if (id >= hosts_.size()) return not_found("host");
-  Host& host = hosts_[id];
-  if (!host.alive) return failed_precondition("host already down");
-  host.alive = false;
-
-  // Collect the casualties first; redeploys must not see stale state.
-  std::vector<VmId> casualties;
-  for (const auto& [vm_id, vm] : vms_) {
-    if (vm.host != id) continue;
-    if (vm.state == VmState::kRunning || vm.state == VmState::kBooting ||
-        vm.state == VmState::kTransferringImage) {
-      casualties.push_back(vm_id);
-    }
-  }
-  for (const VmId vm_id : casualties) {
-    VmInfo& vm = vms_.at(vm_id);
-    const VmTemplate vm_template = vm_templates_.at(vm_id);
-    host.cores_in_use -= vm_template.cores;
-    host.memory_in_use -= vm_template.memory;
-    vm.state = VmState::kFailed;
-    if (vm_template.restart == RestartPolicy::kResubmit) {
-      ++vms_restarted_;
-      deploy(vm_template, on_restart);
-    } else {
-      ++vms_lost_;
-    }
-  }
-  // The image cache dies with the host's disk.
-  host.cached_images.clear();
-  return Status::ok();
-}
-
-Status CloudManager::repair_host(HostId id) {
-  if (id >= hosts_.size()) return not_found("host");
-  Host& host = hosts_[id];
-  if (host.alive) return failed_precondition("host is up");
-  host.alive = true;
-  return Status::ok();
-}
-
 Result<VmInfo> CloudManager::info(VmId id) const {
   const auto it = vms_.find(id);
   if (it == vms_.end()) return not_found("vm #" + std::to_string(id));
@@ -199,11 +152,6 @@ std::size_t CloudManager::running_vms() const {
 int CloudManager::free_cores(HostId id) const {
   const Host& host = hosts_.at(id);
   return host.config.cores - host.cores_in_use;
-}
-
-Bytes CloudManager::free_memory(HostId id) const {
-  const Host& host = hosts_.at(id);
-  return host.config.memory - host.memory_in_use;
 }
 
 double CloudManager::core_imbalance() const {

@@ -5,7 +5,8 @@
 //! Hosts expose cores and memory; VM templates describe a flavour plus an
 //! image size. Deployment = scheduler placement + image transfer from the
 //! image repository node + boot. Experiment E7 measures fleet deployment
-//! time against host count and scheduler policy.
+//! time against host count and scheduler policy; it deploys and terminates
+//! VMs, and hosts do not fail.
 #pragma once
 
 #include <cstdint>
@@ -38,19 +39,12 @@ struct HostConfig {
   Bytes memory = 32_GB;
 };
 
-// What happens to a VM when its host dies.
-enum class RestartPolicy {
-  kNever,      // the VM is lost (stateless scratch workers)
-  kResubmit,   // redeploy on another host (service VMs)
-};
-
 struct VmTemplate {
   std::string name = "worker";
   int cores = 2;
   Bytes memory = 4_GB;
   Bytes image_size = 4_GB;
   SimDuration boot_time = 30_s;
-  RestartPolicy restart = RestartPolicy::kNever;
 };
 
 enum class VmState { kPending, kTransferringImage, kBooting, kRunning,
@@ -94,24 +88,10 @@ class CloudManager {
   // Terminate a running VM, freeing its host resources.
   [[nodiscard]] Status terminate(VmId id);
 
-  // Failure injection: a host dies. Its VMs fail immediately; templates
-  // with RestartPolicy::kResubmit are redeployed elsewhere (new VM ids,
-  // same deploy callback semantics through `on_restart`). The host itself
-  // stays out of scheduling until repaired.
-  [[nodiscard]] Status fail_host(HostId id,
-                                 DeployCallback on_restart = nullptr);
-  [[nodiscard]] Status repair_host(HostId id);
-  [[nodiscard]] bool host_alive(HostId id) const {
-    return hosts_.at(id).alive;
-  }
-  [[nodiscard]] std::int64_t vms_lost() const { return vms_lost_; }
-  [[nodiscard]] std::int64_t vms_restarted() const { return vms_restarted_; }
-
   [[nodiscard]] Result<VmInfo> info(VmId id) const;
   [[nodiscard]] std::size_t running_vms() const;
   [[nodiscard]] std::size_t host_count() const { return hosts_.size(); }
   [[nodiscard]] int free_cores(HostId id) const;
-  [[nodiscard]] Bytes free_memory(HostId id) const;
   // Load spread: max minus min fraction of cores in use across hosts.
   [[nodiscard]] double core_imbalance() const;
 
@@ -120,7 +100,6 @@ class CloudManager {
     HostConfig config;
     int cores_in_use = 0;
     Bytes memory_in_use;
-    bool alive = true;
     std::vector<std::string> cached_images;  // template names present
   };
 
@@ -134,8 +113,6 @@ class CloudManager {
   std::map<VmId, VmInfo> vms_;
   std::map<VmId, VmTemplate> vm_templates_;
   VmId next_id_ = 1;
-  std::int64_t vms_lost_ = 0;
-  std::int64_t vms_restarted_ = 0;
 };
 
 }  // namespace lsdf::cloud

@@ -90,25 +90,6 @@ class Rng {
     return mean + stddev * r * std::cos(2.0 * std::numbers::pi * u2);
   }
 
-  // Poisson-distributed count. Knuth's method for small means, normal
-  // approximation (clamped at zero) above 64 where Knuth would be slow.
-  std::int64_t poisson(double mean) {
-    LSDF_REQUIRE(mean >= 0.0, "poisson() needs a non-negative mean");
-    if (mean == 0.0) return 0;
-    if (mean > 64.0) {
-      const double v = normal(mean, std::sqrt(mean));
-      return v <= 0.0 ? 0 : static_cast<std::int64_t>(std::llround(v));
-    }
-    const double limit = std::exp(-mean);
-    double product = next_double();
-    std::int64_t count = 0;
-    while (product > limit) {
-      ++count;
-      product *= next_double();
-    }
-    return count;
-  }
-
   // Bernoulli trial.
   bool chance(double p) { return next_double() < p; }
 
@@ -125,9 +106,6 @@ class Rng {
       std::swap(v[i - 1], v[index(i)]);
     }
   }
-
-  // Derive an independent child generator (for per-component streams).
-  Rng fork() { return Rng(next_u64() ^ 0xD1B54A32D192ED03ULL); }
 
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {

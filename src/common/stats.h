@@ -1,5 +1,5 @@
-//! Streaming statistics, histograms and time series used by the experiment
-//! harnesses to report the paper's operational figures.
+//! Streaming statistics used by the experiment harnesses to report the
+//! paper's operational figures, and the time series LinkMonitor records.
 #pragma once
 
 #include <algorithm>
@@ -77,45 +77,8 @@ class Samples {
   bool sorted_ = false;
 };
 
-// Fixed-width histogram over [lo, hi); out-of-range values clamp to the
-// edge buckets so nothing is silently dropped.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets)
-      : lo_(lo), hi_(hi), counts_(buckets, 0) {
-    LSDF_REQUIRE(hi > lo, "histogram range must be non-empty");
-    LSDF_REQUIRE(buckets > 0, "histogram needs at least one bucket");
-  }
-
-  void add(double x) {
-    const double t = (x - lo_) / (hi_ - lo_);
-    auto idx = static_cast<std::int64_t>(
-        t * static_cast<double>(counts_.size()));
-    idx = std::clamp<std::int64_t>(
-        idx, 0, static_cast<std::int64_t>(counts_.size()) - 1);
-    ++counts_[static_cast<std::size_t>(idx)];
-    ++total_;
-  }
-
-  [[nodiscard]] std::int64_t bucket(std::size_t i) const {
-    return counts_.at(i);
-  }
-  [[nodiscard]] std::size_t buckets() const { return counts_.size(); }
-  [[nodiscard]] std::int64_t total() const { return total_; }
-  [[nodiscard]] double bucket_low(std::size_t i) const {
-    return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-                     static_cast<double>(counts_.size());
-  }
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::int64_t> counts_;
-  std::int64_t total_ = 0;
-};
-
-// Time series of (sim time, value) points, with utilities the benches use
-// to print figure-style rows.
+// Time series of (sim time, value) points: LinkMonitor keeps one per link
+// and reads it back through points().
 class TimeSeries {
  public:
   struct Point {
@@ -126,27 +89,6 @@ class TimeSeries {
   void record(SimTime t, double v) { points_.push_back({t, v}); }
 
   [[nodiscard]] const std::vector<Point>& points() const { return points_; }
-  [[nodiscard]] bool empty() const { return points_.empty(); }
-
-  [[nodiscard]] double last_value() const {
-    LSDF_REQUIRE(!points_.empty(), "last_value of empty series");
-    return points_.back().value;
-  }
-
-  // Downsample to at most `n` evenly spaced points (for printed figures).
-  // n == 0 yields an empty vector (a figure with no rows), not everything.
-  [[nodiscard]] std::vector<Point> downsample(std::size_t n) const {
-    if (n == 0) return {};
-    if (points_.size() <= n) return points_;
-    if (n == 1) return {points_.front()};  // avoids the n-1 division below
-    std::vector<Point> out;
-    out.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t j = i * (points_.size() - 1) / (n - 1);
-      out.push_back(points_[j]);
-    }
-    return out;
-  }
 
  private:
   std::vector<Point> points_;

@@ -67,25 +67,6 @@ std::vector<std::pair<std::string, std::size_t>> DataBrowser::facet(
   return facets;
 }
 
-RunningStats DataBrowser::numeric_summary(
-    const std::string& project, const std::string& attribute) const {
-  RunningStats stats;
-  meta::Query query;
-  query.in_project(project);
-  for (const meta::DatasetId id : search(query)) {
-    const auto record = store_.get(id);
-    if (!record.is_ok()) continue;
-    const auto value = record.value().basic.find(attribute);
-    if (value == record.value().basic.end()) continue;
-    if (const auto* i = std::get_if<std::int64_t>(&value->second)) {
-      stats.add(static_cast<double>(*i));
-    } else if (const auto* d = std::get_if<double>(&value->second)) {
-      stats.add(*d);
-    }
-  }
-  return stats;
-}
-
 void DataBrowser::download(meta::DatasetId id, storage::IoCallback done) {
   const auto record = store_.get(id);
   if (!record.is_ok()) {
@@ -102,11 +83,6 @@ void DataBrowser::download(meta::DatasetId id, storage::IoCallback done) {
   }
   store_.note_access(id);
   adal_.read(credentials_, record.value().data_uri, std::move(done));
-}
-
-bool DataBrowser::data_available(meta::DatasetId id) const {
-  const auto record = store_.get(id);
-  return record.is_ok() && adal_.exists(record.value().data_uri);
 }
 
 }  // namespace lsdf::core

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "adal/adal.h"
-#include "common/stats.h"
 #include "meta/query.h"
 #include "meta/store.h"
 #include "sim/simulator.h"
@@ -51,11 +50,6 @@ class DataBrowser {
   [[nodiscard]] std::vector<std::pair<std::string, std::size_t>> facet(
       const std::string& project, const std::string& attribute) const;
 
-  // Numeric facet: count/min/max/mean/stddev of a numeric attribute within
-  // a project (int and double attributes; others are skipped).
-  [[nodiscard]] RunningStats numeric_summary(
-      const std::string& project, const std::string& attribute) const;
-
   // -- Manage ----------------------------------------------------------------
   // Tagging may trigger bound workflows (slide 12).
   [[nodiscard]] Status tag(meta::DatasetId id, const std::string& tag) {
@@ -69,7 +63,6 @@ class DataBrowser {
   // Downloads record usage (note_access); access counters are not part of
   // any query's result set.
   void download(meta::DatasetId id, storage::IoCallback done);
-  [[nodiscard]] bool data_available(meta::DatasetId id) const;
 
  private:
   sim::Simulator& simulator_;

@@ -704,62 +704,6 @@ void DfsCluster::drain_step(DataNodeId id,
   if (*done) (*done)();
 }
 
-void DfsCluster::scrub(std::function<void(const ScrubReport&)> done) {
-  auto report = std::make_shared<ScrubReport>();
-  auto pending_nodes = std::make_shared<int>(0);
-  auto shared_done =
-      std::make_shared<std::function<void(const ScrubReport&)>>(
-          std::move(done));
-
-  // Snapshot each node's replicas up front; blocks deleted mid-scrub are
-  // simply skipped at verification time.
-  for (DataNodeId node = 0; node < nodes_.size(); ++node) {
-    if (!nodes_[node].alive) continue;
-    auto work = std::make_shared<std::vector<BlockId>>();
-    for (const auto& [block_id, info] : blocks_) {
-      if (holds(info.replicas, node)) work->push_back(block_id);
-    }
-    ++*pending_nodes;
-    // Sequential per-node verification through the node's disk channel.
-    auto step = std::make_shared<std::function<void(std::size_t)>>();
-    *step = [this, node, work, step, report, pending_nodes, shared_done](
-                std::size_t index) {
-      if (index >= work->size()) {
-        simulator_.schedule_after(SimDuration::zero(),
-                                  [step] { *step = nullptr; });
-        if (--*pending_nodes == 0 && *shared_done) {
-          (*shared_done)(*report);
-        }
-        return;
-      }
-      const BlockId block_id = (*work)[index];
-      const auto it = blocks_.find(block_id);
-      if (it == blocks_.end() || !holds(it->second.replicas, node)) {
-        (*step)(index + 1);  // deleted or moved meanwhile
-        return;
-      }
-      nodes_[node].disk->submit(it->second.size, [this, node, block_id,
-                                                  report, step, index] {
-        ++report->replicas_checked;
-        if (corrupted_.contains({block_id, node})) {
-          ++report->corrupt_found;
-          ++checksum_failures_;
-          lose_replica(block_id, node);
-        }
-        (*step)(index + 1);
-      });
-    };
-    simulator_.schedule_after(SimDuration::zero(),
-                              [step] { (*step)(0); });
-  }
-  if (*pending_nodes == 0) {
-    simulator_.schedule_after(SimDuration::zero(),
-                              [report, shared_done] {
-                                if (*shared_done) (*shared_done)(*report);
-                              });
-  }
-}
-
 std::size_t DfsCluster::under_replicated_blocks() const {
   std::size_t count = 0;
   for (const auto& [id, info] : blocks_) {

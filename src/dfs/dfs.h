@@ -5,8 +5,11 @@
 //!  * files split into fixed-size blocks, replicated (default 3x);
 //!  * rack-aware placement: first replica on the writer's node when it is a
 //!    datanode, second on a different rack, third on the second's rack;
-//!  * reads choose the closest replica (node-local < rack-local < remote);
-//!  * datanode failure triggers background re-replication;
+//!  * reads choose the closest replica (node-local < rack-local < remote)
+//!    and verify it; nothing scans replicas in the background, so a
+//!    corrupt replica is found only when a read trips over it;
+//!  * a datanode failure or a failed verification loses the replica through
+//!    one path (lose_replica), which queues background re-replication;
 //!  * block transfers ride the shared network (TransferEngine) and each
 //!    datanode's disk channel, so cluster load is visible end to end.
 #pragma once
@@ -127,17 +130,6 @@ class DfsCluster {
   [[nodiscard]] std::int64_t checksum_failures_detected() const {
     return checksum_failures_;
   }
-
-  struct ScrubReport {
-    std::int64_t replicas_checked = 0;
-    std::int64_t corrupt_found = 0;
-  };
-  // Proactive integrity scrub (HDFS's block scanner): verify every replica
-  // on every live datanode, paying each node's disk time; corrupt replicas
-  // are dropped (with any cached copy of their block) and re-replicated
-  // without waiting for a client to trip over them. Nodes scrub
-  // concurrently; `done` fires when all finish.
-  void scrub(std::function<void(const ScrubReport&)> done);
 
   // Locality of a block relative to a prospective reader datanode.
   [[nodiscard]] Locality block_locality(BlockId id, DataNodeId reader) const;

@@ -52,10 +52,6 @@ Result<StorageClass> parse_storage_class(std::string_view text) {
                           "' (disk|tape)");
 }
 
-std::string_view to_string(StorageClass storage) {
-  return storage == StorageClass::kDisk ? "disk" : "tape";
-}
-
 FederationService::FederationService(sim::Simulator& simulator,
                                      net::TransferEngine& net,
                                      meta::MetadataStore& store,

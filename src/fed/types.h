@@ -30,7 +30,6 @@ using RuleId = std::uint32_t;
 enum class StorageClass { kDisk, kTape };
 
 [[nodiscard]] Result<StorageClass> parse_storage_class(std::string_view text);
-[[nodiscard]] std::string_view to_string(StorageClass storage);
 
 // A federation member: a remote storage endpoint reachable through the WAN
 // fabric. `fault_component` optionally names the fault::FaultInjector

@@ -105,27 +105,4 @@ SimDuration Topology::path_latency(const std::vector<LinkId>& path) const {
   return total;
 }
 
-Rate Topology::path_bottleneck(const std::vector<LinkId>& path) const {
-  LSDF_REQUIRE(!path.empty(), "bottleneck of an empty path");
-  Rate best = links_.at(path.front()).capacity;
-  for (const LinkId id : path) {
-    const Rate capacity = links_.at(id).capacity;
-    if (capacity.bps() < best.bps()) best = capacity;
-  }
-  return best;
-}
-
-SimDuration Topology::min_up_link_latency() const {
-  SimDuration best = SimDuration::zero();
-  bool found = false;
-  for (const Link& link : links_) {
-    if (!link.up) continue;
-    if (!found || link.latency < best) {
-      best = link.latency;
-      found = true;
-    }
-  }
-  return best;
-}
-
 }  // namespace lsdf::net

@@ -64,18 +64,6 @@ class Topology {
   [[nodiscard]] SimDuration path_latency(
       const std::vector<LinkId>& path) const;
 
-  // Bottleneck (smallest) link capacity along `path`; the rate a transfer
-  // streamed over the whole path cannot exceed. `path` must be non-empty.
-  [[nodiscard]] Rate path_bottleneck(const std::vector<LinkId>& path) const;
-
-  // Smallest propagation latency over the currently-up links — the safe
-  // conservative lookahead for a sharded run where shards talk only across
-  // this topology's links (sim::ShardedSimulator, DESIGN.md §5c): no
-  // cross-shard message can arrive sooner than one traversal of the
-  // fastest up link. Zero when no link is up (caller must pick its own
-  // lookahead then).
-  [[nodiscard]] SimDuration min_up_link_latency() const;
-
  private:
   std::vector<std::string> node_names_;
   std::map<std::string, NodeId> by_name_;

@@ -8,8 +8,8 @@
 //! that structure: declare sites, assign every topology node to one, and
 //! build() derives the per-ordered-pair lookahead matrix of a
 //! ShardedSimulator from the partitioned net::Topology — the
-//! min-latency chain of cross-site up links between the two sites, not the
-//! one global min_up_link_latency() floor — so a WAN-separated pair
+//! min-latency chain of cross-site up links between the two sites, not one
+//! global floor at the topology's fastest link — so a WAN-separated pair
 //! synchronizes every ~10ms of simulated time instead of every backbone
 //! hop.
 //!

@@ -71,8 +71,8 @@ ShardedSimulator::ShardedSimulator(std::uint32_t shards, SimDuration lookahead,
   LSDF_REQUIRE(shards >= 1, "a sharded simulator needs at least one shard");
   LSDF_REQUIRE(lookahead > SimDuration::zero(),
                "lookahead must be positive — derive it from the smallest "
-               "cross-shard model latency (e.g. "
-               "net::Topology::min_up_link_latency())");
+               "cross-shard model latency (sim::Partitioner derives one "
+               "per shard pair from the topology)");
   pair_lookahead_.assign(static_cast<std::size_t>(shards) * shards,
                          lookahead);
   shards_.resize(shards);

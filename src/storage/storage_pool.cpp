@@ -55,10 +55,11 @@ Result<DiskArray*> StoragePool::place_object(const std::string& name,
   return array;
 }
 
-Result<DiskArray*> StoragePool::locate(const std::string& name) const {
+Result<StoragePool::PlacedObject> StoragePool::locate(
+    const std::string& name) const {
   const auto it = objects_.find(name);
   if (it == objects_.end()) return not_found(name);
-  return it->second.array;
+  return it->second;
 }
 
 Status StoragePool::remove_object(const std::string& name) {

@@ -33,10 +33,15 @@ class StoragePool {
   // RESOURCE_EXHAUSTED when nothing fits.
   [[nodiscard]] Result<DiskArray*> place(Bytes size);
 
+  // A named object's array and size; the pool's record of the object.
+  struct PlacedObject {
+    DiskArray* array = nullptr;
+    Bytes size;
+  };
   // Track a named object (placement + accounting in one step).
   [[nodiscard]] Result<DiskArray*> place_object(const std::string& name,
                                                 Bytes size);
-  [[nodiscard]] Result<DiskArray*> locate(const std::string& name) const;
+  [[nodiscard]] Result<PlacedObject> locate(const std::string& name) const;
   [[nodiscard]] Status remove_object(const std::string& name);
 
   [[nodiscard]] Bytes capacity() const;
@@ -49,11 +54,6 @@ class StoragePool {
   [[nodiscard]] std::size_t object_count() const { return objects_.size(); }
 
  private:
-  struct PlacedObject {
-    DiskArray* array = nullptr;
-    Bytes size;
-  };
-
   PlacementPolicy policy_;
   std::vector<DiskArray*> arrays_;
   std::map<std::string, PlacedObject> objects_;

@@ -175,80 +175,6 @@ TEST(CloudManager, InfoErrorsOnUnknownVm) {
   EXPECT_EQ(cloud.info(42).status().code(), StatusCode::kNotFound);
 }
 
-// --- Host failure & restart policy -------------------------------------------
-
-TEST(CloudManager, HostFailureKillsVmsWithoutRestartPolicy) {
-  CloudFixture f(2);
-  CloudManager cloud = f.make(VmScheduler::kFirstFit);
-  const DeployResult vm = f.deploy(cloud, worker_template());
-  ASSERT_TRUE(vm.status.is_ok());
-  const HostId host = cloud.info(vm.vm).value().host;
-  ASSERT_TRUE(cloud.fail_host(host).is_ok());
-  EXPECT_FALSE(cloud.host_alive(host));
-  EXPECT_EQ(cloud.info(vm.vm).value().state, VmState::kFailed);
-  EXPECT_EQ(cloud.running_vms(), 0u);
-  EXPECT_EQ(cloud.vms_lost(), 1);
-  EXPECT_EQ(cloud.vms_restarted(), 0);
-  EXPECT_EQ(cloud.fail_host(host).code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ(cloud.fail_host(99).code(), StatusCode::kNotFound);
-}
-
-TEST(CloudManager, ResubmitPolicyRedeploysOnAnotherHost) {
-  CloudFixture f(2);
-  CloudManager cloud = f.make(VmScheduler::kFirstFit);
-  VmTemplate service = worker_template();
-  service.name = "service";
-  service.restart = RestartPolicy::kResubmit;
-  const DeployResult original = f.deploy(cloud, service);
-  ASSERT_TRUE(original.status.is_ok());
-  const HostId dead = cloud.info(original.vm).value().host;
-
-  std::optional<DeployResult> restarted;
-  ASSERT_TRUE(cloud.fail_host(dead, [&](const DeployResult& r) {
-                     restarted = r;
-                   })
-                  .is_ok());
-  f.sim.run();
-  ASSERT_TRUE(restarted && restarted->status.is_ok());
-  EXPECT_NE(restarted->vm, original.vm);  // a fresh instance
-  EXPECT_NE(cloud.info(restarted->vm).value().host, dead);
-  EXPECT_EQ(cloud.running_vms(), 1u);
-  EXPECT_EQ(cloud.vms_restarted(), 1);
-  EXPECT_EQ(cloud.vms_lost(), 0);
-}
-
-TEST(CloudManager, DeadHostIsSkippedUntilRepaired) {
-  CloudFixture f(2);
-  CloudManager cloud = f.make(VmScheduler::kFirstFit);
-  ASSERT_TRUE(cloud.fail_host(0).is_ok());
-  const DeployResult vm = f.deploy(cloud, worker_template());
-  ASSERT_TRUE(vm.status.is_ok());
-  EXPECT_EQ(cloud.info(vm.vm).value().host, 1u);
-  ASSERT_TRUE(cloud.repair_host(0).is_ok());
-  EXPECT_TRUE(cloud.host_alive(0));
-  EXPECT_EQ(cloud.repair_host(0).code(), StatusCode::kFailedPrecondition);
-  // The repaired host lost its image cache: deploys pay the copy again.
-  const DeployResult fresh = f.deploy(cloud, worker_template());
-  ASSERT_TRUE(fresh.status.is_ok());
-  if (cloud.info(fresh.vm).value().host == 0) {
-    EXPECT_GT(fresh.deploy_time().seconds(), 31.0);
-  }
-}
-
-TEST(CloudManager, FailureDuringDeploymentAbortsTheBoot) {
-  CloudFixture f(1);
-  CloudManager cloud = f.make(VmScheduler::kFirstFit);
-  std::optional<DeployResult> result;
-  const VmId vm = cloud.deploy(worker_template(),
-                               [&](const DeployResult& r) { result = r; });
-  f.sim.run_until(f.sim.now() + 5_s);  // mid image transfer
-  ASSERT_TRUE(cloud.fail_host(0).is_ok());
-  f.sim.run();
-  EXPECT_FALSE(result.has_value());  // never reached running
-  EXPECT_EQ(cloud.info(vm).value().state, VmState::kFailed);
-}
-
 // Property sweep: fleet deployment parallelises across hosts — deploying N
 // VMs on N hosts takes far less than N x the solo time (E7's claim).
 class FleetSweep : public ::testing::TestWithParam<int> {};

@@ -326,57 +326,6 @@ TEST(DfsIntegrity, CleanReplicasVerifyWithoutRetries) {
   EXPECT_EQ(f.dfs.checksum_failures_detected(), 0);
 }
 
-TEST(DfsIntegrity, ScrubFindsAndRepairsCorruptReplicasProactively) {
-  ClusterFixture f;
-  ASSERT_TRUE(f.write("/data/a", 256_MB).is_ok());
-  ASSERT_TRUE(f.write("/data/b", 128_MB).is_ok());
-  // Corrupt two replicas on different blocks.
-  const FileInfo a = f.dfs.stat("/data/a").value();
-  const FileInfo b = f.dfs.stat("/data/b").value();
-  ASSERT_TRUE(
-      f.dfs.corrupt_replica(a.blocks[0], f.dfs.block_replicas(a.blocks[0])[0])
-          .is_ok());
-  ASSERT_TRUE(
-      f.dfs.corrupt_replica(b.blocks[1], f.dfs.block_replicas(b.blocks[1])[1])
-          .is_ok());
-
-  std::optional<DfsCluster::ScrubReport> report;
-  f.dfs.scrub([&](const DfsCluster::ScrubReport& r) { report = r; });
-  f.sim.run();
-  ASSERT_TRUE(report.has_value());
-  // 6 blocks x 3 replicas = 18 replicas checked.
-  EXPECT_EQ(report->replicas_checked, 18);
-  EXPECT_EQ(report->corrupt_found, 2);
-  // Redundancy restored in the background; later reads are all clean.
-  EXPECT_EQ(f.dfs.under_replicated_blocks(), 0u);
-  std::optional<DfsIoResult> read;
-  f.dfs.read_block(a.blocks[0], f.layout.headnode,
-                   [&](const DfsIoResult& r) { read = r; });
-  const auto failures_before = f.dfs.checksum_failures_detected();
-  f.sim.run();
-  EXPECT_TRUE(read->status.is_ok());
-  EXPECT_EQ(f.dfs.checksum_failures_detected(), failures_before);
-}
-
-TEST(DfsIntegrity, ScrubOnCleanClusterFindsNothing) {
-  ClusterFixture f;
-  ASSERT_TRUE(f.write("/data/a", 128_MB).is_ok());
-  std::optional<DfsCluster::ScrubReport> report;
-  f.dfs.scrub([&](const DfsCluster::ScrubReport& r) { report = r; });
-  f.sim.run();
-  EXPECT_EQ(report->replicas_checked, 6);
-  EXPECT_EQ(report->corrupt_found, 0);
-}
-
-TEST(DfsIntegrity, ScrubOnEmptyClusterCompletesImmediately) {
-  ClusterFixture f;
-  std::optional<DfsCluster::ScrubReport> report;
-  f.dfs.scrub([&](const DfsCluster::ScrubReport& r) { report = r; });
-  f.sim.run();
-  ASSERT_TRUE(report.has_value());
-  EXPECT_EQ(report->replicas_checked, 0);
-}
-
 TEST(DfsIntegrity, CorruptionMarkLeavesWithItsReplica) {
   ClusterFixture f(2, 2);  // four datanodes, replication 3
   ASSERT_TRUE(f.write("/data/a", 64_MB).is_ok());

@@ -8,7 +8,6 @@
 #include "core/data_browser.h"
 #include "core/facility.h"
 #include "core/monitor.h"
-#include "workflow/mapreduce_actor.h"
 
 namespace lsdf::core {
 namespace {
@@ -66,7 +65,7 @@ TEST(Facility, IngestRegistersAndStoresThroughAdal) {
   const meta::DatasetId id = f.ingest_one("frame-1");
   const meta::DatasetRecord record =
       f.facility.metadata().get(id).value();
-  EXPECT_TRUE(f.facility.adal().exists(record.data_uri));
+  EXPECT_TRUE(f.facility.adal().stat(record.data_uri).is_ok());
   // Data landed on the online pool (the default backend).
   EXPECT_EQ(f.facility.pool().object_count(), 1u);
   EXPECT_EQ(f.facility.pool().used(), 4_MB);
@@ -79,7 +78,8 @@ TEST(Facility, BrowserShowsSearchesAndDownloads) {
 
   EXPECT_EQ(f.browser.projects(), std::vector<std::string>{"zebrafish-htm"});
   EXPECT_EQ(f.browser.list("zebrafish-htm").size(), 2u);
-  EXPECT_TRUE(f.browser.data_available(id));
+  EXPECT_TRUE(
+      f.facility.adal().stat(f.browser.show(id).value().data_uri).is_ok());
 
   const std::string description = f.browser.describe(id).value();
   EXPECT_NE(description.find("frame-1"), std::string::npos);
@@ -94,6 +94,21 @@ TEST(Facility, BrowserShowsSearchesAndDownloads) {
   ASSERT_TRUE(downloaded.has_value());
   EXPECT_TRUE(downloaded->status.is_ok());
   EXPECT_EQ(downloaded->size, 4_MB);
+}
+
+TEST(Facility, BrowserDownloadOfAnUnknownDatasetIsNotFound) {
+  FacilityFixture f;
+  int completions = 0;
+  std::optional<storage::IoResult> downloaded;
+  f.browser.download(12345, [&](const storage::IoResult& r) {
+    ++completions;
+    downloaded = r;
+  });
+  f.facility.simulator().run_until(f.facility.simulator().now() + 1_s);
+  EXPECT_EQ(completions, 1);
+  ASSERT_TRUE(downloaded.has_value());
+  EXPECT_EQ(downloaded->status.code(), StatusCode::kNotFound);
+  EXPECT_EQ(downloaded->size, 0_B);
 }
 
 TEST(Facility, TagTriggeredWorkflowClosesTheSlide12Loop) {
@@ -277,7 +292,7 @@ TEST(Facility, EndToEndPipelineIngestProcessArchive) {
   EXPECT_EQ(record.branches.size(), 1u);        // processed
   EXPECT_EQ(f.facility.adal().resolve("zebrafish-htm/frame-1").value(),
             "archive");                         // archived
-  EXPECT_TRUE(f.browser.data_available(id));    // still accessible
+  EXPECT_TRUE(f.facility.adal().stat(record.data_uri).is_ok());
 }
 
 TEST(FacilityConfig, FromPropertiesAppliesEveryKey) {
@@ -421,70 +436,6 @@ TEST(FacilityConfig, FromPropertiesRejectsBadInput) {
   EXPECT_NE(library.message().find("tape.cartridge_tb"), std::string::npos);
 }
 
-TEST(Facility, WorkflowsCanRunMapReduceJobs) {
-  // A workflow step that launches cluster-scale analytics: per-dataset
-  // preprocessing, then a MapReduce job over the staged HDFS file.
-  FacilityFixture f;
-  const meta::DatasetId id = f.ingest_one("frame-1");
-
-  std::optional<storage::IoResult> staged;
-  f.facility.adal().write(f.facility.service_credentials(),
-                          "lsdf://hdfs/wf/input", 512_MB,
-                          [&](const storage::IoResult& r) { staged = r; });
-  f.facility.simulator().run_while_pending(
-      [&] { return staged.has_value(); });
-  ASSERT_TRUE(staged->status.is_ok());
-
-  std::optional<mapreduce::JobResult> job_result;
-  workflow::Workflow w("hybrid");
-  const auto preprocess = w.add_actor(
-      "preprocess", workflow::compute_actor(Rate::megabytes_per_second(4.0)));
-  const auto crunch = w.add_actor(
-      "cluster-analytics",
-      workflow::mapreduce_actor(
-          f.facility.jobs(),
-          [](meta::DatasetId) {
-            mapreduce::JobSpec spec;
-            spec.name = "workflow-job";
-            spec.input_path = "wf/input";
-            spec.reduce_tasks = 2;
-            return spec;
-          },
-          [&](const mapreduce::JobResult& r) { job_result = r; }));
-  w.add_dependency(preprocess, crunch);
-
-  std::optional<workflow::RunResult> run;
-  f.facility.workflows().run(w, id, {},
-                             [&](const workflow::RunResult& r) { run = r; });
-  f.facility.simulator().run_while_pending([&] { return run.has_value(); });
-  ASSERT_TRUE(run->status.is_ok());
-  ASSERT_TRUE(job_result.has_value());
-  EXPECT_TRUE(job_result->status.is_ok());
-  EXPECT_EQ(job_result->map_tasks, 8);  // 512 MB / 64 MB
-  // The MapReduce stage is recorded in the dataset's provenance branch.
-  const auto record = f.facility.metadata().get(id).value();
-  ASSERT_EQ(record.branches.size(), 1u);
-  EXPECT_EQ(record.branches[0].results.size(), 2u);
-}
-
-TEST(Facility, FailedMapReduceJobFailsTheWorkflow) {
-  FacilityFixture f;
-  const meta::DatasetId id = f.ingest_one("frame-1");
-  workflow::Workflow w("broken-hybrid");
-  w.add_actor("cluster-analytics",
-              workflow::mapreduce_actor(
-                  f.facility.jobs(), [](meta::DatasetId) {
-                    mapreduce::JobSpec spec;
-                    spec.input_path = "no/such/input";
-                    return spec;
-                  }));
-  std::optional<workflow::RunResult> run;
-  f.facility.workflows().run(w, id, {},
-                             [&](const workflow::RunResult& r) { run = r; });
-  f.facility.simulator().run_while_pending([&] { return run.has_value(); });
-  EXPECT_EQ(run->status.code(), StatusCode::kNotFound);
-}
-
 TEST(Facility, BrowserFacetsCountAttributeValues) {
   FacilityFixture f;
   for (int i = 0; i < 7; ++i) {
@@ -510,37 +461,6 @@ TEST(Facility, BrowserFacetsCountAttributeValues) {
   EXPECT_EQ(facets[2], (std::pair<std::string, std::size_t>{"640nm", 1}));
   EXPECT_TRUE(f.browser.facet("zebrafish-htm", "no-such-attr").empty());
   EXPECT_TRUE(f.browser.facet("no-such-project", "wavelength").empty());
-}
-
-TEST(Facility, BrowserNumericSummary) {
-  FacilityFixture f;
-  for (int i = 0; i < 5; ++i) {
-    ingest::IngestItem item;
-    item.project = "zebrafish-htm";
-    item.dataset_name = "frame-" + std::to_string(i);
-    item.size = 4_MB;
-    item.source = f.facility.daq_node();
-    item.attributes["exposure_ms"] = 10.0 + i;          // 10..14
-    item.attributes["sequence"] = static_cast<std::int64_t>(i);
-    item.attributes["note"] = std::string("not numeric");
-    std::optional<ingest::IngestReport> report;
-    f.facility.ingest().submit(std::move(item),
-                               [&](const ingest::IngestReport& r) {
-                                 report = r;
-                               });
-    f.facility.simulator().run_while_pending(
-        [&] { return report.has_value(); });
-  }
-  const RunningStats exposure =
-      f.browser.numeric_summary("zebrafish-htm", "exposure_ms");
-  EXPECT_EQ(exposure.count(), 5);
-  EXPECT_DOUBLE_EQ(exposure.mean(), 12.0);
-  EXPECT_DOUBLE_EQ(exposure.min(), 10.0);
-  EXPECT_DOUBLE_EQ(exposure.max(), 14.0);
-  // Int attributes work too; strings are skipped entirely.
-  EXPECT_EQ(f.browser.numeric_summary("zebrafish-htm", "sequence").count(),
-            5);
-  EXPECT_EQ(f.browser.numeric_summary("zebrafish-htm", "note").count(), 0);
 }
 
 TEST(Facility, DaqTrafficOutranksBulkExportOnTheBackbone) {

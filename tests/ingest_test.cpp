@@ -72,7 +72,7 @@ TEST(IngestPipeline, SingleItemEndToEnd) {
   EXPECT_GT(report->latency().seconds(), 0.0);
 
   // Data is in the backend and metadata registered.
-  EXPECT_TRUE(f.adal.exists(report->uri));
+  EXPECT_TRUE(f.adal.stat(report->uri).is_ok());
   const meta::DatasetRecord record = f.store.get(report->dataset).value();
   EXPECT_EQ(record.name, "frame-0");
   EXPECT_EQ(record.size, 4_MB);
