@@ -203,28 +203,29 @@ void DfsCluster::write_file(const std::string& path, Bytes size,
   }
   files_.emplace(path, info);
 
-  // Stream the blocks sequentially, as an HDFS client does.
-  auto writer = std::make_shared<std::function<void(std::size_t)>>();
+  // Stream the blocks sequentially, as an HDFS client does. A block that
+  // fails ends the write there, and the file goes with it.
+  auto writer = std::make_shared<std::function<void(std::size_t, Status)>>();
   auto blocks = std::make_shared<std::vector<BlockId>>(info.blocks);
-  *writer = [this, writer, blocks, client, started, size,
-             done = std::move(done)](std::size_t index) {
-    if (index >= blocks->size()) {
-      if (done) {
-        done(DfsIoResult{Status::ok(), started, simulator_.now(), size});
-      }
-      // Break the writer's self-reference cycle once the event completes
-      // (not from inside the functor being destroyed).
-      simulator_.schedule_after(SimDuration::zero(),
-                                [writer] { *writer = nullptr; });
+  *writer = [this, writer, blocks, path, client, started, size,
+             done = std::move(done)](std::size_t index, Status status) {
+    if (status.is_ok() && index < blocks->size()) {
+      write_block((*blocks)[index], client,
+                  [writer, index](const DfsIoResult& result) {
+                    (*writer)(index + 1, result.status);
+                  });
       return;
     }
-    write_block((*blocks)[index], client, [writer, index](
-                                              const DfsIoResult& result) {
-      LSDF_REQUIRE(result.status.is_ok(), "block write cannot fail here");
-      (*writer)(index + 1);
-    });
+    if (!status.is_ok()) (void)remove(path);
+    if (done) {
+      done(DfsIoResult{std::move(status), started, simulator_.now(), size});
+    }
+    // Break the writer's self-reference cycle once the event completes
+    // (not from inside the functor being destroyed).
+    simulator_.schedule_after(SimDuration::zero(),
+                              [writer] { *writer = nullptr; });
   };
-  (*writer)(0);
+  (*writer)(0, Status::ok());
 }
 
 void DfsCluster::write_block(BlockId id, net::NodeId client,
@@ -238,11 +239,17 @@ void DfsCluster::write_block(BlockId id, net::NodeId client,
   auto pending = std::make_shared<int>(0);
   auto state = std::make_shared<std::pair<DfsCallback, SimTime>>(
       std::move(done), started);
-  auto leg_done = [this, pending, state, size = info.size] {
-    if (--*pending == 0 && state->first) {
-      state->first(DfsIoResult{Status::ok(), state->second, simulator_.now(),
-                               size});
-    }
+  auto leg_done = [this, id, pending, state, size = info.size] {
+    if (--*pending != 0 || !state->first) return;
+    // A datanode that failed mid-write took its replica along, and a
+    // remove() mid-write took the block: either way it is not durable.
+    const auto it = blocks_.find(id);
+    Status status = it != blocks_.end() && !it->second.replicas.empty()
+                        ? Status::ok()
+                        : unavailable("block #" + std::to_string(id) +
+                                      " has no replica left");
+    state->first(DfsIoResult{std::move(status), state->second,
+                             simulator_.now(), size});
   };
 
   net::NodeId previous = client;
@@ -260,9 +267,9 @@ void DfsCluster::write_block(BlockId id, net::NodeId client,
     previous = where;
   }
   if (*pending == 0) {
-    // Degenerate single-node cluster with the client on the datanode and a
-    // zero-cost channel is impossible (disk leg always added), but keep the
-    // contract airtight.
+    // Every replica was lost before the block's turn (each one adds a disk
+    // leg): with no leg to wait for, leg_done reports the loss from an
+    // event of its own.
     simulator_.schedule_after(SimDuration::zero(), [leg_done, pending] {
       ++*pending;
       leg_done();

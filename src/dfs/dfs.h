@@ -98,7 +98,9 @@ class DfsCluster {
   }
 
   // Create a file of `size` bytes written from topology node `client`.
-  // Completion fires when the last block's last replica is durable.
+  // Completion fires when the last block's last replica is durable, or
+  // with UNAVAILABLE, leaving no file, once a block has no replica left
+  // when its turn ends (datanode failures, or remove() mid-write).
   void write_file(const std::string& path, Bytes size, net::NodeId client,
                   DfsCallback done);
 

@@ -250,12 +250,9 @@ void FederationService::resolve_dataset(meta::DatasetId dataset) {
   span.annotate("dataset", std::to_string(dataset));
   ++stats_.resolutions;
   resolutions_metric_.add(1);
-  // One replica lookup for every rule of the pass. Until pump() nothing
-  // here drops a replica or re-enters the resolver, so the list's key
-  // stays and `placed` stays valid; a call added here that can drop one
-  // (drop_entry erases an emptied list) must look the list up again.
-  const auto found = replicas_.find(dataset);
-  ReplicaList* placed = found != replicas_.end() ? &found->second : nullptr;
+  // One replica lookup for every rule of the pass. The table only grows
+  // at the back and never drops a list, so `placed` stays valid.
+  ReplicaList* placed = find_replicas(dataset);
   for (const auto& [id, entry] : rules_) {
     if (!entry.active) continue;
     if (!matches(entry.rule, *record)) continue;
@@ -291,7 +288,10 @@ void FederationService::resolve_rule(const meta::DatasetRecord& record,
       quota_blocked_.insert(record.id);
       return;
     }
-    if (placed == nullptr) placed = &replicas_[record.id];
+    if (placed == nullptr) {
+      if (replicas_.size() < record.id) replicas_.resize(record.id);
+      placed = &replicas_[record.id - 1];
+    }
     enqueue(record, entry, site, *placed);
   }
 }
@@ -315,14 +315,15 @@ auto* entry_at(List& list, SiteId site) {
 
 const FederationService::ReplicaList* FederationService::find_replicas(
     meta::DatasetId dataset) const {
-  const auto it = replicas_.find(dataset);
-  return it != replicas_.end() ? &it->second : nullptr;
+  if (dataset == 0 || dataset > replicas_.size()) return nullptr;
+  const ReplicaList& placed = replicas_[dataset - 1];
+  return placed.empty() ? nullptr : &placed;
 }
 
 FederationService::ReplicaEntry* FederationService::find_replica(
     meta::DatasetId dataset, SiteId site) {
-  const auto it = replicas_.find(dataset);
-  return it != replicas_.end() ? entry_at(it->second, site) : nullptr;
+  ReplicaList* placed = find_replicas(dataset);
+  return placed != nullptr ? entry_at(*placed, site) : nullptr;
 }
 
 int FederationService::placed_count(const ReplicaList* placed,
@@ -498,7 +499,9 @@ void FederationService::expire_rule(RuleId rule) {
   // class) the demand is the largest copy count among active matching
   // rules; replicas beyond it are dropped in ascending site order.
   std::vector<std::pair<meta::DatasetId, SiteId>> drop;
-  for (const auto& [dataset, placed] : replicas_) {
+  for (meta::DatasetId dataset = 1; dataset <= replicas_.size(); ++dataset) {
+    const ReplicaList& placed = replicas_[dataset - 1];
+    if (placed.empty()) continue;
     const meta::DatasetRecord* record = store_.find(dataset);
     std::map<StorageClass, int> kept;
     for (const ReplicaEntry& replica : placed) {
@@ -526,8 +529,10 @@ void FederationService::expire_rule(RuleId rule) {
 void FederationService::fail_site(SiteId site) {
   site_at(site).online = false;
   std::vector<meta::DatasetId> affected;
-  for (const auto& [dataset, placed] : replicas_) {
-    if (entry_at(placed, site) != nullptr) affected.push_back(dataset);
+  for (meta::DatasetId dataset = 1; dataset <= replicas_.size(); ++dataset) {
+    if (entry_at(replicas_[dataset - 1], site) != nullptr) {
+      affected.push_back(dataset);
+    }
   }
   for (const meta::DatasetId dataset : affected) {
     drop_entry(dataset, site, /*lost=*/true);
@@ -563,14 +568,12 @@ void FederationService::drop_replica(meta::DatasetId dataset,
 
 void FederationService::drop_entry(meta::DatasetId dataset, SiteId site,
                                    bool lost) {
-  const auto list = replicas_.find(dataset);
-  if (list == replicas_.end()) return;
-  ReplicaList& placed = list->second;
-  const auto it = site_position(placed, site);
-  if (it == placed.end() || it->site != site) return;
+  ReplicaList* placed = find_replicas(dataset);
+  if (placed == nullptr) return;
+  const auto it = site_position(*placed, site);
+  if (it == placed->end() || it->site != site) return;
   const ReplicaEntry entry = *it;
-  placed.erase(it);
-  if (placed.empty()) replicas_.erase(list);
+  placed->erase(it);
   --site_at(site).hosted;
   committed_[entry.project] -= entry.size;
   if (entry.state == ReplicaState::kInFlight && entry.token == 0) {

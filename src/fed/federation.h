@@ -27,6 +27,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <set>
 #include <string>
@@ -184,13 +185,18 @@ class FederationService {
   [[nodiscard]] const Site& site_at(SiteId id) const {
     return sites_[id - 1];
   }
-  // The dataset's replica list, or nullptr when it has none.
+  // The dataset's replica list, or nullptr when it has none (an empty
+  // list, or an id past the end of the table).
   [[nodiscard]] const ReplicaList* find_replicas(meta::DatasetId dataset) const;
+  [[nodiscard]] ReplicaList* find_replicas(meta::DatasetId dataset) {
+    return const_cast<ReplicaList*>(
+        std::as_const(*this).find_replicas(dataset));
+  }
   [[nodiscard]] ReplicaEntry* find_replica(meta::DatasetId dataset,
                                            SiteId site);
 
-  // `placed` is the dataset's list (nullptr while it has none); enqueue
-  // creates it.
+  // `placed` is the dataset's list (nullptr while it has none); the first
+  // enqueue grows the table to the dataset and points it there.
   void resolve_rule(const meta::DatasetRecord& record, const RuleEntry& entry,
                     ReplicaList*& placed);
   [[nodiscard]] bool matches(const ReplicaRule& rule,
@@ -232,10 +238,12 @@ class FederationService {
   std::map<std::string, SiteId> site_by_name_;
   std::map<RuleId, RuleEntry> rules_;
   std::map<std::string, Bytes> quotas_;
-  // Actual replica state, the resolver's "actual" side of the diff. Keyed
-  // by dataset, not indexed by it, so it holds only datasets that have
-  // replicas: a dataset whose last replica is dropped loses its key.
-  std::map<meta::DatasetId, ReplicaList> replicas_;
+  // Actual replica state, the resolver's "actual" side of the diff,
+  // indexed by dataset id - 1 (the catalogue's ids are dense from 1,
+  // meta/store.h). The table grows at the back on a dataset's first
+  // enqueue, which moves no list; an empty list means "no replicas", and a
+  // dataset whose last replica is dropped keeps its empty slot.
+  std::deque<ReplicaList> replicas_;
   // Desired-minus-actual, waiting for a WAN slot.
   std::map<PendingKey, std::pair<Bytes, SimTime>> pending_;
   // Per-project committed replica bytes (pending + in flight + complete).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/require.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -78,7 +79,7 @@ Result<DatasetId> MetadataStore::register_dataset(Registration reg) {
   LSDF_RETURN_IF_ERROR(
       validate_against_schema(project_it->second.schema, reg.basic));
 
-  const DatasetId id = next_id_++;
+  const DatasetId id = records_.size() + 1;
   DatasetRecord record;
   record.id = id;
   record.project = std::move(reg.project);
@@ -93,7 +94,7 @@ Result<DatasetId> MetadataStore::register_dataset(Registration reg) {
   }
   project_it->second.by_name.emplace(std::move(reg.name), id);
   total_bytes_ += record.size;
-  records_.emplace(id, std::move(record));
+  records_.push_back(std::make_unique<DatasetRecord>(std::move(record)));
   emit(MetaEvent{EventKind::kRegistered, id, {}});
   return id;
 }
@@ -101,8 +102,7 @@ Result<DatasetId> MetadataStore::register_dataset(Registration reg) {
 const DatasetRecord* MetadataStore::find(DatasetId id) const {
   static obs::Counter& lookups = lookup_counter("get");
   lookups.add(1);
-  const auto it = records_.find(id);
-  return it != records_.end() ? &it->second : nullptr;
+  return record_at(id);
 }
 
 Result<DatasetRecord> MetadataStore::get(DatasetId id) const {
@@ -162,12 +162,14 @@ std::vector<DatasetId> MetadataStore::query(const Query& query) const {
   };
   if (seed != nullptr) {
     for (const DatasetId id : *seed) {
-      consider(records_.at(id));
+      const DatasetRecord* record = record_at(id);
+      LSDF_REQUIRE(record != nullptr, "catalogue index names an unknown id");
+      consider(*record);
       if (query.result_limit() && out.size() >= *query.result_limit()) break;
     }
   } else {
-    for (const auto& [id, record] : records_) {
-      consider(record);
+    for (const auto& record : records_) {
+      consider(*record);
       if (query.result_limit() && out.size() >= *query.result_limit()) break;
     }
   }
@@ -175,10 +177,10 @@ std::vector<DatasetId> MetadataStore::query(const Query& query) const {
 }
 
 Status MetadataStore::tag(DatasetId id, const std::string& tag) {
-  const auto it = records_.find(id);
-  if (it == records_.end()) return not_found("dataset #" + std::to_string(id));
+  DatasetRecord* record = record_at(id);
+  if (record == nullptr) return not_found("dataset #" + std::to_string(id));
   if (tag.empty()) return invalid_argument("empty tag");
-  auto& tags = it->second.tags;
+  auto& tags = record->tags;
   if (std::find(tags.begin(), tags.end(), tag) != tags.end()) {
     return already_exists("tag " + tag);
   }
@@ -189,9 +191,9 @@ Status MetadataStore::tag(DatasetId id, const std::string& tag) {
 }
 
 Status MetadataStore::untag(DatasetId id, const std::string& tag) {
-  const auto it = records_.find(id);
-  if (it == records_.end()) return not_found("dataset #" + std::to_string(id));
-  auto& tags = it->second.tags;
+  DatasetRecord* record = record_at(id);
+  if (record == nullptr) return not_found("dataset #" + std::to_string(id));
+  auto& tags = record->tags;
   const auto tag_it = std::find(tags.begin(), tags.end(), tag);
   if (tag_it == tags.end()) return not_found("tag " + tag);
   tags.erase(tag_it);
@@ -208,10 +210,10 @@ std::vector<DatasetId> MetadataStore::tagged(const std::string& tag) const {
 
 Result<BranchId> MetadataStore::open_branch(DatasetId id, std::string name,
                                             AttrMap parameters, SimTime now) {
-  const auto it = records_.find(id);
-  if (it == records_.end()) return not_found("dataset #" + std::to_string(id));
+  DatasetRecord* record = record_at(id);
+  if (record == nullptr) return not_found("dataset #" + std::to_string(id));
   if (name.empty()) return invalid_argument("empty branch name");
-  for (const ProcessingBranch& branch : it->second.branches) {
+  for (const ProcessingBranch& branch : record->branches) {
     if (branch.name == name) {
       return already_exists("branch " + name);
     }
@@ -221,16 +223,16 @@ Result<BranchId> MetadataStore::open_branch(DatasetId id, std::string name,
   branch.name = name;
   branch.parameters = std::move(parameters);
   branch.created = now;
-  it->second.branches.push_back(std::move(branch));
+  record->branches.push_back(std::move(branch));
   emit(MetaEvent{EventKind::kBranchOpened, id, name});
-  return it->second.branches.back().id;
+  return record->branches.back().id;
 }
 
 Status MetadataStore::append_result(DatasetId id, BranchId branch,
                                     std::string result_uri) {
-  const auto it = records_.find(id);
-  if (it == records_.end()) return not_found("dataset #" + std::to_string(id));
-  for (ProcessingBranch& candidate : it->second.branches) {
+  DatasetRecord* record = record_at(id);
+  if (record == nullptr) return not_found("dataset #" + std::to_string(id));
+  for (ProcessingBranch& candidate : record->branches) {
     if (candidate.id != branch) continue;
     if (candidate.closed) {
       return failed_precondition("branch " + candidate.name + " is closed");
@@ -243,9 +245,9 @@ Status MetadataStore::append_result(DatasetId id, BranchId branch,
 }
 
 Status MetadataStore::close_branch(DatasetId id, BranchId branch) {
-  const auto it = records_.find(id);
-  if (it == records_.end()) return not_found("dataset #" + std::to_string(id));
-  for (ProcessingBranch& candidate : it->second.branches) {
+  DatasetRecord* record = record_at(id);
+  if (record == nullptr) return not_found("dataset #" + std::to_string(id));
+  for (ProcessingBranch& candidate : record->branches) {
     if (candidate.id != branch) continue;
     if (candidate.closed) {
       return failed_precondition("branch already closed");
@@ -257,7 +259,7 @@ Status MetadataStore::close_branch(DatasetId id, BranchId branch) {
 }
 
 void MetadataStore::note_access(DatasetId id) {
-  if (records_.contains(id)) {
+  if (record_at(id) != nullptr) {
     emit(MetaEvent{EventKind::kAccessed, id, {}});
   }
 }

@@ -14,6 +14,21 @@ namespace {
 // Flows whose remainder drops below this are considered delivered; avoids
 // infinite event chains from floating-point residue.
 constexpr double kEpsilonBytes = 1e-6;
+
+// Where the flow `id` is, or would go, in `flows` (ascending FlowId).
+template <typename Flows>
+auto flow_position(Flows& flows, FlowId id) {
+  return std::lower_bound(
+      flows.begin(), flows.end(), id,
+      [](const auto& flow, FlowId key) { return flow.id < key; });
+}
+
+// The flow `id` in `flows`, or flows.end().
+template <typename Flows>
+auto find_flow(Flows& flows, FlowId id) {
+  const auto it = flow_position(flows, id);
+  return it != flows.end() && it->id == id ? it : flows.end();
+}
 }  // namespace
 
 TransferEngine::TransferEngine(sim::Simulator& simulator,
@@ -29,29 +44,33 @@ TransferEngine::TransferEngine(sim::Simulator& simulator,
       duration_metric_(obs::MetricsRegistry::global().hdr_histogram(
           "lsdf_net_transfer_seconds")) {}
 
-obs::Counter& TransferEngine::link_bytes_metric(LinkId link) {
-  if (link >= link_bytes_.size()) link_bytes_.resize(link + 1, nullptr);
-  if (link_bytes_[link] == nullptr) {
-    link_bytes_[link] = &obs::MetricsRegistry::global().counter(
-        "lsdf_net_link_bytes_total", {{"link", std::to_string(link)}});
-  }
-  return *link_bytes_[link];
-}
-
 void TransferEngine::credit_link_bytes(const std::vector<LinkId>& path,
                                        double wire_bytes) {
   if (wire_bytes <= 0.0) return;
   for (const LinkId link : path) {
-    if (link >= link_bytes_residue_.size()) {
-      link_bytes_residue_.resize(link + 1, 0.0);
-    }
-    link_bytes_residue_[link] += wire_bytes;
-    const double whole = std::floor(link_bytes_residue_[link]);
+    if (link >= link_bytes_.size()) link_bytes_.resize(link + 1);
+    LinkBytes& bytes = link_bytes_[link];
+    bytes.residue += wire_bytes;
+    const double whole = std::floor(bytes.residue);
     if (whole >= 1.0) {
-      link_bytes_metric(link).add(static_cast<std::int64_t>(whole));
-      link_bytes_residue_[link] -= whole;
+      if (bytes.whole == 0) credited_links_.push_back(link);
+      bytes.whole += static_cast<std::int64_t>(whole);
+      bytes.residue -= whole;
     }
   }
+}
+
+void TransferEngine::flush_link_bytes() {
+  for (const LinkId link : credited_links_) {
+    LinkBytes& bytes = link_bytes_[link];
+    if (bytes.counter == nullptr) {
+      bytes.counter = &obs::MetricsRegistry::global().counter(
+          "lsdf_net_link_bytes_total", {{"link", std::to_string(link)}});
+    }
+    bytes.counter->add(bytes.whole);
+    bytes.whole = 0;
+  }
+  credited_links_.clear();
 }
 
 void TransferEngine::record_completion(const TransferCompletion& completion) {
@@ -96,40 +115,52 @@ Result<FlowId> TransferEngine::start_transfer(NodeId src, NodeId dst,
     return id;
   }
 
-  const SimDuration latency = topology_.path_latency(path);
-  const SimTime started = simulator_.now();
+  Flow flow;
+  flow.ctx = obs::current_context();
+  flow.id = id;
+  flow.src = src;
+  flow.dst = dst;
+  flow.wire_bytes_remaining = size.as_double() / options.efficiency;
+  flow.cap_bps = options.rate_cap.bps();
+  flow.weight = options.weight;
+  flow.size = size;
+  flow.started = simulator_.now();
+  flow.on_complete = std::move(on_complete);
   // The flow joins the allocation after one path latency (connection setup
   // and first-byte propagation).
-  simulator_.schedule_after(
-      latency, [this, id, src, dst, size, started, path = std::move(path),
-                options, ctx = obs::current_context(),
-                cb = std::move(on_complete)]() mutable {
-        advance_progress();
-        Flow flow;
-        flow.ctx = ctx;
-        flow.id = id;
-        flow.src = src;
-        flow.dst = dst;
-        flow.path = std::move(path);
-        flow.wire_bytes_remaining = size.as_double() / options.efficiency;
-        flow.cap_bps = options.rate_cap.bps();
-        flow.weight = options.weight;
-        flow.size = size;
-        flow.started = started;
-        flow.on_complete = std::move(cb);
-        flows_.emplace(id, std::move(flow));
-        reallocate();
-      });
+  flow.join_event = simulator_.schedule_after(topology_.path_latency(path),
+                                              [this, id] { join(id); });
+  flow.path = std::move(path);
+  joining_.push_back(std::move(flow));
   return id;
+}
+
+void TransferEngine::join(FlowId id) {
+  advance_progress();
+  // A completion that advance fired may have cancelled this flow.
+  const auto waiting = find_flow(joining_, id);
+  if (waiting != joining_.end()) {
+    flows_.insert(flow_position(flows_, id), std::move(*waiting));
+    joining_.erase(waiting);
+  }
+  reallocate();
 }
 
 bool TransferEngine::cancel(FlowId id) {
   advance_progress();
-  const auto it = flows_.find(id);
-  if (it == flows_.end()) return false;
-  Flow flow = std::move(it->second);
-  flows_.erase(it);
-  reallocate();
+  Flow flow;
+  if (const auto it = find_flow(flows_, id); it != flows_.end()) {
+    flow = std::move(*it);
+    flows_.erase(it);
+    reallocate();
+  } else if (const auto waiting = find_flow(joining_, id);
+             waiting != joining_.end()) {
+    flow = std::move(*waiting);
+    joining_.erase(waiting);
+    simulator_.cancel(flow.join_event);
+  } else {
+    return false;
+  }
   // Deliver the terminal cancelled completion after the engine state is
   // consistent: the callback may start a replacement transfer.
   cancelled_metric_.add(1);
@@ -143,7 +174,7 @@ bool TransferEngine::cancel(FlowId id) {
 
 Rate TransferEngine::link_load(LinkId id) const {
   double total = 0.0;
-  for (const auto& [flow_id, flow] : flows_) {
+  for (const Flow& flow : flows_) {
     if (std::find(flow.path.begin(), flow.path.end(), id) !=
         flow.path.end()) {
       total += flow.rate_bps;
@@ -153,29 +184,36 @@ Rate TransferEngine::link_load(LinkId id) const {
 }
 
 Rate TransferEngine::flow_rate(FlowId id) const {
-  const auto it = flows_.find(id);
+  const auto it = find_flow(flows_, id);
   return it == flows_.end() ? Rate::zero()
-                            : Rate::bytes_per_second(it->second.rate_bps);
+                            : Rate::bytes_per_second(it->rate_bps);
 }
 
 void TransferEngine::advance_progress() {
   const SimDuration elapsed = simulator_.now() - last_update_;
   last_update_ = simulator_.now();
   if (elapsed <= SimDuration::zero() || flows_.empty()) return;
+  const double seconds = elapsed.seconds();
+  // One pass: survivors slide down over the finished flows, keeping
+  // FlowId order, and the finished ones complete in that order after it.
   std::vector<Flow> finished;
-  for (auto it = flows_.begin(); it != flows_.end();) {
-    Flow& flow = it->second;
-    const double moved = std::min(flow.rate_bps * elapsed.seconds(),
-                                  flow.wire_bytes_remaining);
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < flows_.size(); ++i) {
+    Flow& flow = flows_[i];
+    const double moved =
+        std::min(flow.rate_bps * seconds, flow.wire_bytes_remaining);
     credit_link_bytes(flow.path, moved);
-    flow.wire_bytes_remaining -= flow.rate_bps * elapsed.seconds();
+    flow.wire_bytes_remaining -= flow.rate_bps * seconds;
     if (flow.wire_bytes_remaining <= kEpsilonBytes) {
       finished.push_back(std::move(flow));
-      it = flows_.erase(it);
     } else {
-      ++it;
+      if (kept != i) flows_[kept] = std::move(flow);
+      ++kept;
     }
   }
+  flows_.erase(flows_.begin() + static_cast<std::ptrdiff_t>(kept),
+               flows_.end());
+  flush_link_bytes();
   for (Flow& flow : finished) complete_flow(std::move(flow));
 }
 
@@ -194,7 +232,7 @@ void TransferEngine::resync() {
 
 std::size_t TransferEngine::stalled_flows() const {
   std::size_t count = 0;
-  for (const auto& [id, flow] : flows_) {
+  for (const Flow& flow : flows_) {
     if (flow.stalled) ++count;
   }
   return count;
@@ -202,7 +240,7 @@ std::size_t TransferEngine::stalled_flows() const {
 
 void TransferEngine::repath_flows() {
   seen_topology_version_ = topology_.state_version();
-  for (auto& [id, flow] : flows_) {
+  for (Flow& flow : flows_) {
     // A flow needs a new path if its current one crosses a down link, or
     // if it is stalled and a route may have come back.
     bool broken = flow.stalled;
@@ -231,16 +269,11 @@ void TransferEngine::reallocate() {
   }
   if (flows_.empty()) return;
   if (seen_topology_version_ != topology_.state_version()) repath_flows();
-  std::vector<Flow*> unfrozen;
-  unfrozen.reserve(flows_.size());
-  for (auto& [id, flow] : flows_) {
-    if (!flow.stalled) unfrozen.push_back(&flow);
-  }
-  allocate(std::move(unfrozen));
+  allocate();
   schedule_next_completion();
 }
 
-void TransferEngine::allocate(std::vector<Flow*> unfrozen) {
+void TransferEngine::allocate() {
   // Progressive filling (weighted water-filling) with per-flow caps:
   // repeatedly find the binding constraint — either the tightest link's
   // per-unit-weight share or the smallest unfrozen cap-to-weight ratio —
@@ -254,12 +287,18 @@ void TransferEngine::allocate(std::vector<Flow*> unfrozen) {
   // exists to catch. Dense indexing is also ~2x faster here: link counts
   // are small and every probe becomes one array access.
   const std::size_t link_count = topology_.link_count();
-  std::vector<double> remaining(link_count, 0.0);        // capacity left
-  std::vector<double> unfrozen_weight(link_count, 0.0);  // weight on link
-  for (const Flow* flow : unfrozen) {
-    for (const LinkId link : flow->path) {
+  std::vector<double>& remaining = remaining_;
+  std::vector<double>& unfrozen_weight = unfrozen_weight_;
+  std::vector<Flow*>& unfrozen = unfrozen_;
+  remaining.assign(link_count, 0.0);
+  unfrozen_weight.assign(link_count, 0.0);
+  unfrozen.clear();
+  for (Flow& flow : flows_) {
+    if (flow.stalled) continue;
+    unfrozen.push_back(&flow);
+    for (const LinkId link : flow.path) {
       remaining[link] = topology_.link(link).capacity.bps();
-      unfrozen_weight[link] += flow->weight;
+      unfrozen_weight[link] += flow.weight;
     }
   }
   for (Flow* flow : unfrozen) flow->rate_bps = 0.0;
@@ -281,8 +320,8 @@ void TransferEngine::allocate(std::vector<Flow*> unfrozen) {
       }
     }
 
-    std::vector<Flow*> next_round;
-    next_round.reserve(unfrozen.size());
+    std::vector<Flow*>& next_round = next_round_;
+    next_round.clear();
     if (min_cap_unit < unit_share) {
       // Cap-bound flows freeze at their cap.
       for (Flow* flow : unfrozen) {
@@ -328,7 +367,7 @@ void TransferEngine::allocate(std::vector<Flow*> unfrozen) {
     }
     LSDF_REQUIRE(next_round.size() < unfrozen.size(),
                  "max-min allocation failed to make progress");
-    unfrozen = std::move(next_round);
+    unfrozen.swap(next_round);
   }
 }
 
@@ -336,7 +375,7 @@ void TransferEngine::schedule_next_completion() {
   // Earliest completion across every allocated flow. Stalled flows (no
   // route) sit at rate zero until a resync finds them a path.
   double min_seconds = std::numeric_limits<double>::infinity();
-  for (const auto& [id, flow] : flows_) {
+  for (const Flow& flow : flows_) {
     if (flow.stalled) continue;
     LSDF_REQUIRE(flow.rate_bps > 0.0, "allocated flow has zero rate");
     min_seconds =

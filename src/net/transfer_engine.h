@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <vector>
 
 #include "common/status.h"
@@ -65,10 +64,13 @@ class TransferEngine {
                                 const TransferOptions& options,
                                 CompletionCallback on_complete);
 
-  // Abort an in-flight transfer. The flow's callback fires exactly once
+  // Abort an in-flight transfer, joined or still inside its path latency
+  // (it then never joins). The flow's callback fires exactly once, here,
   // with a kCancelled status (terminal completion), so holders of
   // concurrency slots or futures are always released.
-  // Returns false if the flow already completed or never existed.
+  // Returns false if the flow already completed or never existed; a
+  // same-node or empty transfer completes from a zero-delay event of its
+  // own and cannot be cancelled.
   bool cancel(FlowId id);
 
   // Re-path flows after a topology link-state change (the redundant-router
@@ -80,6 +82,8 @@ class TransferEngine {
 
   [[nodiscard]] std::size_t stalled_flows() const;
 
+  // Flows that have joined the allocation; flows still inside their path
+  // latency are not counted.
   [[nodiscard]] std::size_t active_flows() const { return flows_.size(); }
 
   // The fabric this engine routes over — services that resolve node names
@@ -112,22 +116,28 @@ class TransferEngine {
     // context belonging to some *other* request — so complete_flow()
     // re-installs this one before the span and callback (DESIGN.md §4g).
     obs::RequestContext ctx;
+    // The event that joins the flow after its path latency; cancel()
+    // revokes it for a flow that has not joined yet.
+    sim::EventId join_event{};
   };
 
+  // Move a flow from joining_ into flows_ once its path latency has
+  // passed, and reallocate.
+  void join(FlowId id);
   // Move every active flow forward to now(), crediting each link on the
   // flow's *current* path with the wire bytes moved this interval (so
   // rerouted flows attribute bytes to the links that actually carried
-  // them), and completing any flows that finish.
+  // them), and completing any flows that finish, in FlowId order.
   void advance_progress();
   // Re-path flows if the link state changed, water-fill the whole set of
   // non-stalled flows and schedule the next completion. Every flow start,
   // finish, cancel and reroute lands here.
   void reallocate();
-  // Weighted max-min water-filling over `unfrozen`, which is in FlowId
+  // Weighted max-min water-filling over the non-stalled flows, in FlowId
   // order; links are scanned in ascending id order. Both orders are fixed
   // by the flow set alone, so the floating-point reduction sequence (and
   // therefore every allocated rate) is too.
-  void allocate(std::vector<Flow*> unfrozen);
+  void allocate();
   // Re-arm the pending completion event for the earliest-finishing flow.
   void schedule_next_completion();
   void complete_flow(Flow flow);
@@ -137,14 +147,21 @@ class TransferEngine {
   // Telemetry: completion totals, duration distribution and lazily
   // created per-link byte counters (labels: link id).
   void record_completion(const TransferCompletion& completion);
-  obs::Counter& link_bytes_metric(LinkId link);
   // Credit `wire_bytes` to every link on `path`, accumulating sub-byte
   // residue per link so interval-by-interval attribution never drifts.
+  // Whole bytes wait in the link's entry until flush_link_bytes().
   void credit_link_bytes(const std::vector<LinkId>& path, double wire_bytes);
+  // Add each credited link's whole bytes to its counter: one add per link
+  // per advance, not one per flow.
+  void flush_link_bytes();
 
   sim::Simulator& simulator_;
   const Topology& topology_;
-  std::map<FlowId, Flow> flows_;
+  // Joined flows, ascending FlowId. Flows join after their path latency,
+  // not in id order, so join() inserts at the id's position.
+  std::vector<Flow> flows_;
+  // Flows still inside their path latency, ascending FlowId (start order).
+  std::vector<Flow> joining_;
   FlowId next_id_ = 1;
   SimTime last_update_;
   std::uint64_t seen_topology_version_ = 0;
@@ -155,8 +172,20 @@ class TransferEngine {
   obs::Counter& bytes_metric_;
   obs::Counter& cancelled_metric_;
   obs::HdrHistogram& duration_metric_;
-  std::vector<obs::Counter*> link_bytes_;   // indexed by LinkId
-  std::vector<double> link_bytes_residue_;  // sub-byte carry per link
+
+  struct LinkBytes {
+    obs::Counter* counter = nullptr;  // created on the first whole byte
+    double residue = 0.0;             // sub-byte carry
+    std::int64_t whole = 0;           // credited, not yet added to counter
+  };
+  std::vector<LinkBytes> link_bytes_;  // indexed by LinkId
+  std::vector<LinkId> credited_links_;  // links with whole > 0
+
+  // allocate()'s scratch, kept between calls so a pass allocates nothing.
+  std::vector<Flow*> unfrozen_;
+  std::vector<Flow*> next_round_;
+  std::vector<double> remaining_;        // capacity left, per link
+  std::vector<double> unfrozen_weight_;  // unfrozen weight, per link
 };
 
 }  // namespace lsdf::net

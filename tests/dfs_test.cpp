@@ -4,9 +4,11 @@
 
 #include <optional>
 #include <set>
+#include <vector>
 
 #include "dfs/cluster_builder.h"
 #include "dfs/dfs.h"
+#include "obs/metrics.h"
 
 namespace lsdf::dfs {
 namespace {
@@ -194,6 +196,74 @@ TEST(DfsCluster, DatanodeFailureMarksBlocksUnderReplicated) {
   ASSERT_TRUE(f.dfs.fail_datanode(f.datanodes[0]).is_ok());
   EXPECT_GT(f.dfs.under_replicated_blocks(), 0u);
   EXPECT_FALSE(f.dfs.datanode_alive(f.datanodes[0]));
+}
+
+TEST(DfsCluster, WriteFailsWhenABlockLosesItsOnlyReplicaMidWrite) {
+  // Replication 1: the datanode that fails right after write_file holds the
+  // last block's only replica. That block reaches its turn with no replica
+  // to stream to, and any block on the same node whose legs are already
+  // in flight lands with none. The write fails and leaves no file.
+  DfsConfig config = ClusterFixture::default_config();
+  config.replication = 1;
+  ClusterFixture f(2, 3, config);
+  std::optional<DfsIoResult> result;
+  f.dfs.write_file("/data/a", 256_MB, f.layout.headnode,
+                   [&](const DfsIoResult& r) { result = r; });
+  const FileInfo info = f.dfs.stat("/data/a").value();  // placed up front
+  ASSERT_EQ(info.blocks.size(), 4u);
+  const std::vector<DataNodeId> last = f.dfs.block_replicas(info.blocks[3]);
+  ASSERT_EQ(last.size(), 1u);
+  ASSERT_TRUE(f.dfs.fail_datanode(last[0]).is_ok());
+  f.sim.run();
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(result->status.code(), StatusCode::kUnavailable);
+  EXPECT_FALSE(f.dfs.stat("/data/a").is_ok());
+  for (const BlockId id : info.blocks) EXPECT_FALSE(f.dfs.block(id).is_ok());
+  EXPECT_EQ(f.dfs.used(), 0_B);
+  EXPECT_TRUE(f.dfs.list().empty());
+}
+
+TEST(DfsCluster, WriteFailsAtTheBlockWhoseLegsLandWithoutAReplica) {
+  // The first block's legs are in flight when its only datanode fails;
+  // the write stops there instead of streaming the remaining blocks.
+  DfsConfig config = ClusterFixture::default_config();
+  config.replication = 1;
+  ClusterFixture f(2, 3, config);
+  std::optional<DfsIoResult> result;
+  f.dfs.write_file("/data/a", 256_MB, f.layout.headnode,
+                   [&](const DfsIoResult& r) { result = r; });
+  const FileInfo info = f.dfs.stat("/data/a").value();
+  const std::vector<DataNodeId> first = f.dfs.block_replicas(info.blocks[0]);
+  ASSERT_EQ(first.size(), 1u);
+  ASSERT_TRUE(f.dfs.fail_datanode(first[0]).is_ok());
+  const std::int64_t transfers_before =
+      obs::MetricsRegistry::global().counter_value("lsdf_net_transfers_total");
+  f.sim.run();
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(result->status.code(), StatusCode::kUnavailable);
+  EXPECT_FALSE(f.dfs.stat("/data/a").is_ok());
+  EXPECT_EQ(f.dfs.used(), 0_B);
+  // Only the first block's network leg ran.
+  EXPECT_EQ(obs::MetricsRegistry::global().counter_value(
+                "lsdf_net_transfers_total") -
+                transfers_before,
+            1);
+}
+
+TEST(DfsCluster, RemovingAFileMidWriteFailsTheWrite) {
+  // remove() drops every block, the one whose legs are in flight included:
+  // that block lands with no replica and the write stops there instead of
+  // streaming blocks that no longer exist.
+  ClusterFixture f;
+  std::optional<DfsIoResult> result;
+  f.dfs.write_file("/data/a", 256_MB, f.layout.headnode,
+                   [&](const DfsIoResult& r) { result = r; });
+  ASSERT_TRUE(f.dfs.remove("/data/a").is_ok());
+  f.sim.run();
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(result->status.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(f.dfs.used(), 0_B);
+  EXPECT_TRUE(f.dfs.list().empty());
 }
 
 TEST(DfsCluster, ReReplicationRestoresRedundancy) {

@@ -590,6 +590,87 @@ TEST(Federation, ChurnScenarioFingerprintPinned) {
   EXPECT_EQ(placement(churn.replicas.at(8)), "2c 4c");
 }
 
+// The replica table filled from the top id down. Six datasets register and
+// only the last is tagged, so it is the first to get a replica. Its mirror
+// copy completes and stamps the done tag "mirrored", which re-enters the
+// resolver (the tape rule triggers on it) and, through a second catalogue
+// observer, tags the five lower ids for mirroring. A seventh dataset
+// registers after the table has grown. At 3 h a fault on site-a's link
+// drops the replicas it hosts, and fail_site re-resolves them in ascending
+// dataset order, each onto the least-loaded surviving disk site (site-id
+// tie-break), so the final placements pin that order.
+struct TopDownOutcome {
+  chk::ReplayOutcome outcome;
+  FederationStats stats;
+  std::vector<std::string> placements;  // dataset ids 1..7
+};
+
+TopDownOutcome top_down_scenario() {
+  World w;
+  w.add_disk_sites();
+  w.add_tape_site();
+  fault::FaultInjector injector(w.sim, 0x7D0u);
+  injector.register_link("link-a", w.topology, w.link_a);
+  injector.on_topology_change([&w] { w.net.resync(); });
+  w.fed->attach_faults(injector);
+  w.fed->add_rule({.name = "mirror", .trigger_tag = "share",
+                   .done_tag = "mirrored", .copies = 1,
+                   .storage = StorageClass::kDisk});
+  w.fed->add_rule({.name = "archive", .trigger_tag = "mirrored",
+                   .copies = 1, .storage = StorageClass::kTape});
+  w.fed->start();
+  constexpr meta::DatasetId kTop = 6;
+  w.store.subscribe([&w](const meta::MetaEvent& event) {
+    if (event.kind != meta::EventKind::kTagged || event.dataset != kTop ||
+        event.detail != "mirrored") {
+      return;
+    }
+    for (meta::DatasetId id = 1; id < kTop; ++id) {
+      EXPECT_TRUE(w.store.tag(id, "share").is_ok());
+    }
+  });
+  for (meta::DatasetId id = 1; id <= kTop; ++id) {
+    EXPECT_EQ(w.ingest("frame-" + std::to_string(id)), id);
+  }
+  EXPECT_TRUE(w.store.tag(kTop, "share").is_ok());
+  EXPECT_EQ(w.fed->replicas(kTop).size(), 1u);
+  for (meta::DatasetId id = 1; id < kTop; ++id) {
+    EXPECT_TRUE(w.fed->replicas(id).empty()) << "dataset " << id;
+    EXPECT_FALSE(w.fed->satisfied(id, 1)) << "dataset " << id;
+  }
+  EXPECT_EQ(w.ingest("frame-7"), kTop + 1);
+  EXPECT_TRUE(w.fed->replicas(kTop + 1).empty());
+  EXPECT_TRUE(w.fed->replicas(99).empty());
+  EXPECT_FALSE(w.fed->has_replica(99, "site-a"));
+  w.fed->drop_replica(99, "site-a");  // unknown dataset: a no-op
+  EXPECT_TRUE(
+      injector.schedule_fault("link-a", SimTime::zero() + 3_h, 30_min)
+          .is_ok());
+  w.sim.run_until(SimTime::zero() + 6_h);
+  TopDownOutcome out{chk::outcome_of(w.sim), w.fed->stats(), {}};
+  for (meta::DatasetId id = 1; id <= kTop + 1; ++id) {
+    out.placements.push_back(placement(w.fed->replicas(id)));
+  }
+  return out;
+}
+
+TEST(Federation, TopDownScenarioPlacementsPinned) {
+  const TopDownOutcome top = top_down_scenario();
+  EXPECT_EQ(top.outcome.fingerprint, 0xa7844afb7e3eea4aULL);
+  EXPECT_EQ(top.outcome.events, 24u);
+  EXPECT_EQ(top.stats.resolutions, 28);
+  EXPECT_EQ(top.stats.scheduled, 14);
+  EXPECT_EQ(top.stats.replicated, 14);
+  EXPECT_EQ(top.stats.lost, 2);
+  // Site ids: 1-3 are site-a..site-c, 4 is tape-1. Dataset 6 went to
+  // site-a first and dataset 3 followed it there (a three-way tie); after
+  // the fault, 3 re-resolves before 6 and takes site-b, the lower id of
+  // the two sites tied at two replicas.
+  EXPECT_EQ(top.placements,
+            (std::vector<std::string>{"2c 4c", "3c 4c", "2c 4c", "2c 4c",
+                                      "3c 4c", "3c 4c", ""}));
+}
+
 // The Heidelberg mirror as one tag-triggered rule to one site, which is
 // how bench E11 runs it. The suite keeps the name of the imperative mirror
 // service this rule replaced, one case per behaviour that service had.

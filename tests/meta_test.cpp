@@ -151,6 +151,49 @@ TEST(MetadataStore, FindReadsTheStoredRecordInPlace) {
   EXPECT_EQ(record->tags.front(), "calibrated");
 }
 
+TEST(MetadataStore, IdsAreDenseFromOneAndARejectedRegistrationTakesNone) {
+  MetadataStore store;
+  ASSERT_TRUE(store.create_project("p", htm_schema()).is_ok());
+  EXPECT_EQ(store.register_dataset(make_reg("p", "a")).value(), 1u);
+  // Each rejection leaves the next id where it was.
+  EXPECT_FALSE(store.register_dataset(make_reg("p", "a")).is_ok());
+  EXPECT_FALSE(store.register_dataset(make_reg("nope", "b")).is_ok());
+  EXPECT_FALSE(store.register_dataset(make_reg("p", "")).is_ok());
+  MetadataStore::Registration untyped = make_reg("p", "b");
+  untyped.basic["instrument"] = std::int64_t{7};
+  EXPECT_FALSE(store.register_dataset(untyped).is_ok());
+  EXPECT_EQ(store.register_dataset(make_reg("p", "b")).value(), 2u);
+  EXPECT_EQ(store.register_dataset(make_reg("p", "c")).value(), 3u);
+  EXPECT_EQ(store.dataset_ids(), (std::vector<DatasetId>{1, 2, 3}));
+  EXPECT_EQ(store.dataset_count(), 3u);
+  EXPECT_EQ(store.find_by_name("p", "b").value(), 2u);
+  // Ids outside 1..N name no record.
+  EXPECT_EQ(store.find(0), nullptr);
+  EXPECT_EQ(store.find(4), nullptr);
+  EXPECT_EQ(store.get(0).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(store.tag(4, "t").code(), StatusCode::kNotFound);
+  EXPECT_EQ(store.untag(0, "t").code(), StatusCode::kNotFound);
+}
+
+TEST(MetadataStore, FindPointerOutlivesLaterRegistrations) {
+  MetadataStore store;
+  ASSERT_TRUE(store.create_project("p", {}).is_ok());
+  const DatasetId first =
+      store.register_dataset(make_reg("p", "first")).value();
+  const DatasetRecord* record = store.find(first);
+  ASSERT_NE(record, nullptr);
+  for (int i = 0; i < 10'000; ++i) {
+    ASSERT_TRUE(
+        store.register_dataset(make_reg("p", "d" + std::to_string(i)))
+            .is_ok());
+  }
+  ASSERT_TRUE(store.tag(first, "calibrated").is_ok());
+  EXPECT_EQ(store.find(first), record);
+  EXPECT_EQ(record->name, "first");
+  ASSERT_EQ(record->tags.size(), 1u);
+  EXPECT_EQ(record->tags.front(), "calibrated");
+}
+
 // --- Tags -------------------------------------------------------------------------
 
 TEST(MetadataStore, TagUntagAndIndex) {

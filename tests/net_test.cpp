@@ -5,6 +5,7 @@
 
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "net/topology.h"
 #include "net/transfer_engine.h"
@@ -330,6 +331,77 @@ TEST(TransferEngine, CancelDeliversTerminalCancelledCompletion) {
   EXPECT_EQ(engine.active_flows(), 0u);
   // Exactly one terminal completion: a second cancel finds nothing.
   EXPECT_FALSE(engine.cancel(id));
+}
+
+TEST(TransferEngine, CancelDuringPathLatencyAbortsTheFlowBeforeItJoins) {
+  sim::Simulator sim;
+  Topology topo = line_topology(2, Rate::megabytes_per_second(100.0), 10_ms);
+  TransferEngine engine(sim, topo);
+  std::vector<TransferCompletion> completions;
+  const auto record = [&completions](const TransferCompletion& c) {
+    completions.push_back(c);
+  };
+  const FlowId at_once =
+      engine.start_transfer(0, 1, 100_MB, TransferOptions{}, record).value();
+  const FlowId midway =
+      engine.start_transfer(0, 1, 100_MB, TransferOptions{}, record).value();
+  EXPECT_TRUE(engine.cancel(at_once));
+  sim.run_until(SimTime::zero() + 5_ms);
+  EXPECT_EQ(engine.active_flows(), 0u);  // neither has joined yet
+  EXPECT_TRUE(engine.cancel(midway));
+  ASSERT_EQ(completions.size(), 2u);
+  EXPECT_EQ(completions[0].id, at_once);
+  EXPECT_EQ(completions[1].id, midway);
+  EXPECT_EQ(completions[1].finished, SimTime::zero() + 5_ms);
+  for (const TransferCompletion& c : completions) {
+    EXPECT_EQ(c.status.code(), StatusCode::kCancelled);
+  }
+  // Neither flow joins later or delivers a second completion.
+  sim.run();
+  EXPECT_EQ(completions.size(), 2u);
+  EXPECT_EQ(engine.active_flows(), 0u);
+  EXPECT_FALSE(engine.cancel(at_once));
+  EXPECT_FALSE(engine.cancel(midway));
+}
+
+TEST(TransferEngine, FlowsJoiningInReverseIdOrderCompleteInIdOrder) {
+  // The first flow's path has ten times the second's latency, so the
+  // second joins 9 ms earlier. It carries the 900 KB it moves alone on top
+  // of the first flow's size, so both finish in the same advance, and
+  // their completions fire in FlowId order, not join order.
+  sim::Simulator sim;
+  Topology topo;
+  const NodeId hub = topo.add_node("hub");
+  const NodeId far = topo.add_node("far");
+  const NodeId near = topo.add_node("near");
+  const Rate rate = Rate::megabytes_per_second(100.0);
+  topo.add_duplex_link(hub, far, rate, 10_ms);
+  topo.add_duplex_link(hub, near, rate, 1_ms);
+  TransferEngine engine(sim, topo);
+  std::vector<TransferCompletion> completions;
+  const auto record = [&completions](const TransferCompletion& c) {
+    completions.push_back(c);
+  };
+  const FlowId first =
+      engine.start_transfer(hub, far, 100_MB, TransferOptions{}, record)
+          .value();
+  const FlowId second =
+      engine
+          .start_transfer(hub, near, 100_MB + 900_KB, TransferOptions{},
+                          record)
+          .value();
+  ASSERT_LT(first, second);
+  sim.run_until(SimTime::zero() + 5_ms);
+  EXPECT_EQ(engine.active_flows(), 1u);
+  EXPECT_EQ(engine.flow_rate(first).bps(), 0.0);
+  EXPECT_GT(engine.flow_rate(second).bps(), 0.0);
+  sim.run();
+  ASSERT_EQ(completions.size(), 2u);
+  EXPECT_EQ(completions[0].id, first);
+  EXPECT_EQ(completions[1].id, second);
+  EXPECT_EQ(completions[0].finished, completions[1].finished);
+  EXPECT_TRUE(completions[0].delivered());
+  EXPECT_TRUE(completions[1].delivered());
 }
 
 TEST(TransferEngine, CompletedFlowsReportOkStatus) {

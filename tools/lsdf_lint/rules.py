@@ -74,9 +74,12 @@ DETERMINISM_ALLOWLIST = {
 # ascending — is part of the replay contract (DESIGN.md §4i); src/cache/
 # and src/storage/ because eviction, migration and tape placement order
 # show in the fingerprint, and BlockCache's hash directory is safe only
-# while nothing iterates it (DESIGN.md §4f).
+# while nothing iterates it (DESIGN.md §4f); src/meta/ because the
+# catalogue's id order is fed's resolution order, and its hashed name
+# index is safe only while nothing iterates it.
 DETERMINISM_CRITICAL_PREFIXES = ("src/sim/", "src/net/", "src/chk/",
-                                 "src/fed/", "src/cache/", "src/storage/")
+                                 "src/fed/", "src/cache/", "src/storage/",
+                                 "src/meta/")
 _CRITICAL_DIRS = ", ".join(p.rstrip("/")
                            for p in DETERMINISM_CRITICAL_PREFIXES)
 
